@@ -22,7 +22,6 @@
 #include "nn/conv2d.h"
 #include "nn/loss.h"
 #include "nn/trainer.h"
-#include "nn/lrn.h"
 #include "selfsup/jigsaw.h"
 #include "selfsup/relative.h"
 #include "tensor/gemm.h"
@@ -170,21 +169,6 @@ BM_ConvDirect(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * 8);
 }
 BENCHMARK(BM_ConvDirect);
-
-void
-BM_Lrn(benchmark::State& state)
-{
-    Rng rng(8);
-    LocalResponseNorm lrn("n", 5);
-    Tensor x({8, 16, 12, 12});
-    x.fill_uniform(rng, -1.0f, 1.0f);
-    for (auto _ : state) {
-        Tensor y = lrn.forward(x, false);
-        benchmark::DoNotOptimize(y.data());
-    }
-    state.SetItemsProcessed(state.iterations() * 8);
-}
-BENCHMARK(BM_Lrn);
 
 void
 BM_RelativeBatch(benchmark::State& state)

@@ -183,7 +183,7 @@ main()
     // whole scenario: the clock switches to simulated time (stamped by
     // FleetSim's stage windows) and spans are recorded, so the
     // exported file is a pure function of the scenario — byte-
-    // identical at any INSITU_THREADS (pinned by scripts/check_obs.sh).
+    // identical at any INSITU_THREADS (pinned by the check_obs ctest).
     const char* telemetry_path =
         std::getenv("INSITU_TELEMETRY_JSONL");
     const bool telemetry =

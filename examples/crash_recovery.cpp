@@ -24,7 +24,7 @@
  * durable fleet is killed between stages and rebuilt from nothing but
  * its durable directory — node checkpoints, registry WAL, supervisor
  * state and stage counter all resume. The whole program prints a
- * deterministic transcript; scripts/check_recovery.sh byte-diffs it
+ * deterministic transcript; the check_recovery ctest byte-diffs it
  * at INSITU_THREADS=1 and 4.
  */
 #include <cstdio>
@@ -342,7 +342,7 @@ main()
     std::printf("== crash_recovery: kill-anywhere durability "
                 "harness ==\n");
     // INSITU_STATE_DIR=<dir>: run against (and keep) an external
-    // state directory, so scripts/check_recovery.sh can byte-diff
+    // state directory, so the check_recovery ctest can byte-diff
     // the surviving durable files — the flight dump in particular —
     // across thread widths after the process exits.
     const char* keep = std::getenv("INSITU_STATE_DIR");

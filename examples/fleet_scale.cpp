@@ -7,7 +7,7 @@
  *
  * Determinism contract: the transcript file and the flight dump
  * (INSITU_FLIGHT_DUMP=<path>) are pure functions of the configuration
- * — scripts/check_fleet_scale.sh byte-diffs both across
+ * — the check_fleet_scale ctest byte-diffs both across
  * INSITU_THREADS=1 vs 4. Timing lines go to stdout only and are never
  * part of the diffed artifacts.
  *

@@ -233,7 +233,7 @@ run_chaos()
     guarded.transcript = TranscriptLevel::kSummary;
     // INSITU_FLIGHT_DUMP=<path>: arm the guarded run's flight
     // recorder (dumped when the ladder reaches rung >= 3 or forces a
-    // drain); scripts/check_slo.sh byte-diffs the dump across thread
+    // drain); the check_slo ctest byte-diffs the dump across thread
     // widths.
     if (const char* fp = std::getenv("INSITU_FLIGHT_DUMP");
         fp != nullptr && *fp != '\0')
@@ -275,7 +275,7 @@ run_chaos()
 
     // INSITU_TRACE_CHROME=<path>: export the whole mode's trace
     // (spans, instants, flow chains) as Chrome trace_event JSON —
-    // deterministic, so check_slo.sh byte-diffs it across widths.
+    // deterministic, so the check_slo ctest byte-diffs it across widths.
     if (const char* tp = std::getenv("INSITU_TRACE_CHROME");
         tp != nullptr && *tp != '\0') {
         if (!obs::export_chrome_trace_file(tp)) {

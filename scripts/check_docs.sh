@@ -3,7 +3,8 @@
 #
 # 1. Every intra-repo markdown link in the top-level docs, docs/ and
 #    results/ must resolve to an existing file.
-# 2. Every bench binary (bench/bench_*.cc) must be documented in
+# 2. Every bench binary (bench/bench_*.cc) and every determinism gate
+#    (scripts/determinism_gates.txt) must be documented in
 #    docs/performance.md.
 # 3. docs/observability.md must document every instrumented metric
 #    namespace, so new instrumentation can't land undocumented.
@@ -65,9 +66,17 @@ else
     # benches that exercise them, and the fleet-scale gates alongside
     # the sweep they guard.
     for needle in 'INSITU_GEMM' 'check_perf' 'check_fleet_scale' \
-            'INSITU_PERF_FLOOR_FLEET'; do
+            'INSITU_PERF_FLOOR_FLEET' 'check_determinism'; do
         if ! grep -qF "$needle" "$perf"; then
             note "docs/performance.md does not mention $needle"
+            fail=1
+        fi
+    done
+    # Every gate in the determinism manifest is listed in the gate
+    # table, so a gate cannot land unexplained.
+    for gate in $("$root/scripts/check_determinism.sh" --list); do
+        if ! grep -qF "\`$gate\`" "$perf"; then
+            note "determinism gate $gate not listed in docs/performance.md"
             fail=1
         fi
     done

@@ -37,7 +37,7 @@
  * The transcript (one merged stage line plus one digest line per
  * shard, all emitted serially) and the flight-recorder ring are byte
  * identical at any `INSITU_THREADS`, including under chaos — the
- * check_fleet_scale.sh ctest gate byte-diffs both at widths 1 vs 4.
+ * check_fleet_scale ctest gate byte-diffs both at widths 1 vs 4.
  *
  * Zero hot-path allocations: every heap, outbox and quarantine list
  * is preallocated at construction; `hot_allocs()` counts capacity

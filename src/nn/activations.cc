@@ -1,7 +1,5 @@
 #include "nn/activations.h"
 
-#include <cmath>
-
 #include "util/logging.h"
 
 namespace insitu {
@@ -49,96 +47,6 @@ Flatten::backward(const Tensor& grad_output)
     INSITU_CHECK(!cached_shape_.empty(),
                  "flatten backward before forward");
     return grad_output.reshape(cached_shape_);
-}
-
-Tensor
-Sigmoid::forward(const Tensor& input, bool /*training*/)
-{
-    Tensor out = input;
-    float* po = out.data();
-    for (int64_t i = 0; i < out.numel(); ++i)
-        po[i] = 1.0f / (1.0f + std::exp(-po[i]));
-    cached_output_ = out;
-    return out;
-}
-
-Tensor
-Sigmoid::backward(const Tensor& grad_output)
-{
-    INSITU_CHECK(grad_output.same_shape(cached_output_),
-                 "sigmoid backward shape mismatch");
-    Tensor out = grad_output;
-    float* po = out.data();
-    const float* y = cached_output_.data();
-    for (int64_t i = 0; i < out.numel(); ++i)
-        po[i] *= y[i] * (1.0f - y[i]);
-    return out;
-}
-
-Tensor
-Tanh::forward(const Tensor& input, bool /*training*/)
-{
-    Tensor out = input;
-    float* po = out.data();
-    for (int64_t i = 0; i < out.numel(); ++i)
-        po[i] = std::tanh(po[i]);
-    cached_output_ = out;
-    return out;
-}
-
-Tensor
-Tanh::backward(const Tensor& grad_output)
-{
-    INSITU_CHECK(grad_output.same_shape(cached_output_),
-                 "tanh backward shape mismatch");
-    Tensor out = grad_output;
-    float* po = out.data();
-    const float* y = cached_output_.data();
-    for (int64_t i = 0; i < out.numel(); ++i)
-        po[i] *= 1.0f - y[i] * y[i];
-    return out;
-}
-
-Dropout::Dropout(std::string name, double p, Rng& rng)
-    : p_(p), rng_(rng.split())
-{
-    INSITU_CHECK(p >= 0.0 && p < 1.0, "dropout p must be in [0,1)");
-    set_name(std::move(name));
-}
-
-Tensor
-Dropout::forward(const Tensor& input, bool training)
-{
-    last_training_ = training;
-    if (!training || p_ == 0.0) return input;
-    mask_ = Tensor(input.shape());
-    Tensor out = input;
-    const float scale = static_cast<float>(1.0 / (1.0 - p_));
-    float* pm = mask_.data();
-    float* po = out.data();
-    for (int64_t i = 0; i < out.numel(); ++i) {
-        if (rng_.bernoulli(p_)) {
-            pm[i] = 0.0f;
-            po[i] = 0.0f;
-        } else {
-            pm[i] = scale;
-            po[i] *= scale;
-        }
-    }
-    return out;
-}
-
-Tensor
-Dropout::backward(const Tensor& grad_output)
-{
-    if (!last_training_ || p_ == 0.0) return grad_output;
-    INSITU_CHECK(grad_output.same_shape(mask_),
-                 "dropout backward shape mismatch");
-    Tensor out = grad_output;
-    float* po = out.data();
-    const float* pm = mask_.data();
-    for (int64_t i = 0; i < out.numel(); ++i) po[i] *= pm[i];
-    return out;
 }
 
 } // namespace insitu

@@ -111,84 +111,4 @@ MaxPool2d::describe() const
     return oss.str();
 }
 
-AvgPool2d::AvgPool2d(std::string name, int64_t kernel, int64_t stride)
-    : kernel_(kernel), stride_(stride)
-{
-    set_name(std::move(name));
-}
-
-Tensor
-AvgPool2d::forward(const Tensor& input, bool /*training*/)
-{
-    check_pool_input(input, kernel_, stride_);
-    cached_in_shape_ = input.shape();
-    const int64_t batch = input.dim(0), ch = input.dim(1);
-    const int64_t ih = input.dim(2), iw = input.dim(3);
-    const int64_t oh = pool_out(ih, kernel_, stride_);
-    const int64_t ow = pool_out(iw, kernel_, stride_);
-    Tensor out({batch, ch, oh, ow});
-    const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-    const float* in = input.data();
-    float* po = out.data();
-    parallel_for(0, batch * ch, 1, [&](int64_t p0, int64_t p1) {
-        for (int64_t p = p0; p < p1; ++p) {
-            const float* plane = in + p * ih * iw;
-            int64_t oi = p * oh * ow;
-            for (int64_t y = 0; y < oh; ++y) {
-                for (int64_t x = 0; x < ow; ++x, ++oi) {
-                    float acc = 0.0f;
-                    for (int64_t ky = 0; ky < kernel_; ++ky)
-                        for (int64_t kx = 0; kx < kernel_; ++kx)
-                            acc += plane[(y * stride_ + ky) * iw +
-                                         x * stride_ + kx];
-                    po[oi] = acc * inv;
-                }
-            }
-        }
-    });
-    return out;
-}
-
-Tensor
-AvgPool2d::backward(const Tensor& grad_output)
-{
-    INSITU_CHECK(!cached_in_shape_.empty(),
-                 "avgpool backward before forward");
-    Tensor grad_input(cached_in_shape_);
-    const int64_t batch = cached_in_shape_[0], ch = cached_in_shape_[1];
-    const int64_t ih = cached_in_shape_[2], iw = cached_in_shape_[3];
-    const int64_t oh = pool_out(ih, kernel_, stride_);
-    const int64_t ow = pool_out(iw, kernel_, stride_);
-    INSITU_CHECK(grad_output.rank() == 4 && grad_output.dim(2) == oh &&
-                     grad_output.dim(3) == ow,
-                 "avgpool grad_output shape mismatch");
-    const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-    const float* go = grad_output.data();
-    float* gi = grad_input.data();
-    parallel_for(0, batch * ch, 1, [&](int64_t p0, int64_t p1) {
-        for (int64_t p = p0; p < p1; ++p) {
-            float* plane = gi + p * ih * iw;
-            int64_t oi = p * oh * ow;
-            for (int64_t y = 0; y < oh; ++y) {
-                for (int64_t x = 0; x < ow; ++x, ++oi) {
-                    const float g = go[oi] * inv;
-                    for (int64_t ky = 0; ky < kernel_; ++ky)
-                        for (int64_t kx = 0; kx < kernel_; ++kx)
-                            plane[(y * stride_ + ky) * iw +
-                                  x * stride_ + kx] += g;
-                }
-            }
-        }
-    });
-    return grad_input;
-}
-
-std::string
-AvgPool2d::describe() const
-{
-    std::ostringstream oss;
-    oss << "avgpool k" << kernel_ << " s" << stride_;
-    return oss.str();
-}
-
 } // namespace insitu

@@ -1,6 +1,6 @@
 /**
  * @file
- * Spatial pooling layers (max and average).
+ * Spatial max pooling.
  */
 #pragma once
 
@@ -22,21 +22,6 @@ class MaxPool2d : public Layer {
     int64_t kernel_, stride_;
     std::vector<int64_t> cached_in_shape_;
     std::vector<int32_t> argmax_;
-};
-
-/** Average pooling over square windows. */
-class AvgPool2d : public Layer {
-  public:
-    AvgPool2d(std::string name, int64_t kernel, int64_t stride);
-
-    Tensor forward(const Tensor& input, bool training) override;
-    Tensor backward(const Tensor& grad_output) override;
-    std::string kind() const override { return "avgpool"; }
-    std::string describe() const override;
-
-  private:
-    int64_t kernel_, stride_;
-    std::vector<int64_t> cached_in_shape_;
 };
 
 } // namespace insitu

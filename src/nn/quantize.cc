@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 
 #include "util/logging.h"
 
@@ -97,94 +96,6 @@ float_payload_bytes(const Network& net)
     for (const auto& p : net.params())
         bytes += 4.0 * static_cast<double>(p->numel());
     return bytes;
-}
-
-namespace {
-
-constexpr uint32_t kQuantMagic = 0x1A51'0801; // "insitu int8 v1"
-
-template <typename T>
-void
-write_pod(std::ostream& os, const T& v)
-{
-    os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-template <typename T>
-bool
-read_pod(std::istream& is, T& v)
-{
-    is.read(reinterpret_cast<char*>(&v), sizeof(v));
-    return static_cast<bool>(is);
-}
-
-} // namespace
-
-bool
-save_quantized_file(const QuantizedModel& model,
-                    const std::string& path)
-{
-    std::ofstream ofs(path, std::ios::binary);
-    if (!ofs) {
-        warn("cannot open " + path + " for writing");
-        return false;
-    }
-    write_pod(ofs, kQuantMagic);
-    write_pod(ofs, static_cast<uint32_t>(model.params.size()));
-    for (const auto& p : model.params) {
-        write_pod(ofs, static_cast<uint32_t>(p.name.size()));
-        ofs.write(p.name.data(),
-                  static_cast<std::streamsize>(p.name.size()));
-        write_pod(ofs, static_cast<uint32_t>(p.shape.size()));
-        for (int64_t d : p.shape) write_pod(ofs, d);
-        write_pod(ofs, p.scale);
-        write_pod(ofs, static_cast<uint64_t>(p.codes.size()));
-        ofs.write(reinterpret_cast<const char*>(p.codes.data()),
-                  static_cast<std::streamsize>(p.codes.size()));
-    }
-    return static_cast<bool>(ofs);
-}
-
-std::optional<QuantizedModel>
-load_quantized_file(const std::string& path)
-{
-    std::ifstream ifs(path, std::ios::binary);
-    if (!ifs) {
-        warn("cannot open " + path);
-        return std::nullopt;
-    }
-    uint32_t magic = 0, count = 0;
-    if (!read_pod(ifs, magic) || magic != kQuantMagic) {
-        warn("bad quantized-model magic in " + path);
-        return std::nullopt;
-    }
-    if (!read_pod(ifs, count) || count > 1'000'000)
-        return std::nullopt;
-    QuantizedModel model;
-    for (uint32_t i = 0; i < count; ++i) {
-        QuantizedParam p;
-        uint32_t name_len = 0;
-        if (!read_pod(ifs, name_len) || name_len > 4096)
-            return std::nullopt;
-        p.name.resize(name_len);
-        ifs.read(p.name.data(), name_len);
-        uint32_t rank = 0;
-        if (!ifs || !read_pod(ifs, rank) || rank > 8)
-            return std::nullopt;
-        p.shape.resize(rank);
-        for (auto& d : p.shape)
-            if (!read_pod(ifs, d)) return std::nullopt;
-        uint64_t codes = 0;
-        if (!read_pod(ifs, p.scale) || !read_pod(ifs, codes) ||
-            codes > (1ULL << 32))
-            return std::nullopt;
-        p.codes.resize(static_cast<size_t>(codes));
-        ifs.read(reinterpret_cast<char*>(p.codes.data()),
-                 static_cast<std::streamsize>(codes));
-        if (!ifs) return std::nullopt;
-        model.params.push_back(std::move(p));
-    }
-    return model;
 }
 
 } // namespace insitu

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,13 +53,5 @@ double quantization_error(const Network& net,
 
 /** Payload of the float32 model for comparison. */
 double float_payload_bytes(const Network& net);
-
-/** Write a quantized model as a binary artifact. */
-bool save_quantized_file(const QuantizedModel& model,
-                         const std::string& path);
-
-/** Read a quantized artifact; returns nullopt on malformed input. */
-std::optional<QuantizedModel> load_quantized_file(
-    const std::string& path);
 
 } // namespace insitu

@@ -142,17 +142,6 @@ TEST(Edge, ReluOnAllNegativeInputIsZeroWithZeroGrad)
     EXPECT_EQ(relu.backward(g).sum(), 0.0);
 }
 
-TEST(Edge, DropoutPZeroIsIdentityEvenInTraining)
-{
-    Rng rng(7);
-    Dropout d("d", 0.0, rng);
-    Tensor x({10}, 2.0f);
-    const Tensor y = d.forward(x, /*training=*/true);
-    EXPECT_EQ(y.sum(), 20.0);
-    Tensor g({10}, 1.0f);
-    EXPECT_EQ(d.backward(g).sum(), 10.0);
-}
-
 TEST(Edge, RngSplitChainsStayDeterministic)
 {
     Rng a(99), b(99);

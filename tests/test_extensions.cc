@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the extension features: the direct conv backend vs the
- * im2col lowering, sigmoid/tanh activations, the uplink queue, the
- * periodic environment schedule, and labeling-cost accounting.
+ * im2col lowering, the uplink queue, the periodic environment
+ * schedule, and labeling-cost accounting.
  */
 #include <gtest/gtest.h>
 
@@ -57,67 +57,6 @@ TEST(ConvBackend, DirectForwardWithIm2colBackwardIsConsistent)
     x.fill_uniform(rng, -1.0f, 1.0f);
     SoftmaxCrossEntropy loss;
     const std::vector<int64_t> labels{1};
-    auto loss_fn = [&] {
-        return loss.forward(net.forward(x, false), labels);
-    };
-    auto backward_fn = [&] {
-        loss.forward(net.forward(x, false), labels);
-        net.backward(loss.backward());
-    };
-    EXPECT_TRUE(check_gradients(net, loss_fn, backward_fn).ok());
-}
-
-TEST(Activations, SigmoidForwardValues)
-{
-    Sigmoid s;
-    Tensor x({3}, {0.0f, 100.0f, -100.0f});
-    const Tensor y = s.forward(x, false);
-    EXPECT_NEAR(y.at(0), 0.5f, 1e-6f);
-    EXPECT_NEAR(y.at(1), 1.0f, 1e-6f);
-    EXPECT_NEAR(y.at(2), 0.0f, 1e-6f);
-}
-
-TEST(Activations, TanhForwardValues)
-{
-    Tanh t;
-    Tensor x({2}, {0.0f, 100.0f});
-    const Tensor y = t.forward(x, false);
-    EXPECT_NEAR(y.at(0), 0.0f, 1e-6f);
-    EXPECT_NEAR(y.at(1), 1.0f, 1e-6f);
-}
-
-TEST(Activations, SigmoidGradient)
-{
-    Rng rng(3);
-    Network net("sig");
-    net.emplace<Linear>("fc1", 4, 6, rng);
-    net.emplace<Sigmoid>();
-    net.emplace<Linear>("fc2", 6, 2, rng);
-    Tensor x({3, 4});
-    x.fill_uniform(rng, -1.0f, 1.0f);
-    SoftmaxCrossEntropy loss;
-    const std::vector<int64_t> labels{0, 1, 0};
-    auto loss_fn = [&] {
-        return loss.forward(net.forward(x, false), labels);
-    };
-    auto backward_fn = [&] {
-        loss.forward(net.forward(x, false), labels);
-        net.backward(loss.backward());
-    };
-    EXPECT_TRUE(check_gradients(net, loss_fn, backward_fn).ok());
-}
-
-TEST(Activations, TanhGradient)
-{
-    Rng rng(4);
-    Network net("tanh");
-    net.emplace<Linear>("fc1", 4, 6, rng);
-    net.emplace<Tanh>();
-    net.emplace<Linear>("fc2", 6, 2, rng);
-    Tensor x({3, 4});
-    x.fill_uniform(rng, -1.0f, 1.0f);
-    SoftmaxCrossEntropy loss;
-    const std::vector<int64_t> labels{1, 0, 1};
     auto loss_fn = [&] {
         return loss.forward(net.forward(x, false), labels);
     };

@@ -1,15 +1,10 @@
 /**
  * @file
- * Tests for the multi-node fleet simulator and the quantized-model
- * file artifact.
+ * Tests for the multi-node fleet simulator.
  */
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "iot/fleet.h"
-#include "models/tiny.h"
-#include "nn/quantize.h"
 
 namespace insitu {
 namespace {
@@ -85,44 +80,6 @@ TEST(Fleet, SingleNodeFleetDegeneratesGracefully)
     fleet.bootstrap(60, 0.2);
     const auto report = fleet.run_stage(30, 0.25);
     EXPECT_EQ(report.nodes.size(), 1u);
-}
-
-TEST(QuantizedFile, RoundTripThroughDisk)
-{
-    Rng rng(5);
-    TinyConfig config;
-    config.num_permutations = 8;
-    Network net = make_tiny_inference(config, rng);
-    const QuantizedModel model = quantize_weights(net);
-    const std::string path = "/tmp/insitu_quant_test.bin";
-    ASSERT_TRUE(save_quantized_file(model, path));
-    const auto loaded = load_quantized_file(path);
-    ASSERT_TRUE(loaded.has_value());
-    ASSERT_EQ(loaded->params.size(), model.params.size());
-    for (size_t i = 0; i < model.params.size(); ++i) {
-        EXPECT_EQ(loaded->params[i].name, model.params[i].name);
-        EXPECT_EQ(loaded->params[i].shape, model.params[i].shape);
-        EXPECT_EQ(loaded->params[i].scale, model.params[i].scale);
-        EXPECT_EQ(loaded->params[i].codes, model.params[i].codes);
-    }
-    // The loaded artifact deploys into a fresh network.
-    Network fresh = make_tiny_inference(config, rng);
-    EXPECT_TRUE(dequantize_into(fresh, *loaded));
-    std::remove(path.c_str());
-}
-
-TEST(QuantizedFile, RejectsGarbage)
-{
-    const std::string path = "/tmp/insitu_quant_garbage.bin";
-    {
-        std::FILE* f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        std::fputs("not a quantized model", f);
-        std::fclose(f);
-    }
-    EXPECT_FALSE(load_quantized_file(path).has_value());
-    std::remove(path.c_str());
-    EXPECT_FALSE(load_quantized_file("/nonexistent/q.bin").has_value());
 }
 
 } // namespace

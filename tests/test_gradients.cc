@@ -95,19 +95,6 @@ TEST(GradCheck, ConvReluPoolStack)
     EXPECT_TRUE(check_net(net, x, {2, 0}).ok());
 }
 
-TEST(GradCheck, AvgPoolStack)
-{
-    Rng rng(26);
-    Network net("avg");
-    net.emplace<Conv2d>("c1", 1, 2, 3, 1, 0, rng)
-        .emplace<AvgPool2d>("p1", 2, 2)
-        .emplace<Flatten>()
-        .emplace<Linear>("fc", 2 * 3 * 3, 2, rng);
-    Tensor x({1, 1, 8, 8});
-    x.fill_uniform(rng, -1.0f, 1.0f);
-    EXPECT_TRUE(check_net(net, x, {0}).ok());
-}
-
 TEST(GradCheck, TwoConvNetwork)
 {
     Rng rng(27);

@@ -14,7 +14,6 @@
 #include "models/tiny.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
-#include "nn/lrn.h"
 #include "nn/pooling.h"
 #include "hw/spec.h"
 #include "nn/serialize.h"
@@ -95,10 +94,6 @@ TEST(Describe, LayerStringsMentionConfig)
     EXPECT_NE(fc.describe().find("10->4"), std::string::npos);
     MaxPool2d mp("m", 2, 2);
     EXPECT_NE(mp.describe().find("maxpool"), std::string::npos);
-    AvgPool2d ap("a", 3, 3);
-    EXPECT_NE(ap.describe().find("avgpool"), std::string::npos);
-    LocalResponseNorm lrn("n");
-    EXPECT_NE(lrn.describe().find("lrn"), std::string::npos);
 }
 
 TEST(Layer, SetParamOnParamlessLayerPanics)

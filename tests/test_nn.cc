@@ -93,24 +93,6 @@ TEST(Flatten, RoundTripShapes)
     EXPECT_EQ(back.shape(), x.shape());
 }
 
-TEST(Dropout, EvalModeIsIdentity)
-{
-    Rng rng(5);
-    Dropout d("d", 0.5, rng);
-    Tensor x({100}, 1.0f);
-    const Tensor y = d.forward(x, /*training=*/false);
-    EXPECT_EQ(y.sum(), 100.0);
-}
-
-TEST(Dropout, TrainingPreservesExpectation)
-{
-    Rng rng(6);
-    Dropout d("d", 0.5, rng);
-    Tensor x({20000}, 1.0f);
-    const Tensor y = d.forward(x, /*training=*/true);
-    EXPECT_NEAR(y.mean(), 1.0, 0.05);
-}
-
 TEST(MaxPool, SelectsWindowMaxima)
 {
     MaxPool2d pool("p", 2, 2);
@@ -130,17 +112,6 @@ TEST(MaxPool, BackwardRoutesToArgmax)
     const Tensor gi = pool.backward(g);
     EXPECT_EQ(gi.at(0, 0, 0, 1), 5.0f);
     EXPECT_EQ(gi.at(0, 0, 0, 0), 0.0f);
-}
-
-TEST(AvgPool, AveragesWindows)
-{
-    AvgPool2d pool("p", 2, 2);
-    Tensor x({1, 1, 2, 2}, {1, 2, 3, 4});
-    const Tensor y = pool.forward(x, false);
-    EXPECT_FLOAT_EQ(y.at(0), 2.5f);
-    Tensor g({1, 1, 1, 1}, {4.0f});
-    const Tensor gi = pool.backward(g);
-    for (int64_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(gi.at(i), 1.0f);
 }
 
 TEST(Softmax, RowsSumToOne)

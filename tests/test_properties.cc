@@ -18,7 +18,6 @@
 #include "nn/grad_check.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
-#include "nn/lrn.h"
 #include "nn/pooling.h"
 #include "selfsup/permutation.h"
 #include "util/rng.h"
@@ -81,12 +80,11 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{1, 1, 7, 1, 3, 7})); // kernel == size
 
 // ---------------------------------------------------------------
-// Pooling gradients over window/stride combinations.
+// Max-pooling gradients over window/stride/channel combinations.
 // ---------------------------------------------------------------
 
 struct PoolCase {
-    int64_t kernel, stride, size;
-    bool avg;
+    int64_t kernel, stride, size, channels;
 };
 
 class PoolGradientSweep : public ::testing::TestWithParam<PoolCase> {};
@@ -96,14 +94,11 @@ TEST_P(PoolGradientSweep, AnalyticMatchesNumeric)
     const PoolCase c = GetParam();
     Rng rng(static_cast<uint64_t>(c.kernel * 31 + c.stride));
     Network net("pool");
-    net.emplace<Conv2d>("c", 1, 2, 3, 1, 1, rng);
-    if (c.avg)
-        net.emplace<AvgPool2d>("p", c.kernel, c.stride);
-    else
-        net.emplace<MaxPool2d>("p", c.kernel, c.stride);
+    net.emplace<Conv2d>("c", 1, c.channels, 3, 1, 1, rng);
+    net.emplace<MaxPool2d>("p", c.kernel, c.stride);
     net.emplace<Flatten>();
     const int64_t out = (c.size - c.kernel) / c.stride + 1;
-    net.emplace<Linear>("fc", 2 * out * out, 2, rng);
+    net.emplace<Linear>("fc", c.channels * out * out, 2, rng);
 
     Tensor x({1, 1, c.size, c.size});
     x.fill_uniform(rng, -1.0f, 1.0f);
@@ -121,60 +116,9 @@ TEST_P(PoolGradientSweep, AnalyticMatchesNumeric)
 
 INSTANTIATE_TEST_SUITE_P(
     Configurations, PoolGradientSweep,
-    ::testing::Values(PoolCase{2, 2, 6, false},
-                      PoolCase{3, 3, 9, false},
-                      PoolCase{3, 2, 7, false}, // overlapping max
-                      PoolCase{2, 2, 6, true},
-                      PoolCase{3, 3, 9, true},
-                      PoolCase{3, 2, 7, true})); // overlapping avg
-
-// ---------------------------------------------------------------
-// LRN gradient and normalization properties.
-// ---------------------------------------------------------------
-
-TEST(LrnProperty, GradientMatchesNumeric)
-{
-    Rng rng(77);
-    Network net("lrn");
-    net.emplace<Conv2d>("c", 2, 6, 3, 1, 1, rng);
-    net.emplace<LocalResponseNorm>("n", 5);
-    net.emplace<Flatten>();
-    net.emplace<Linear>("fc", 6 * 5 * 5, 2, rng);
-    Tensor x({1, 2, 5, 5});
-    x.fill_uniform(rng, -1.0f, 1.0f);
-    SoftmaxCrossEntropy loss;
-    const std::vector<int64_t> labels{0};
-    auto loss_fn = [&] {
-        return loss.forward(net.forward(x, false), labels);
-    };
-    auto backward_fn = [&] {
-        loss.forward(net.forward(x, false), labels);
-        net.backward(loss.backward());
-    };
-    const auto r = check_gradients(net, loss_fn, backward_fn);
-    EXPECT_TRUE(r.ok()) << "rel err " << r.max_rel_error;
-}
-
-TEST(LrnProperty, ShrinksLargeActivations)
-{
-    LocalResponseNorm lrn("n", 5, 1.0, 0.75, 2.0);
-    Tensor x({1, 8, 2, 2}, 10.0f);
-    const Tensor y = lrn.forward(x, false);
-    // With big alpha the normalization must damp the activations.
-    EXPECT_LT(y.max(), x.max());
-    EXPECT_GT(y.min(), 0.0f);
-}
-
-TEST(LrnProperty, NearIdentityForSmallActivations)
-{
-    LocalResponseNorm lrn("n", 5); // default AlexNet constants
-    Rng rng(5);
-    Tensor x({1, 8, 3, 3});
-    x.fill_uniform(rng, -0.1f, 0.1f);
-    const Tensor y = lrn.forward(x, false);
-    for (int64_t i = 0; i < x.numel(); ++i)
-        EXPECT_NEAR(y.at(i), x.at(i) * std::pow(2.0, -0.75), 1e-3);
-}
+    ::testing::Values(PoolCase{2, 2, 6, 2},
+                      PoolCase{3, 3, 9, 3},
+                      PoolCase{3, 2, 7, 1})); // overlapping windows
 
 // ---------------------------------------------------------------
 // im2col/col2im adjointness over a geometry grid.
