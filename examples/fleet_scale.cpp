@@ -37,12 +37,11 @@ usage(const char* argv0)
     std::fprintf(
         stderr,
         "usage: %s [--nodes N] [--stages S] [--shards K]\n"
-        "          [--cloud-shards C] [--seed X] [--chaos]\n"
-        "          [--rollback] [--transcript PATH]\n"
+        "          [--seed X] [--chaos] [--rollback]\n"
+        "          [--transcript PATH]\n"
         "  --nodes N         fleet size (default 100000)\n"
         "  --stages S        stage windows to run (default 6)\n"
         "  --shards K        node-id shards (default 0 = auto)\n"
-        "  --cloud-shards C  cloud update shards (default 4)\n"
         "  --seed X          scenario seed (default 2018)\n"
         "  --chaos           crash/drop/poison fault injection\n"
         "  --rollback        end with rollback_and_redeploy(1)\n"
@@ -72,7 +71,6 @@ main(int argc, char** argv)
     int64_t nodes = 100000;
     int stages = 6;
     int shards = 0;
-    int cloud_shards = 4;
     uint64_t seed = 2018;
     bool chaos = false;
     bool rollback = false;
@@ -93,9 +91,6 @@ main(int argc, char** argv)
             stages = static_cast<int>(parse_i64(next(), "--stages"));
         } else if (std::strcmp(arg, "--shards") == 0) {
             shards = static_cast<int>(parse_i64(next(), "--shards"));
-        } else if (std::strcmp(arg, "--cloud-shards") == 0) {
-            cloud_shards =
-                static_cast<int>(parse_i64(next(), "--cloud-shards"));
         } else if (std::strcmp(arg, "--seed") == 0) {
             seed = static_cast<uint64_t>(parse_i64(next(), "--seed"));
         } else if (std::strcmp(arg, "--chaos") == 0) {
@@ -113,7 +108,6 @@ main(int argc, char** argv)
     ScaleFleetConfig config;
     config.nodes = nodes;
     config.shards = shards;
-    config.cloud_shards = cloud_shards;
     config.seed = seed;
     if (chaos) {
         config.crash_permille = 30;
@@ -139,10 +133,10 @@ main(int argc, char** argv)
                         run_s
                   : 0.0;
 
-    std::printf("fleet_scale: nodes=%lld shards=%d cloud_shards=%d "
+    std::printf("fleet_scale: nodes=%lld shards=%d "
                 "stages=%d chaos=%d seed=%llu\n",
                 static_cast<long long>(nodes), engine.shards(),
-                cloud_shards, stages, chaos ? 1 : 0,
+                stages, chaos ? 1 : 0,
                 static_cast<unsigned long long>(seed));
     std::printf("events=%lld version=%lld quality_ppm=%lld "
                 "quarantined=%lld hot_allocs=%lld "

@@ -2,17 +2,21 @@
 # Determinism gate runner. Each gate in determinism_gates.txt (next to
 # this script) names an example binary, the artifacts it must
 # reproduce byte for byte at INSITU_THREADS=1 and 4, and the verdicts
-# its output must carry. The check_* determinism ctests each run one
-# or more gates through this script.
+# its output must carry, and optionally a committed golden copy an
+# artifact must still equal. The check_* determinism ctests each run
+# one or more gates through this script.
 #
 # Usage: check_determinism.sh <examples-dir> <gate>... [-- <extra args>]
 #        check_determinism.sh --list
 #
 # Extra args are appended to every gate's command line, e.g.
 #   check_determinism.sh build/examples fleet_scale -- --nodes 1000000
+# A golden pins the manifest's own command line, so extra args skip
+# the golden comparisons.
 set -u
 
-manifest="$(cd "$(dirname "$0")" && pwd)/determinism_gates.txt"
+here="$(cd "$(dirname "$0")" && pwd)"
+manifest="$here/determinism_gates.txt"
 
 usage() {
     printf 'usage: %s <examples-dir> <gate>... [-- <extra args>]\n' "$0" >&2
@@ -46,10 +50,10 @@ fail() {
 }
 
 # load_gate NAME: read the gate's directives into cmd, envs, drop,
-# diffs and checks; fails if the manifest has no such gate.
+# diffs, goldens and checks; fails if the manifest has no such gate.
 load_gate() {
     local line key rest in=0 found=0
-    cmd=() envs=() drop="" diffs=() checks=()
+    cmd=() envs=() drop="" diffs=() goldens=() checks=()
     while IFS= read -r line; do
         read -r key rest <<< "$line"
         case "$key" in
@@ -65,6 +69,7 @@ load_gate() {
             env) envs+=("$rest") ;;
             drop) drop="$rest" ;;
             diff) diffs+=("$rest") ;;
+            golden) goldens+=("$rest") ;;
             need | before) checks+=("$key $rest") ;;
             *)
                 printf 'check_determinism: unknown directive "%s" in %s\n' \
@@ -114,6 +119,16 @@ for gate in "${gates[@]}"; do
         { [ -s "$a" ] && [ -s "$b" ]; } || fail "$file missing or empty"
         diff -u "$a" "$b" >&2 || fail "$file differs across thread counts"
     done
+
+    if [ ${#extra[@]} -eq 0 ]; then
+        for pin in ${goldens[@]+"${goldens[@]}"}; do
+            read -r file want <<< "$pin"
+            cmp -s "$(artifact 1 "$file")" "$here/$want" || {
+                diff -u "$here/$want" "$(artifact 1 "$file")" | head -40 >&2
+                fail "$file differs from the golden $want"
+            }
+        done
+    fi
 
     for check in ${checks[@]+"${checks[@]}"}; do
         read -r kind file text <<< "$check"

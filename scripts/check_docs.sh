@@ -80,6 +80,18 @@ else
             fail=1
         fi
     done
+    # ...and so is every committed golden a gate compares against.
+    for golden in $(awk '$1 == "golden" { print $3 }' \
+            "$root/scripts/determinism_gates.txt"); do
+        if ! grep -qF "scripts/$golden" "$perf"; then
+            note "golden scripts/$golden not listed in docs/performance.md"
+            fail=1
+        fi
+        if [ ! -s "$root/scripts/$golden" ]; then
+            note "golden scripts/$golden missing or empty"
+            fail=1
+        fi
+    done
 fi
 
 # --- 3. metric namespaces documented in docs/observability.md ------

@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "nn/trainer.h"
-#include "util/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/codec.h"
@@ -213,110 +212,6 @@ ModelUpdateService::evaluate_pretext(const Tensor& images)
 {
     Rng eval_rng(42);
     return jigsaw_.evaluate(images, perms_, eval_rng);
-}
-
-UpdateShardSet::UpdateShardSet(int shards)
-    : shards_(shards < 1 ? 1 : shards)
-{
-}
-
-void
-UpdateShardSet::offer(const Dataset* batch)
-{
-    INSITU_CHECK(batch != nullptr, "null upload batch");
-    parts_.push_back(batch);
-    images_ += batch->size();
-    static auto& batches = cloud_counter("cloud.shard.batches");
-    static auto& images = cloud_counter("cloud.shard.images");
-    batches.add(1);
-    images.add(batch->size());
-}
-
-Dataset
-UpdateShardSet::pooled() const
-{
-    INSITU_CHECK(!parts_.empty(), "pooled() with no offered batches");
-    Dataset out;
-    out.condition = parts_.front()->condition;
-    std::vector<int64_t> shape = parts_.front()->images.shape();
-    shape[0] = images_;
-    out.images = Tensor::uninitialized(shape);
-    out.labels.reserve(static_cast<size_t>(images_));
-    const int64_t inner =
-        parts_.front()->images.numel() /
-        std::max<int64_t>(parts_.front()->size(), 1);
-    // Row offsets are a pure function of the offer order, so the
-    // sharded copy below lands every byte exactly where the serial
-    // concat fold would.
-    std::vector<int64_t> offsets(parts_.size(), 0);
-    int64_t offset = 0;
-    for (size_t p = 0; p < parts_.size(); ++p) {
-        const Dataset* part = parts_[p];
-        INSITU_CHECK(part->size() == 0 ||
-                         part->images.numel() / part->size() == inner,
-                     "pooled() over differently shaped batches");
-        offsets[p] = offset;
-        offset += part->size();
-        out.labels.insert(out.labels.end(), part->labels.begin(),
-                          part->labels.end());
-    }
-    const int64_t nparts = static_cast<int64_t>(parts_.size());
-    const int64_t nshards = std::min<int64_t>(shards_, nparts);
-    parallel_shards(nshards, [&](int64_t s) {
-        const ShardRange r = shard_range(nparts, nshards, s);
-        for (int64_t p = r.begin; p < r.end; ++p) {
-            const Dataset* part = parts_[static_cast<size_t>(p)];
-            std::copy(part->images.data(),
-                      part->images.data() + part->images.numel(),
-                      out.images.data() +
-                          offsets[static_cast<size_t>(p)] * inner);
-        }
-    });
-    static auto& merges = cloud_counter("cloud.shard.merges");
-    merges.add(1);
-    return out;
-}
-
-void
-UpdateShardSet::clear()
-{
-    parts_.clear();
-    images_ = 0;
-}
-
-ShardedUpdateAggregator::ShardedUpdateAggregator(int shards)
-    : cells_(static_cast<size_t>(shards < 1 ? 1 : shards))
-{
-}
-
-void
-ShardedUpdateAggregator::offer(int shard,
-                               const CloudShardTotals& partial)
-{
-    INSITU_CHECK(shard >= 0 &&
-                     shard < static_cast<int>(cells_.size()),
-                 "cloud shard index out of range");
-    CloudShardTotals& cell = cells_[static_cast<size_t>(shard)];
-    cell.images += partial.images;
-    cell.batches += partial.batches;
-    cell.value_fixed += partial.value_fixed;
-}
-
-CloudShardTotals
-ShardedUpdateAggregator::merge_and_reset()
-{
-    CloudShardTotals total;
-    for (auto& cell : cells_) {
-        // Ascending shard order; integer sums, so the fold is exactly
-        // shard-count- and width-invariant.
-        total.images += cell.images;
-        total.batches += cell.batches;
-        total.value_fixed += cell.value_fixed;
-        cell = CloudShardTotals{};
-    }
-    static auto& merges = cloud_counter("cloud.shard.merges");
-    merges.add(1);
-    return total;
 }
 
 } // namespace insitu

@@ -164,81 +164,4 @@ class ModelUpdateService {
     uint64_t update_seq_ = 0;  ///< validated updates run (trace seq)
 };
 
-/**
- * Sharded upload aggregation for the cloud side of a large fleet.
- *
- * Per-node upload batches are offered serially in contributor order
- * (the replay-ordered fold every fleet decision uses); `pooled()`
- * splices them into one training set with per-shard parallel row
- * copies over contiguous batch ranges. Because every byte lands at
- * an offset fixed by the offer order alone, the result is
- * byte-identical to the serial `concat_datasets` fold at any shard
- * count and any thread width. Telemetry: `cloud.shard.batches`,
- * `cloud.shard.images`, `cloud.shard.merges`.
- */
-class UpdateShardSet {
-  public:
-    /** @param shards parallel splice width (>= 1; clamped). */
-    explicit UpdateShardSet(int shards = 4);
-
-    /** Add one upload batch (serial, contributor order). The batch
-     * must stay alive until pooled() returns. */
-    void offer(const Dataset* batch);
-
-    /** Batches offered since the last clear(). */
-    size_t batches() const { return parts_.size(); }
-
-    /** Images across all offered batches. */
-    int64_t images() const { return images_; }
-
-    int shards() const { return shards_; }
-
-    /** Deterministic sharded merge of every offered batch, in offer
-     * order (== the single-shard serial fold, byte for byte). */
-    Dataset pooled() const;
-
-    void clear();
-
-  private:
-    int shards_ = 1;
-    std::vector<const Dataset*> parts_;
-    int64_t images_ = 0;
-};
-
-/**
- * Integer-quantized update shards for the scale fleet engine.
- *
- * Upload statistics arrive as integers (image counts and fixed-point
- * value sums), land in `shards()` cells, and `merge_and_reset()`
- * folds the cells in ascending shard order. Integer addition is
- * associative and commutative, so the merged totals are *exactly*
- * invariant to the shard count and to the thread width that filled
- * the per-fleet-shard partials — the same trick the telemetry
- * histograms use for their quantized sums.
- */
-struct CloudShardTotals {
-    int64_t images = 0;
-    int64_t batches = 0;
-    /// Fixed-point sum of per-batch value contributions (ppm scale).
-    int64_t value_fixed = 0;
-};
-
-class ShardedUpdateAggregator {
-  public:
-    explicit ShardedUpdateAggregator(int shards);
-
-    int shards() const { return static_cast<int>(cells_.size()); }
-
-    /** Accumulate one fleet shard's partial into cloud shard
-     * @p shard. Serial (merge-fold) context. */
-    void offer(int shard, const CloudShardTotals& partial);
-
-    /** Ascending-shard integer fold; zeroes the cells for the next
-     * round. */
-    CloudShardTotals merge_and_reset();
-
-  private:
-    std::vector<CloudShardTotals> cells_;
-};
-
 } // namespace insitu

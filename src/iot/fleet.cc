@@ -210,11 +210,9 @@ FleetSim::bootstrap(int64_t images_per_node, double base_severity)
         parts[i] = make_dataset(config_.synth, images_per_node,
                                 node_condition(i, base_severity),
                                 rng_);
-    // Pool through the sharded cloud aggregation path; pooled() is
-    // byte-identical to the serial concat fold at any shard count.
-    UpdateShardSet pool_set;
-    for (const auto& p : parts) pool_set.offer(&p);
-    const Dataset pooled = pool_set.pooled();
+    std::vector<const Dataset*> part_ptrs;
+    for (const auto& p : parts) part_ptrs.push_back(&p);
+    const Dataset pooled = concat_datasets(part_ptrs);
 
     cloud_.pretrain(pooled.images, config_.pretrain_epochs);
     cloud_.transfer_from_pretext(config_.shared_convs);
@@ -511,13 +509,9 @@ FleetSim::run_stage(int64_t images_per_node, double base_severity)
     // reach the pool, and while a canary verdict is pending the pool
     // is held back (trained after the verdict) so the canary/control
     // split stays clean.
-    // The pool is assembled through the sharded cloud aggregation
-    // path: batches are offered serially in contributor order, and
-    // UpdateShardSet::pooled() splices them with per-shard parallel
-    // row copies — byte-identical to the old serial concat fold at
-    // any shard count and thread width.
-    UpdateShardSet pool_set;
-    if (deferred_pool_.size() > 0) pool_set.offer(&deferred_pool_);
+    // The pool concatenates the batches in contributor order.
+    std::vector<const Dataset*> pool_parts;
+    if (deferred_pool_.size() > 0) pool_parts.push_back(&deferred_pool_);
     // Lineages feeding this stage's pool: deferred contributors from
     // held-back stages, plus whoever delivered now.
     std::vector<size_t> contributors = deferred_contributors_;
@@ -527,7 +521,7 @@ FleetSim::run_stage(int64_t images_per_node, double base_severity)
             report.excluded_uploads += delivered_parts[i].size();
             continue;
         }
-        pool_set.offer(&delivered_parts[i]);
+        pool_parts.push_back(&delivered_parts[i]);
         if (std::find(contributors.begin(), contributors.end(), i) ==
             contributors.end())
             contributors.push_back(i);
@@ -535,13 +529,13 @@ FleetSim::run_stage(int64_t images_per_node, double base_severity)
     int64_t deployed_version = 0;
     const bool canary_pending =
         supervisor_ && supervisor_->canary_pending();
-    if (pool_set.batches() > 0 && canary_pending) {
+    if (!pool_parts.empty() && canary_pending) {
         // All canaries sat this stage out (crashed); the verdict is
         // deferred, and so is training on this stage's pool.
-        deferred_pool_ = pool_set.pooled();
+        deferred_pool_ = concat_datasets(pool_parts);
         deferred_contributors_ = std::move(contributors);
-    } else if (pool_set.batches() > 0) {
-        Dataset pooled = pool_set.pooled();
+    } else if (!pool_parts.empty()) {
+        Dataset pooled = concat_datasets(pool_parts);
         deferred_pool_ = Dataset{};
         report.update_ran = true;
         if (injector_.update_poisoned(stage_index_)) {
@@ -593,8 +587,7 @@ FleetSim::run_stage(int64_t images_per_node, double base_severity)
         // of deploying it fleet-wide. The judgment baseline is this
         // stage's healthy-fleet mean (all healthy nodes still run the
         // pre-update model here).
-        if (supervisor_ && supervisor_->config().canary_enabled &&
-            !vr.rolled_back && vr.accepted_version != 0) {
+        if (supervisor_ && !vr.rolled_back && vr.accepted_version != 0) {
             std::vector<int> canaries = supervisor_->pick_canaries();
             if (!canaries.empty()) {
                 double base_acc = 0, base_flag = 0;

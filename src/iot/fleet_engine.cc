@@ -55,18 +55,6 @@ constexpr uint64_t kCanarySalt = 0xCA7AULL << 32; ///< canary scan start
 
 } // namespace
 
-const char*
-fleet_event_kind_name(FleetEventKind kind)
-{
-    switch (kind) {
-    case FleetEventKind::kReboot: return "reboot";
-    case FleetEventKind::kCapture: return "capture";
-    case FleetEventKind::kDrain: return "drain";
-    case FleetEventKind::kStageEnd: return "stage_end";
-    }
-    return "?";
-}
-
 bool
 fleet_event_before(const FleetEvent& a, const FleetEvent& b)
 {
@@ -82,7 +70,6 @@ ScaleFleetConfig::validated() const
     INSITU_CHECK(nodes >= 1, "fleet needs at least one node");
     INSITU_CHECK(nodes <= (int64_t(1) << 31), "node ids are 32-bit");
     INSITU_CHECK(shards >= 0, "negative shard count");
-    INSITU_CHECK(cloud_shards >= 1, "need at least one cloud shard");
     INSITU_CHECK(stage_window_s > 0, "stage window must be positive");
     INSITU_CHECK(drain_interval_s > 0,
                  "drain interval must be positive");
@@ -99,13 +86,8 @@ ScaleFleetConfig::validated() const
                      permille_ok(drop_permille) &&
                      permille_ok(poison_permille),
                  "permille knobs live in [0, 1000]");
-    INSITU_CHECK(quarantine.crash_threshold >= 1,
-                 "quarantine threshold must be positive");
-    INSITU_CHECK(quarantine.window_stages >= 1 &&
-                     quarantine.window_stages <= 8,
-                 "the crash window is tracked in 8 bits");
-    INSITU_CHECK(quarantine.readmit_after >= 1,
-                 "readmission needs at least one clean stage");
+    quarantine.validated();
+    canary.validated();
     INSITU_CHECK(quality_tolerance_ppm >= 0,
                  "negative validation tolerance");
     return *this;
@@ -122,7 +104,7 @@ ScaleFleetConfig::resolved_shards() const
 }
 
 ScaleFleetEngine::ScaleFleetEngine(ScaleFleetConfig config)
-    : config_(config.validated()), cloud_(config_.cloud_shards),
+    : config_(config.validated()),
       model_([&] {
           Rng rng(config_.seed);
           return make_tiny_inference(TinyConfig{}, rng);
@@ -153,12 +135,6 @@ ScaleFleetEngine::ScaleFleetEngine(ScaleFleetConfig config)
         // state allocation-free (hot_allocs() stays 0).
         const int64_t owned = range.size();
         shard.heap.reserve(static_cast<size_t>(owned * 3 + 16));
-        shard.outbox.assign(
-            static_cast<size_t>(config_.cloud_shards),
-            CloudShardTotals{});
-        shard.quarantined.reserve(static_cast<size_t>(owned));
-        shard.newly_quarantined.reserve(static_cast<size_t>(owned));
-        shard.readmitted.reserve(static_cast<size_t>(owned));
     }
 
     quality_ppm_ = kGenesisQualityPpm;
@@ -197,18 +173,17 @@ ScaleFleetEngine::run_shard_stage(Shard& shard, double t0)
     shard.crashes = 0;
     shard.excluded = 0;
     shard.backlog = 0;
+    shard.newly_quarantined = 0;
+    shard.readmitted = 0;
     shard.hot_allocs = 0;
     shard.digest = kFnvOffset;
-    shard.newly_quarantined.clear();
-    shard.readmitted.clear();
 
-    // Stage tick: advance every owned node's sliding fault window and
-    // schedule its capture at a jittered offset. Bulk-append then one
-    // make_heap — O(n) against n pushes of O(log n).
+    // Stage tick: schedule every owned node's capture at a jittered
+    // offset. Bulk-append then one make_heap — O(n) against n pushes
+    // of O(log n).
     const double jitter_unit = config_.stage_window_s / 1024.0;
     for (int64_t i = shard.begin; i < shard.end; ++i) {
         ScaleNode& node = nodes_[static_cast<size_t>(i)];
-        node.crash_bits = static_cast<uint8_t>(node.crash_bits << 1);
         const uint32_t id = static_cast<uint32_t>(i);
         const double jitter =
             static_cast<double>(node_draw(node, id) % 512) *
@@ -250,14 +225,24 @@ ScaleFleetEngine::run_shard_stage(Shard& shard, double t0)
         case FleetEventKind::kDrain:
             process_drain(shard, node, event.node, event);
             break;
-        case FleetEventKind::kStageEnd:
-            break;
         }
     }
 
-    sweep_quarantine(shard);
-    for (int64_t i = shard.begin; i < shard.end; ++i)
-        shard.backlog += nodes_[static_cast<size_t>(i)].backlog;
+    // Stage close. A crashed node reboots at the next stage boundary,
+    // so here kDown means exactly "crashed this stage". An up,
+    // admitted node with an empty window cannot change state.
+    for (int64_t i = shard.begin; i < shard.end; ++i) {
+        ScaleNode& node = nodes_[static_cast<size_t>(i)];
+        shard.backlog += node.backlog;
+        const bool crashed = (node.state & kDown) != 0;
+        if (!(crashed | node.window.faults | node.window.quarantined))
+            continue;
+        const QuarantineTransition t =
+            quarantine_step(node.window, crashed, config_.quarantine);
+        shard.newly_quarantined += t == QuarantineTransition::kQuarantined;
+        shard.readmitted += t == QuarantineTransition::kReadmitted;
+    }
+    shard.quarantined += shard.newly_quarantined - shard.readmitted;
 }
 
 void
@@ -274,7 +259,6 @@ ScaleFleetEngine::process_capture(Shard& shard, ScaleNode& node,
         shard.lost_in_crash += node.backlog;
         node.backlog = 0;
         node.state |= kDown;
-        node.crash_bits |= 1;
         // The reboot lands exactly at the next stage boundary — the
         // comparator's kReboot < kCapture tie-break is what lets it
         // precede that stage's capture at the same instant.
@@ -283,28 +267,13 @@ ScaleFleetEngine::process_capture(Shard& shard, ScaleNode& node,
                               static_cast<uint8_t>(
                                   FleetEventKind::kReboot),
                               0, node.seq++});
-        if (config_.supervise && !(node.state & kQuarantined)) {
-            const unsigned mask =
-                (1u << config_.quarantine.window_stages) - 1;
-            const int faults = __builtin_popcount(
-                static_cast<unsigned>(node.crash_bits) & mask);
-            if (faults >= config_.quarantine.crash_threshold) {
-                node.state |= kQuarantined;
-                node.clean_stages = 0;
-                if (shard.quarantined.size() ==
-                    shard.quarantined.capacity())
-                    ++shard.hot_allocs;
-                shard.quarantined.push_back(id);
-                shard.newly_quarantined.push_back(id);
-            }
-        }
         return;
     }
 
     // Lazy deploy: adopt the shard watermark (canaries: the candidate
     // under evaluation). Quarantined nodes hold their version —
     // redeploys are suspended until readmission.
-    if (!(node.state & kQuarantined)) {
+    if (!node.window.quarantined) {
         node.version = static_cast<uint32_t>(
             (node.state & kCanary) ? canary_version_
                                    : shard.deployed_version);
@@ -362,15 +331,13 @@ ScaleFleetEngine::process_drain(Shard& shard, ScaleNode& node,
                 static_cast<uint64_t>(config_.drop_permille);
         if (lost) {
             shard.dropped += batch;
-        } else if (node.state & kQuarantined) {
+        } else if (node.window.quarantined) {
             shard.excluded += batch;
         } else {
             shard.delivered += batch;
-            CloudShardTotals& cell = shard.outbox[static_cast<size_t>(
-                id % static_cast<uint32_t>(config_.cloud_shards))];
-            cell.images += batch;
-            cell.batches += 1;
-            cell.value_fixed += batch * node.value_permille;
+            shard.totals.images += batch;
+            shard.totals.batches += 1;
+            shard.totals.value_fixed += batch * node.value_permille;
         }
         node.backlog -= static_cast<uint32_t>(batch);
     }
@@ -384,28 +351,6 @@ ScaleFleetEngine::process_drain(Shard& shard, ScaleNode& node,
                                   FleetEventKind::kDrain),
                               0, node.seq++});
     }
-}
-
-void
-ScaleFleetEngine::sweep_quarantine(Shard& shard)
-{
-    if (!config_.supervise) return;
-    size_t kept = 0;
-    for (size_t q = 0; q < shard.quarantined.size(); ++q) {
-        const uint32_t id = shard.quarantined[q];
-        ScaleNode& node = nodes_[id];
-        if (node.crash_bits & 1) {
-            node.clean_stages = 0;
-        } else if (++node.clean_stages >=
-                   config_.quarantine.readmit_after) {
-            node.state &= static_cast<uint8_t>(~kQuarantined);
-            node.clean_stages = 0;
-            shard.readmitted.push_back(id);
-            continue;
-        }
-        shard.quarantined[kept++] = id;
-    }
-    shard.quarantined.resize(kept);
 }
 
 void
@@ -427,12 +372,13 @@ ScaleFleetEngine::run_stage()
     // from here to the end of the function is single-threaded.
     ScaleStageReport report;
     report.stage = stage_;
+    CloudShardTotals totals;
     int64_t stage_hot = 0;
     for (auto& shard : shards_) {
-        for (int c = 0; c < config_.cloud_shards; ++c) {
-            cloud_.offer(c, shard.outbox[static_cast<size_t>(c)]);
-            shard.outbox[static_cast<size_t>(c)] = CloudShardTotals{};
-        }
+        totals.images += shard.totals.images;
+        totals.batches += shard.totals.batches;
+        totals.value_fixed += shard.totals.value_fixed;
+        shard.totals = CloudShardTotals{};
         report.events += shard.events;
         report.captured += shard.captured;
         report.flagged += shard.flagged;
@@ -442,16 +388,12 @@ ScaleFleetEngine::run_stage()
         report.crashes += shard.crashes;
         report.backlog += shard.backlog;
         report.excluded += shard.excluded;
-        report.quarantined +=
-            static_cast<int64_t>(shard.quarantined.size());
-        report.newly_quarantined +=
-            static_cast<int64_t>(shard.newly_quarantined.size());
-        report.readmitted +=
-            static_cast<int64_t>(shard.readmitted.size());
+        report.quarantined += shard.quarantined;
+        report.newly_quarantined += shard.newly_quarantined;
+        report.readmitted += shard.readmitted;
         stage_hot += shard.hot_allocs;
     }
     hot_allocs_total_ += stage_hot;
-    const CloudShardTotals totals = cloud_.merge_and_reset();
 
     if (canary_pending_) judge_canary(report);
     run_cloud_phase(totals, report);
@@ -644,8 +586,7 @@ ScaleFleetEngine::run_cloud_phase(const CloudShardTotals& totals,
                       std::string(tag) +
                           " version=" + std::to_string(committed) +
                           " q=" + std::to_string(candidate));
-    if (config_.supervise && config_.canary.canary_nodes > 0 &&
-        config_.nodes >= 2) {
+    if (config_.nodes >= 2) {
         start_canary(committed, candidate, report);
     } else {
         version_ = committed;
@@ -675,7 +616,7 @@ ScaleFleetEngine::start_canary(int64_t candidate_version,
             (scan_start + static_cast<uint64_t>(step)) %
             static_cast<uint64_t>(n));
         ScaleNode& node = nodes_[id];
-        if (node.state & (kDown | kQuarantined)) continue;
+        if ((node.state & kDown) || node.window.quarantined) continue;
         node.state |= kCanary;
         canary_nodes_.push_back(id);
     }
@@ -690,7 +631,6 @@ ScaleFleetEngine::start_canary(int64_t candidate_version,
     canary_pending_ = true;
     canary_version_ = candidate_version;
     canary_quality_ppm_ = candidate_quality_ppm;
-    canary_baseline_version_ = version_;
     report.canary_started = true;
     black_box_.record(
         clock_s_ + config_.stage_window_s, "fleet.canary.start",
@@ -708,17 +648,10 @@ ScaleFleetEngine::clear_canary_flags()
 }
 
 int64_t
-ScaleFleetEngine::hot_allocs() const
-{
-    return hot_allocs_total_;
-}
-
-int64_t
 ScaleFleetEngine::quarantined_nodes() const
 {
     int64_t total = 0;
-    for (const auto& shard : shards_)
-        total += static_cast<int64_t>(shard.quarantined.size());
+    for (const auto& shard : shards_) total += shard.quarantined;
     return total;
 }
 
@@ -730,13 +663,6 @@ ScaleFleetEngine::approx_bytes() const
     for (const auto& shard : shards_) {
         bytes += static_cast<int64_t>(shard.heap.capacity() *
                                       sizeof(FleetEvent));
-        bytes += static_cast<int64_t>(shard.outbox.capacity() *
-                                      sizeof(CloudShardTotals));
-        bytes += static_cast<int64_t>(
-            (shard.quarantined.capacity() +
-             shard.newly_quarantined.capacity() +
-             shard.readmitted.capacity()) *
-            sizeof(uint32_t));
         bytes += static_cast<int64_t>(sizeof(Shard));
     }
     bytes += static_cast<int64_t>(transcript_.capacity());

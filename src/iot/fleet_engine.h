@@ -22,12 +22,15 @@
  *     randomness is the pure function
  *     `derive_stream(seed, node, draw_counter)`, so a node's
  *     trajectory is identical at any shard count and thread width.
+ *     The drain ends with a stage-close pass over the shard's nodes:
+ *     each one that crashed this stage, sits in quarantine or still
+ *     has a fault in its window takes one `quarantine_step` — the
+ *     policy `FleetSupervisor` runs too.
  *  2. **Serial merge fold.** Shard partials — upload totals
  *     (integer-quantized, ppm scale), tallies, quarantine and
- *     readmission lists, FNV digests — are folded in ascending shard
- *     order into the `ShardedUpdateAggregator` cloud shards and then
- *     into one stage report. Integer sums make the merged totals
- *     *exactly* invariant to both shard counts.
+ *     readmission counts, FNV digests — are folded in ascending shard
+ *     order into one stage report. Integer sums make the merged
+ *     totals *exactly* invariant to the shard count.
  *  3. **Serial cloud phase.** Validation-gated model update, canary
  *     start/judgment, rollback — all against a real (tiny) `Network`
  *     and the copy-on-write `ModelRegistry`, so version bookkeeping
@@ -39,10 +42,10 @@
  * identical at any `INSITU_THREADS`, including under chaos — the
  * check_fleet_scale ctest gate byte-diffs both at widths 1 vs 4.
  *
- * Zero hot-path allocations: every heap, outbox and quarantine list
- * is preallocated at construction; `hot_allocs()` counts capacity
- * regrowths inside the event phase and must stay 0 in steady state
- * (asserted by tests and reported as `fleet.shard.hot_allocs`).
+ * Zero hot-path allocations: every heap is preallocated at
+ * construction; `hot_allocs()` counts capacity regrowths inside the
+ * event phase and must stay 0 in steady state (asserted by tests and
+ * reported as `fleet.shard.hot_allocs`).
  */
 #pragma once
 
@@ -51,7 +54,6 @@
 #include <vector>
 
 #include "cloud/registry.h"
-#include "cloud/update_service.h"
 #include "iot/supervisor.h"
 #include "models/tiny.h"
 #include "obs/flight.h"
@@ -60,18 +62,14 @@ namespace insitu {
 
 /**
  * Event kinds, in tie-break order at equal (time, node): a reboot
- * precedes the rebooted node's capture at the same instant, captures
- * precede uplink drains, drains precede the stage-close bookkeeping.
+ * precedes the rebooted node's capture at the same instant, and
+ * captures precede uplink drains.
  */
 enum class FleetEventKind : uint8_t {
     kReboot = 0,  ///< crashed node comes back (adopts the watermark)
     kCapture = 1, ///< sensor capture + on-device diagnosis
     kDrain = 2,   ///< uplink window: ship backlog to the cloud
-    kStageEnd = 3,///< per-node stage-close bookkeeping (reserved)
 };
-
-/** Printable name of an event kind. */
-const char* fleet_event_kind_name(FleetEventKind kind);
 
 /** One scheduled simulation event. 16 bytes. */
 struct FleetEvent {
@@ -96,8 +94,6 @@ struct ScaleFleetConfig {
     /// [1, 256]. Part of the replay contract — never derived from the
     /// thread count.
     int shards = 0;
-    /// Cloud-side update shards the per-fleet-shard partials land in.
-    int cloud_shards = 4;
 
     double stage_window_s = 600.0;  ///< simulated stage length
     double drain_interval_s = 60.0; ///< uplink cadence per node
@@ -115,8 +111,6 @@ struct ScaleFleetConfig {
     int32_t drop_permille = 0;   ///< per drain-batch link-loss probability
     int32_t poison_permille = 0; ///< per stage poisoned-pool probability
 
-    /// Enable quarantine + canary supervision.
-    bool supervise = true;
     QuarantineConfig quarantine;
     CanaryConfig canary;
     /// Validation gate: a candidate may lag the deployed quality by at
@@ -130,6 +124,19 @@ struct ScaleFleetConfig {
 
     /** The shard count a run of this config uses (resolves 0 = auto). */
     int resolved_shards() const;
+};
+
+/**
+ * Upload totals one fleet shard delivered to the cloud in a stage.
+ * Integers (image counts and fixed-point value sums), so the serial
+ * fold over shards is exactly invariant to the shard count and to the
+ * thread width that filled them.
+ */
+struct CloudShardTotals {
+    int64_t images = 0;
+    int64_t batches = 0;
+    /// Fixed-point sum of per-batch value contributions (ppm scale).
+    int64_t value_fixed = 0;
 };
 
 /** Merged, shard-count- and width-invariant summary of one stage. */
@@ -179,7 +186,7 @@ class ScaleFleetEngine {
     int64_t events_processed() const { return events_total_; }
 
     /** Capacity regrowths inside the sharded event phase, lifetime. */
-    int64_t hot_allocs() const;
+    int64_t hot_allocs() const { return hot_allocs_total_; }
 
     /** Registry version the fleet watermark points at. */
     int64_t version() const { return version_; }
@@ -223,25 +230,23 @@ class ScaleFleetEngine {
         uint32_t version = 0;       ///< model version the node runs
         uint16_t seq = 0;           ///< event issue counter (tie-break)
         uint16_t value_permille = 0;///< usefulness of this node's uploads
-        uint8_t crash_bits = 0;     ///< sliding per-stage fault window
-        uint8_t state = 0;          ///< kDown | kQuarantined | kCanary
-        uint8_t clean_stages = 0;   ///< fault-free streak in quarantine
-        uint8_t pad = 0;
+        QuarantineWindow window;    ///< crash window + quarantine flag
+        uint8_t state = 0;          ///< kDown | kCanary | kDrainQueued
     };
     static constexpr uint8_t kDown = 1;        ///< crashed, awaiting reboot
-    static constexpr uint8_t kQuarantined = 2; ///< excluded from the pool
-    static constexpr uint8_t kCanary = 4;      ///< runs the candidate
-    static constexpr uint8_t kDrainQueued = 8; ///< a kDrain is in-heap
+    static constexpr uint8_t kCanary = 2;      ///< runs the candidate
+    static constexpr uint8_t kDrainQueued = 4; ///< a kDrain is in-heap
 
     /// One node-id shard: disjoint state written only by its own job.
-    struct Shard {
+    /// Cache-line aligned so two shards drained on different threads
+    /// never share a line (their tallies and heap pointers are written
+    /// on every event).
+    struct alignas(64) Shard {
         int64_t begin = 0; ///< first owned node id
         int64_t end = 0;   ///< one past the last owned node id
         std::vector<FleetEvent> heap; ///< min-heap (fleet_event_before)
-        std::vector<CloudShardTotals> outbox; ///< one cell per cloud shard
-        std::vector<uint32_t> quarantined;    ///< owned quarantined nodes
-        std::vector<uint32_t> newly_quarantined; ///< this stage
-        std::vector<uint32_t> readmitted;        ///< this stage
+        CloudShardTotals totals;      ///< uploads delivered this stage
+        int64_t quarantined = 0;      ///< owned nodes in quarantine
         int64_t deployed_version = 0; ///< the shard's deploy watermark
         // Per-stage tallies (reset at stage start, folded serially).
         int64_t events = 0;
@@ -253,6 +258,8 @@ class ScaleFleetEngine {
         int64_t crashes = 0;
         int64_t excluded = 0;
         int64_t backlog = 0;
+        int64_t newly_quarantined = 0;
+        int64_t readmitted = 0;
         int64_t hot_allocs = 0; ///< capacity regrowths this stage
         uint64_t digest = 0;    ///< FNV fold of processed events
     };
@@ -264,7 +271,6 @@ class ScaleFleetEngine {
                          const FleetEvent& event, double t0);
     void process_drain(Shard& shard, ScaleNode& node, uint32_t id,
                        const FleetEvent& event);
-    void sweep_quarantine(Shard& shard);
     void deploy_all(int64_t version);
     void run_cloud_phase(const CloudShardTotals& totals,
                          ScaleStageReport& report);
@@ -277,7 +283,6 @@ class ScaleFleetEngine {
     ScaleFleetConfig config_;
     std::vector<ScaleNode> nodes_;
     std::vector<Shard> shards_;
-    ShardedUpdateAggregator cloud_;
     ModelRegistry registry_;
     Network model_; ///< the cloud master (tiny; versions are real blobs)
 
@@ -292,7 +297,6 @@ class ScaleFleetEngine {
     bool canary_pending_ = false;
     int64_t canary_version_ = 0;
     int64_t canary_quality_ppm_ = 0;
-    int64_t canary_baseline_version_ = 0;
     std::vector<uint32_t> canary_nodes_;
 
     std::string transcript_;

@@ -20,7 +20,9 @@ supervision_counter(const char* name)
 // Durable supervisor-state framing (payload of a SnapshotStore frame,
 // which already carries the CRC; this header pins the layout).
 constexpr uint32_t kSupMagic = 0x1A51'70A5u;
-constexpr uint32_t kSupVersion = 1u;
+// v2: each node's health record is fixed-width, its crash window
+// three raw bytes (fault bits, clean streak, quarantined flag).
+constexpr uint32_t kSupVersion = 2u;
 
 } // namespace
 
@@ -132,21 +134,57 @@ CircuitBreaker::restore(const Snapshot& snap)
     probes_ = snap.probes;
 }
 
+const QuarantineConfig&
+QuarantineConfig::validated() const
+{
+    INSITU_CHECK(crash_threshold >= 1,
+                 "quarantine threshold must be positive");
+    INSITU_CHECK(window_stages >= 1 && window_stages <= 8,
+                 "quarantine window must be 1..8 stages");
+    INSITU_CHECK(readmit_after >= 1 && readmit_after <= 255,
+                 "readmit streak must be 1..255 stages");
+    return *this;
+}
+
+const CanaryConfig&
+CanaryConfig::validated() const
+{
+    INSITU_CHECK(canary_nodes >= 1, "canary subset must be positive");
+    INSITU_CHECK(accuracy_tolerance >= 0 && flag_rate_tolerance >= 0,
+                 "canary tolerances must be non-negative");
+    return *this;
+}
+
 const SupervisorConfig&
 SupervisorConfig::validated() const
 {
-    INSITU_CHECK(quarantine.crash_threshold >= 1,
-                 "quarantine threshold must be positive");
-    INSITU_CHECK(quarantine.window_stages >= 1,
-                 "quarantine window must be positive");
-    INSITU_CHECK(quarantine.readmit_after >= 1,
-                 "readmit streak must be positive");
-    INSITU_CHECK(canary.canary_nodes >= 1,
-                 "canary subset must be positive");
-    INSITU_CHECK(canary.accuracy_tolerance >= 0 &&
-                     canary.flag_rate_tolerance >= 0,
-                 "canary tolerances must be non-negative");
+    quarantine.validated();
+    canary.validated();
     return *this;
+}
+
+QuarantineTransition
+quarantine_step(QuarantineWindow& window, bool faulted,
+                const QuarantineConfig& config)
+{
+    const unsigned mask = (1u << config.window_stages) - 1;
+    window.faults = static_cast<uint8_t>(
+        ((static_cast<unsigned>(window.faults) << 1) |
+         (faulted ? 1u : 0u)) &
+        mask);
+    if (!window.quarantined) {
+        if (window.fault_count() < config.crash_threshold)
+            return QuarantineTransition::kNone;
+        window.quarantined = 1;
+        window.clean_streak = 0;
+        return QuarantineTransition::kQuarantined;
+    }
+    window.clean_streak =
+        faulted ? 0 : static_cast<uint8_t>(window.clean_streak + 1);
+    if (window.clean_streak < config.readmit_after)
+        return QuarantineTransition::kNone;
+    window = QuarantineWindow{};
+    return QuarantineTransition::kReadmitted;
 }
 
 double
@@ -156,7 +194,7 @@ NodeHealth::score() const
         (static_cast<double>(stages_completed) + 1.0) /
         (static_cast<double>(stages_seen) + 1.0);
     const double fault_penalty =
-        1.0 / (1.0 + static_cast<double>(recent_faults.size()) +
+        1.0 / (1.0 + static_cast<double>(quarantine.fault_count()) +
                static_cast<double>(restore_failures));
     return completion * fault_penalty;
 }
@@ -196,7 +234,7 @@ FleetSupervisor::health(size_t node) const
 bool
 FleetSupervisor::quarantined(size_t node) const
 {
-    return health(node).quarantined;
+    return health(node).quarantine.quarantined != 0;
 }
 
 bool
@@ -234,43 +272,19 @@ FleetSupervisor::end_stage(int stage)
             h.last_flag_rate = obs.flag_rate;
             if (obs.has_accuracy) h.last_accuracy = obs.accuracy;
         }
-        if (faulted) h.recent_faults.push_back(stage);
-        while (!h.recent_faults.empty() &&
-               h.recent_faults.front() <=
-                   stage - config_.quarantine.window_stages)
-            h.recent_faults.pop_front();
-
-        if (!h.quarantined) {
-            if (static_cast<int>(h.recent_faults.size()) >=
-                config_.quarantine.crash_threshold) {
-                h.quarantined = true;
-                h.healthy_streak = 0;
-                decisions.newly_quarantined.push_back(
-                    static_cast<int>(i));
-                static auto& quarantines = supervision_counter(
-                    "iot.supervisor.quarantines");
-                quarantines.add(1);
-                obs::TraceRecorder::global().instant(
-                    "supervisor.quarantine",
-                    {{"node", std::to_string(i)},
-                     {"stage", std::to_string(stage)}});
-            }
-        } else {
-            h.healthy_streak = faulted ? 0 : h.healthy_streak + 1;
-            if (h.healthy_streak >= config_.quarantine.readmit_after) {
-                h.quarantined = false;
-                h.healthy_streak = 0;
-                h.recent_faults.clear();
-                decisions.readmitted.push_back(static_cast<int>(i));
-                static auto& readmissions = supervision_counter(
-                    "iot.supervisor.readmissions");
-                readmissions.add(1);
-                obs::TraceRecorder::global().instant(
-                    "supervisor.readmit",
-                    {{"node", std::to_string(i)},
-                     {"stage", std::to_string(stage)}});
-            }
-        }
+        const QuarantineTransition t =
+            quarantine_step(h.quarantine, faulted, config_.quarantine);
+        if (t == QuarantineTransition::kNone) continue;
+        const bool entered = t == QuarantineTransition::kQuarantined;
+        (entered ? decisions.newly_quarantined : decisions.readmitted)
+            .push_back(static_cast<int>(i));
+        supervision_counter(entered ? "iot.supervisor.quarantines"
+                                    : "iot.supervisor.readmissions")
+            .add(1);
+        obs::TraceRecorder::global().instant(
+            entered ? "supervisor.quarantine" : "supervisor.readmit",
+            {{"node", std::to_string(i)},
+             {"stage", std::to_string(stage)}});
     }
 
     // 2. Judge a pending canary: the canaries (new model) against the
@@ -289,7 +303,7 @@ FleetSupervisor::end_stage(int stage)
                 canary_acc += observations_[i].accuracy;
                 canary_flag += observations_[i].flag_rate;
                 ++canaries;
-            } else if (!health_[i].quarantined) {
+            } else if (!health_[i].quarantine.quarantined) {
                 control_acc += observations_[i].accuracy;
                 control_flag += observations_[i].flag_rate;
                 ++controls;
@@ -346,7 +360,7 @@ FleetSupervisor::pick_canaries() const
 {
     std::vector<int> healthy;
     for (size_t i = 0; i < health_.size(); ++i)
-        if (!health_[i].quarantined)
+        if (!health_[i].quarantine.quarantined)
             healthy.push_back(static_cast<int>(i));
     if (healthy.size() < 2) return {}; // no control group possible
     std::sort(healthy.begin(), healthy.end(), [this](int a, int b) {
@@ -387,10 +401,9 @@ FleetSupervisor::encode_state() const
         storage::put_i64(out, h.restore_failures);
         storage::put_f64(out, h.last_flag_rate);
         storage::put_f64(out, h.last_accuracy);
-        storage::put_u32(out, h.quarantined ? 1u : 0u);
-        storage::put_i64(out, h.healthy_streak);
-        storage::put_u64(out, h.recent_faults.size());
-        for (int s : h.recent_faults) storage::put_i64(out, s);
+        out.push_back(static_cast<char>(h.quarantine.faults));
+        out.push_back(static_cast<char>(h.quarantine.clean_streak));
+        out.push_back(static_cast<char>(h.quarantine.quarantined));
     }
     storage::put_u32(out, canary_.pending ? 1u : 0u);
     storage::put_i64(out, canary_.started_stage);
@@ -412,6 +425,7 @@ FleetSupervisor::restore_state(std::string_view blob)
     if (r.u64() != health_.size() || !r.ok) return false;
 
     // Decode into temporaries so a torn payload changes nothing.
+    const QuarantineConfig& q = config_.quarantine;
     std::vector<CircuitBreaker::Snapshot> breakers(health_.size());
     std::vector<NodeHealth> health(health_.size());
     for (size_t i = 0; i < health.size(); ++i) {
@@ -433,12 +447,16 @@ FleetSupervisor::restore_state(std::string_view blob)
         h.restore_failures = r.i64();
         h.last_flag_rate = r.f64();
         h.last_accuracy = r.f64();
-        h.quarantined = r.u32() != 0;
-        h.healthy_streak = static_cast<int>(r.i64());
-        const uint64_t faults = r.u64();
-        if (!r.ok || faults > blob.size()) return false;
-        for (uint64_t k = 0; k < faults; ++k)
-            h.recent_faults.push_back(static_cast<int>(r.i64()));
+        const std::string_view window = r.view(3);
+        if (!r.ok) return false;
+        QuarantineWindow& w = h.quarantine;
+        w.faults = static_cast<uint8_t>(window[0]);
+        w.clean_streak = static_cast<uint8_t>(window[1]);
+        w.quarantined = static_cast<uint8_t>(window[2]);
+        // Refuse a window quarantine_step could never have produced.
+        if (w.quarantined > 1 || (w.faults >> q.window_stages) != 0 ||
+            w.clean_streak >= (w.quarantined ? q.readmit_after : 1))
+            return false;
     }
     CanaryRollout canary;
     canary.pending = r.u32() != 0;

@@ -32,9 +32,9 @@
  */
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -130,12 +130,50 @@ struct QuarantineConfig {
     /// Crash/restore-failure events within `window_stages` that
     /// quarantine a node.
     int crash_threshold = 2;
-    /// Sliding stage window the threshold is evaluated over.
+    /// Sliding window of observed stages the threshold is evaluated
+    /// over (1..8: the window is one byte of fault bits).
     int window_stages = 3;
     /// Consecutive fault-free stages a quarantined node must show
-    /// before it is re-admitted.
+    /// before it is re-admitted (1..255).
     int readmit_after = 2;
+
+    /** Fatal-checks the ranges above; returns *this. */
+    const QuarantineConfig& validated() const;
 };
+
+/**
+ * One node's crash-window quarantine state. Three bytes of plain data,
+ * so the million-node scale engine keeps it inline in every node.
+ */
+struct QuarantineWindow {
+    /// Bit k set: the node faulted k observed stages ago. Masked to
+    /// `window_stages` bits on every step.
+    uint8_t faults = 0;
+    uint8_t clean_streak = 0; ///< fault-free stages while quarantined
+    uint8_t quarantined = 0;  ///< 1 while excluded from the pool
+
+    int fault_count() const { return std::popcount(faults); }
+};
+static_assert(sizeof(QuarantineWindow) == 3);
+
+/** The transition one `quarantine_step` fired. */
+enum class QuarantineTransition : uint8_t {
+    kNone,
+    kQuarantined,
+    kReadmitted,
+};
+
+/**
+ * Fold one observed stage into @p window — the single quarantine
+ * policy both fleet engines call. The fault window slides by one
+ * stage; an admitted node whose window holds `crash_threshold` faults
+ * is quarantined; a quarantined node is re-admitted after
+ * `readmit_after` consecutive clean stages, and readmission clears the
+ * window, so one new fault cannot instantly re-quarantine it.
+ */
+QuarantineTransition quarantine_step(QuarantineWindow& window,
+                                     bool faulted,
+                                     const QuarantineConfig& config);
 
 /** Knobs of the canary rollout protocol. */
 struct CanaryConfig {
@@ -148,6 +186,9 @@ struct CanaryConfig {
     /// Canary mean flag rate may exceed the control group's by this
     /// much and still promote.
     double flag_rate_tolerance = 0.15;
+
+    /** Fatal-checks internal consistency; returns *this. */
+    const CanaryConfig& validated() const;
 };
 
 /** Configuration of the whole supervision layer. */
@@ -155,12 +196,8 @@ struct SupervisorConfig {
     BreakerConfig breaker;
     QuarantineConfig quarantine;
     CanaryConfig canary;
-    /// Canary rollout can be disabled independently (breakers and
-    /// quarantine stay active); updates then deploy fleet-wide as
-    /// before.
-    bool canary_enabled = true;
 
-    /** Fatal-checks internal consistency; returns *this. */
+    /** Validates the quarantine and canary knobs; returns *this. */
     const SupervisorConfig& validated() const;
 };
 
@@ -172,10 +209,7 @@ struct NodeHealth {
     int64_t restore_failures = 0; ///< lifetime failed reboots
     double last_flag_rate = 0;    ///< most recent diagnosis flag rate
     double last_accuracy = 0;     ///< most recent pre-update accuracy
-    bool quarantined = false;
-    int healthy_streak = 0;       ///< fault-free stages while quarantined
-    /// Stage indices of faults inside the sliding quarantine window.
-    std::deque<int> recent_faults;
+    QuarantineWindow quarantine;  ///< crash window + quarantine flag
 
     /**
      * Composite health in (0, 1]: completion ratio shrunk by faults

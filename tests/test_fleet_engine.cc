@@ -4,18 +4,14 @@
  * merge determinism (byte-identical transcripts at widths 1/2/4 and
  * shard counts 1/8), the zero-allocation hot path, supervision
  * (quarantine, canary, validation gate) and O(1) rollback — plus the
- * copy-on-write registry snapshot isolation and the sharded cloud
- * pooling equivalence the engine's merge fold relies on.
+ * copy-on-write registry snapshot isolation.
  */
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <sstream>
 #include <vector>
 
 #include "cloud/registry.h"
-#include "cloud/update_service.h"
-#include "data/synth.h"
 #include "iot/fleet_engine.h"
 #include "models/tiny.h"
 #include "nn/serialize.h"
@@ -39,11 +35,11 @@ ev(double t, uint32_t node, FleetEventKind kind, uint16_t seq = 0)
 TEST(FleetEngineOrder, TimeIsPrimary)
 {
     EXPECT_TRUE(fleet_event_before(
-        ev(1.0, 9, FleetEventKind::kStageEnd),
+        ev(1.0, 9, FleetEventKind::kDrain),
         ev(2.0, 0, FleetEventKind::kReboot)));
     EXPECT_FALSE(fleet_event_before(
         ev(2.0, 0, FleetEventKind::kReboot),
-        ev(1.0, 9, FleetEventKind::kStageEnd)));
+        ev(1.0, 9, FleetEventKind::kDrain)));
 }
 
 TEST(FleetEngineOrder, NodeBreaksTimeTies)
@@ -59,11 +55,11 @@ TEST(FleetEngineOrder, NodeBreaksTimeTies)
 TEST(FleetEngineOrder, KindBreaksNodeTies)
 {
     // The load-bearing tie: a node's reboot at the stage boundary
-    // must precede that node's capture at the same instant, captures
-    // precede drains, drains precede stage-close bookkeeping.
-    const auto kinds = {
-        FleetEventKind::kReboot, FleetEventKind::kCapture,
-        FleetEventKind::kDrain, FleetEventKind::kStageEnd};
+    // must precede that node's capture at the same instant, and
+    // captures precede drains.
+    const auto kinds = {FleetEventKind::kReboot,
+                        FleetEventKind::kCapture,
+                        FleetEventKind::kDrain};
     FleetEventKind prev = FleetEventKind::kReboot;
     bool first = true;
     for (FleetEventKind k : kinds) {
@@ -175,15 +171,6 @@ TEST(FleetEngine, MergedReportInvariantToFleetShardCount)
     one.shards = 1;
     ScaleFleetConfig eight = chaos_config(1500);
     eight.shards = 8;
-    expect_same_reports(run_stages(one, 4), run_stages(eight, 4));
-}
-
-TEST(FleetEngine, MergedReportInvariantToCloudShardCount)
-{
-    ScaleFleetConfig one = chaos_config(1500);
-    one.cloud_shards = 1;
-    ScaleFleetConfig eight = chaos_config(1500);
-    eight.cloud_shards = 8;
     expect_same_reports(run_stages(one, 4), run_stages(eight, 4));
 }
 
@@ -327,64 +314,6 @@ TEST(FleetEngineRegistry, SnapshotIsolatedFromLaterCommits)
     save_weights(net, want);
     save_weights(restored, got);
     EXPECT_EQ(got.str(), want.str());
-}
-
-TEST(FleetEngineCloud, ShardedPoolingMatchesSerialFoldExactly)
-{
-    SynthConfig synth;
-    Rng rng(9);
-    std::vector<Dataset> parts;
-    for (int i = 0; i < 7; ++i)
-        parts.push_back(
-            make_dataset(synth, 3 + i, Condition::ideal(), rng));
-    std::vector<const Dataset*> ptrs;
-    for (const Dataset& p : parts) ptrs.push_back(&p);
-    const Dataset serial = concat_datasets(ptrs);
-
-    for (int shards : {1, 4}) {
-        UpdateShardSet set(shards);
-        for (const Dataset& p : parts) set.offer(&p);
-        EXPECT_EQ(set.batches(), parts.size());
-        EXPECT_EQ(set.images(), serial.size());
-        const Dataset pooled = set.pooled();
-        ASSERT_EQ(pooled.images.numel(), serial.images.numel());
-        EXPECT_EQ(std::memcmp(pooled.images.data(),
-                              serial.images.data(),
-                              sizeof(float) * static_cast<size_t>(
-                                                  serial.images.numel())),
-                  0)
-            << "shards=" << shards;
-        EXPECT_EQ(pooled.labels, serial.labels);
-    }
-}
-
-TEST(FleetEngineCloud, AggregatorMergeInvariantToShardCount)
-{
-    // The same partials scattered across 1 vs 8 cells fold to the
-    // same integer totals.
-    std::vector<CloudShardTotals> partials;
-    for (int i = 0; i < 20; ++i)
-        partials.push_back({i * 7 + 1, i % 3, i * 1000 - 500});
-    CloudShardTotals want;
-    for (const auto& p : partials) {
-        want.images += p.images;
-        want.batches += p.batches;
-        want.value_fixed += p.value_fixed;
-    }
-    for (int shards : {1, 8}) {
-        ShardedUpdateAggregator agg(shards);
-        for (size_t i = 0; i < partials.size(); ++i)
-            agg.offer(static_cast<int>(i) % agg.shards(), partials[i]);
-        const CloudShardTotals got = agg.merge_and_reset();
-        EXPECT_EQ(got.images, want.images);
-        EXPECT_EQ(got.batches, want.batches);
-        EXPECT_EQ(got.value_fixed, want.value_fixed);
-        // Cells were reset: a second fold is empty.
-        const CloudShardTotals empty = agg.merge_and_reset();
-        EXPECT_EQ(empty.images, 0);
-        EXPECT_EQ(empty.batches, 0);
-        EXPECT_EQ(empty.value_fixed, 0);
-    }
 }
 
 } // namespace

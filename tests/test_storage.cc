@@ -598,5 +598,97 @@ TEST(SupervisorState, RoundTripsBreakersHealthAndCanary)
     EXPECT_EQ(fresh.encode_state(), fresh_state);
 }
 
+/** A supervisor of @p nodes whose last node crash-loops into
+ * quarantine and then shows one clean stage. */
+FleetSupervisor
+quarantined_supervisor(size_t nodes)
+{
+    FleetSupervisor sup(SupervisorConfig{}, nodes);
+    for (int stage = 0; stage < 3; ++stage) {
+        for (size_t i = 0; i < nodes; ++i) {
+            NodeStageObservation obs;
+            obs.crashed = i + 1 == nodes && stage < 2;
+            obs.has_accuracy = !obs.crashed;
+            sup.observe(i, obs);
+        }
+        sup.end_stage(stage);
+    }
+    return sup;
+}
+
+TEST(SupervisorState, V2RecordIsFixedWidthAndRefusesV1AndBadWindows)
+{
+    FleetSupervisor sup = quarantined_supervisor(3);
+    ASSERT_TRUE(sup.quarantined(2));
+    EXPECT_EQ(sup.health(2).quarantine.faults, 0b110);
+    EXPECT_EQ(sup.health(2).quarantine.clean_streak, 1);
+    const std::string blob = sup.encode_state();
+
+    // v2 round trip restores the window bytes exactly.
+    FleetSupervisor restored(SupervisorConfig{}, 3);
+    ASSERT_TRUE(restored.restore_state(blob));
+    EXPECT_EQ(restored.encode_state(), blob);
+    EXPECT_TRUE(restored.quarantined(2));
+    EXPECT_EQ(restored.health(2).quarantine.faults, 0b110);
+    EXPECT_EQ(restored.health(2).quarantine.clean_streak, 1);
+
+    // Fixed width: one more node adds one 103-byte record (52 breaker
+    // + 48 health + 3 window), whatever the nodes' fault history.
+    constexpr size_t kRecord = 103;
+    EXPECT_EQ(quarantined_supervisor(4).encode_state().size(),
+              blob.size() + kRecord);
+    EXPECT_EQ(FleetSupervisor(SupervisorConfig{}, 3).encode_state().size(),
+              blob.size());
+
+    FleetSupervisor target(SupervisorConfig{}, 3);
+    const std::string before = target.encode_state();
+
+    // A v1 blob of the same fleet (variable-length fault deques) is
+    // refused by version.
+    std::string v1;
+    storage::put_u32(v1, 0x1A5170A5u);
+    storage::put_u32(v1, 1u);
+    storage::put_u64(v1, 3);
+    for (int i = 0; i < 3; ++i) {
+        storage::put_u32(v1, 0); // breaker closed
+        for (int k = 0; k < 6; ++k) storage::put_i64(v1, 0);
+        for (int k = 0; k < 4; ++k) storage::put_i64(v1, 0);
+        storage::put_f64(v1, 0);
+        storage::put_f64(v1, 0);
+        storage::put_u32(v1, 0);    // quarantined
+        storage::put_i64(v1, 0);    // healthy streak
+        storage::put_u64(v1, 0);    // no recent faults
+    }
+    storage::put_u32(v1, 0); // no canary
+    storage::put_i64(v1, -1);
+    storage::put_u64(v1, 0);
+    for (int k = 0; k < 2; ++k) storage::put_i64(v1, 0);
+    storage::put_f64(v1, 0);
+    storage::put_f64(v1, 0);
+    EXPECT_FALSE(target.restore_state(v1));
+
+    // Window bytes quarantine_step could never produce are refused:
+    // fault bits beyond the 3-stage window, a flag other than 0/1, a
+    // streak that should already have readmitted, a streak outside
+    // quarantine.
+    const size_t header = 16;
+    const size_t window = header + 2 * kRecord + 100; // node 2
+    const struct {
+        size_t offset;
+        unsigned char value;
+    } damage[] = {
+        {window + 0, 0b1110}, // faults
+        {window + 2, 2},      // quarantined
+        {window + 1, 2},      // clean streak >= readmit_after
+        {header + 100 + 1, 1} // node 0: streak while admitted
+    };
+    for (const auto& d : damage) {
+        std::string bad = blob;
+        bad[d.offset] = static_cast<char>(d.value);
+        EXPECT_FALSE(target.restore_state(bad)) << "offset " << d.offset;
+    }
+    EXPECT_EQ(target.encode_state(), before);
+}
+
 } // namespace
 } // namespace insitu

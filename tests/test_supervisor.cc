@@ -2,14 +2,18 @@
  * @file
  * Tests for the self-healing supervision layer: the circuit-breaker
  * state machine and its energy savings under a flapping link,
- * crash-loop quarantine and re-admission, canary selection/judgment,
+ * the shared quarantine step and the crash-loop quarantine and
+ * re-admission built on it, canary selection/judgment,
  * and the full supervised-vs-unsupervised chaos-fleet acceptance
  * scenario (including bit-identical replay across thread counts).
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "faults/fault_injector.h"
 #include "iot/fleet.h"
+#include "iot/fleet_engine.h"
 #include "iot/supervisor.h"
 #include "iot/uplink.h"
 #include "util/parallel.h"
@@ -150,6 +154,81 @@ small_supervisor_config()
     config.quarantine.readmit_after = 2;
     config.canary.canary_nodes = 1;
     return config;
+}
+
+/** One row: a config, the per-stage faults ('X' faulted, '.' clean),
+ * the transition each stage fires ('Q' quarantined, 'R' readmitted,
+ * '.' none) and whether the node ends quarantined. */
+struct StepCase {
+    const char* name;
+    int crash_threshold;
+    int window_stages;
+    int readmit_after;
+    const char* faults;
+    const char* transitions;
+    bool ends_quarantined;
+};
+
+TEST(Quarantine, StepFollowsProtocol)
+{
+    const StepCase cases[] = {
+        {"threshold inside the window", 2, 3, 2, "X.X", "..Q", true},
+        {"a fault ages out of the window", 2, 3, 2, "X..X", "....",
+         false},
+        {"a fault in quarantine resets the streak", 2, 3, 2, "XX.X..",
+         ".Q...R", false},
+        {"an 8-stage window still holds its oldest fault", 2, 8, 2,
+         "X......X", ".......Q", true},
+        {"an 8-stage window drops its ninth-oldest fault", 2, 8, 2,
+         "X.......X", ".........", false},
+        {"readmission clears the window", 2, 3, 1, "XX.X", ".QR.",
+         false},
+    };
+    for (const StepCase& c : cases) {
+        QuarantineConfig config;
+        config.crash_threshold = c.crash_threshold;
+        config.window_stages = c.window_stages;
+        config.readmit_after = c.readmit_after;
+        config.validated();
+        QuarantineWindow window;
+        std::string got;
+        for (const char* f = c.faults; *f != '\0'; ++f) {
+            switch (quarantine_step(window, *f == 'X', config)) {
+            case QuarantineTransition::kNone: got += '.'; break;
+            case QuarantineTransition::kQuarantined: got += 'Q'; break;
+            case QuarantineTransition::kReadmitted: got += 'R'; break;
+            }
+            EXPECT_EQ(window.faults >> c.window_stages, 0) << c.name;
+        }
+        EXPECT_EQ(got, c.transitions) << c.name;
+        EXPECT_EQ(window.quarantined != 0, c.ends_quarantined) << c.name;
+    }
+}
+
+TEST(QuarantineDeathTest, OutOfRangeKnobsRefusedByBothEngines)
+{
+    const auto fleet_sim = [](QuarantineConfig q) {
+        FleetConfig c;
+        c.tiny.num_permutations = 8;
+        c.node_severity_offset = {0.0};
+        c.supervisor = SupervisorConfig{};
+        c.supervisor->quarantine = q;
+        FleetSim fleet(c);
+    };
+    const auto scale_engine = [](QuarantineConfig q) {
+        ScaleFleetConfig c;
+        c.nodes = 10;
+        c.quarantine = q;
+        ScaleFleetEngine engine(c);
+    };
+    QuarantineConfig wide;
+    wide.window_stages = 9;
+    EXPECT_DEATH(fleet_sim(wide), "1..8 stages");
+    EXPECT_DEATH(scale_engine(wide), "1..8 stages");
+    QuarantineConfig slow;
+    slow.readmit_after = 256;
+    EXPECT_DEATH(fleet_sim(slow), "1..255 stages");
+    EXPECT_DEATH(scale_engine(slow), "1..255 stages");
 }
 
 TEST(Quarantine, CrashLoopQuarantinesAndSustainedHealthReadmits)
