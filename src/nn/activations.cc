@@ -5,25 +5,27 @@
 namespace insitu {
 
 Tensor
-ReLU::forward(const Tensor& input, bool /*training*/)
+ReLU::forward(const Tensor& input, bool training)
 {
-    Tensor out = input;
-    mask_ = Tensor(input.shape());
+    Tensor out = Tensor::uninitialized(input.shape());
+    const float* pi = input.data();
     float* po = out.data();
+    const int64_t n = input.numel();
+    for (int64_t i = 0; i < n; ++i)
+        po[i] = pi[i] > 0.0f ? pi[i] : 0.0f;
+    // The 0/1 mask is backward state: an eval forward keeps none, so a
+    // backward after it fails the before-forward check.
+    mask_ = training ? Tensor::uninitialized(input.shape()) : Tensor();
     float* pm = mask_.data();
-    for (int64_t i = 0; i < out.numel(); ++i) {
-        if (po[i] > 0.0f) {
-            pm[i] = 1.0f;
-        } else {
-            po[i] = 0.0f;
-        }
-    }
+    for (int64_t i = 0; i < mask_.numel(); ++i)
+        pm[i] = pi[i] > 0.0f ? 1.0f : 0.0f;
     return out;
 }
 
 Tensor
 ReLU::backward(const Tensor& grad_output)
 {
+    INSITU_CHECK(!mask_.empty(), "relu backward before forward");
     INSITU_CHECK(grad_output.same_shape(mask_),
                  "relu backward shape mismatch");
     Tensor out = grad_output;

@@ -1,5 +1,6 @@
 #include "nn/conv2d.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -57,12 +58,14 @@ Conv2d::geometry(const Tensor& input) const
 }
 
 Tensor
-Conv2d::forward(const Tensor& input, bool /*training*/)
+Conv2d::forward(const Tensor& input, bool training)
 {
     const ConvGeometry g = geometry(input);
     const int64_t batch = input.dim(0);
     const int64_t oh = g.out_h(), ow = g.out_w();
-    cached_input_ = input;
+    // Only backward reads the cached input; an eval forward keeps
+    // none, so a backward after it fails the before-forward check.
+    cached_input_ = training ? input : Tensor();
 
     if (backend_ == ConvBackend::kDirect) {
         return conv2d_direct(input, weight_->value(), bias_->value(),
@@ -82,26 +85,46 @@ Conv2d::forward(const Tensor& input, bool /*training*/)
         "tensor.matmul.calls");
     static auto& mm_flops = obs::MetricsRegistry::global().counter(
         "tensor.matmul.flops");
-    // Batch-parallel: every image owns its output slice, so the
-    // lowering + GEMM + bias of different images are independent (the
-    // nested GEMM runs inline inside a pool worker). The im2col
-    // columns live in the executing thread's workspace arena — no
-    // allocation or zero-fill per image after the first pass.
-    parallel_for(0, batch, 1, [&](int64_t b0, int64_t b1) {
-        for (int64_t b = b0; b < b1; ++b) {
+    // One GEMM per group of images lowered side by side, so small
+    // feature maps fill whole register tiles and Fm is packed once per
+    // group. The group size depends only on shape. Each C element
+    // still sums its k-products in ascending k with the same KC split
+    // whatever the GEMM's width, so the output is bit-identical to one
+    // GEMM per image. Groups are parallel: each owns its output slices
+    // (the nested GEMM runs inline inside a pool worker), and its
+    // scratch lives in the executing thread's workspace arena.
+    const int64_t group = std::max<int64_t>(
+        1, std::min(batch, (kGroupCols + ohw - 1) / ohw));
+    const int64_t ngroups = (batch + group - 1) / group;
+    parallel_for(0, ngroups, 1, [&](int64_t g0, int64_t g1) {
+        for (int64_t gi = g0; gi < g1; ++gi) {
+            const int64_t b0 = gi * group;
+            const int64_t nimg = std::min(group, batch - b0);
+            const int64_t ncols = nimg * ohw;
             Workspace::Scope scope;
-            float* cols = Workspace::local().alloc(ckk * ohw);
-            im2col_into(input, b, g, cols); // Dm: (NK^2, R*C)
+            float* cols = Workspace::local().alloc(ckk * ncols);
+            for (int64_t i = 0; i < nimg; ++i) // Dm: (NK^2, G*R*C)
+                im2col_into(input, b0 + i, g, cols, ncols, i * ohw);
             mm_calls.add(1);
-            mm_flops.add(2 * out_channels_ * ckk * ohw);
-            float* dst = po + b * out_channels_ * ohw;
-            // Om = Fm * Dm, written straight into the output slice.
-            gemm(out_channels_, ohw, ckk, fm, ckk, 1, cols, ohw, 1,
-                 dst, be);
-            for (int64_t m = 0; m < out_channels_; ++m) {
-                const float bias = pb[m];
-                for (int64_t i = 0; i < ohw; ++i)
-                    dst[m * ohw + i] += bias;
+            mm_flops.add(2 * out_channels_ * ckk * ncols);
+            // Om = Fm * Dm. A lone image's (M, R*C) product already
+            // has the output slice's layout, so it is written there
+            // and the scatter below adds its bias in place.
+            float* om = nimg == 1
+                            ? po + b0 * out_channels_ * ohw
+                            : Workspace::local().alloc(out_channels_ *
+                                                       ncols);
+            gemm(out_channels_, ncols, ckk, fm, ckk, 1, cols, ncols, 1,
+                 om, be);
+            // Scatter to NCHW, adding the bias after the full k-sum.
+            for (int64_t i = 0; i < nimg; ++i) {
+                float* dst = po + (b0 + i) * out_channels_ * ohw;
+                for (int64_t m = 0; m < out_channels_; ++m) {
+                    const float bias = pb[m];
+                    const float* src = om + m * ncols + i * ohw;
+                    for (int64_t j = 0; j < ohw; ++j)
+                        dst[m * ohw + j] = src[j] + bias;
+                }
             }
         }
     });
@@ -151,7 +174,7 @@ Conv2d::backward(const Tensor& grad_output)
             const float* gom =
                 grad_output.data() + b * out_channels_ * ohw;
             float* cols = Workspace::local().alloc(ckk * ohw);
-            im2col_into(cached_input_, b, g, cols);
+            im2col_into(cached_input_, b, g, cols, ohw, 0);
 
             // dL/dFm contribution: dL/dOm * Dm^T.
             tb_calls.add(1);

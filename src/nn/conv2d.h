@@ -3,7 +3,8 @@
  * 2-D convolution layer (square kernels, NCHW).
  *
  * Forward/backward are implemented with the im2col + GEMM lowering of
- * the paper's Fig. 8, per batch element.
+ * the paper's Fig. 8: the forward runs one GEMM per group of images
+ * (see `kGroupCols`), the backward one per image.
  */
 #pragma once
 

@@ -20,11 +20,11 @@ namespace insitu {
 /**
  * Base class for all network layers.
  *
- * Contract: backward(grad_out) may only be called after forward() on
- * the same input, and consumes the cached state. Parameter gradients
- * are *accumulated* (+=) so multi-branch reuse (e.g. the jigsaw trunk
- * applied to nine patches) sums naturally; call zero_grad between
- * optimizer steps.
+ * Contract: backward(grad_out) may only be called after a training
+ * forward() on the same input, and consumes the cached state.
+ * Parameter gradients are *accumulated* (+=) so multi-branch reuse
+ * (e.g. the jigsaw trunk applied to nine patches) sums naturally; call
+ * zero_grad between optimizer steps.
  */
 class Layer {
   public:
@@ -34,7 +34,13 @@ class Layer {
     const std::string& name() const { return name_; }
     void set_name(std::string name) { name_ = std::move(name); }
 
-    /** Run the layer on a batch. @p training enables dropout etc. */
+    /**
+     * Run the layer on a batch. Pass @p training = true if and only if
+     * a backward() will follow: a training forward caches the state
+     * backward() consumes, an eval forward keeps none (a backward
+     * after it dies on the layer's "backward before forward" check).
+     * The output is the same either way.
+     */
     virtual Tensor forward(const Tensor& input, bool training) = 0;
 
     /**

@@ -29,13 +29,15 @@ Linear::Linear(std::string name, int64_t in_features,
 }
 
 Tensor
-Linear::forward(const Tensor& input, bool /*training*/)
+Linear::forward(const Tensor& input, bool training)
 {
     INSITU_CHECK(input.rank() == 2, "linear expects rank-2 input");
     INSITU_CHECK(input.dim(1) == in_features_, "linear ", name_,
                  ": input features ", input.dim(1), " != ",
                  in_features_);
-    cached_input_ = input;
+    // Only backward reads the cached input; an eval forward keeps
+    // none, so a backward after it fails the before-forward check.
+    cached_input_ = training ? input : Tensor();
     Tensor out = matmul_tb(input, weight_->value()); // (B, out)
     const float* pb = bias_->value().data();
     const int64_t batch = out.dim(0);

@@ -2,7 +2,9 @@
 
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
+#include "tensor/gemm.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 
@@ -34,46 +36,65 @@ MaxPool2d::MaxPool2d(std::string name, int64_t kernel, int64_t stride)
 }
 
 Tensor
-MaxPool2d::forward(const Tensor& input, bool /*training*/)
+MaxPool2d::forward(const Tensor& input, bool training)
 {
     check_pool_input(input, kernel_, stride_);
-    cached_in_shape_ = input.shape();
     const int64_t batch = input.dim(0), ch = input.dim(1);
     const int64_t ih = input.dim(2), iw = input.dim(3);
     const int64_t oh = pool_out(ih, kernel_, stride_);
     const int64_t ow = pool_out(iw, kernel_, stride_);
-    Tensor out({batch, ch, oh, ow});
-    argmax_.assign(static_cast<size_t>(out.numel()), 0);
+    Tensor out = Tensor::uninitialized({batch, ch, oh, ow});
+    // The argmax is backward state: an eval forward neither computes
+    // nor keeps it, so a backward after it fails the before-forward
+    // check.
+    if (training) {
+        cached_in_shape_ = input.shape();
+        argmax_.resize(static_cast<size_t>(out.numel()));
+    } else {
+        cached_in_shape_.clear();
+        argmax_.clear();
+    }
     const float* in = input.data();
     float* po = out.data();
+    int32_t* am = argmax_.data();
     // Plane-parallel: each (batch, channel) plane owns its output and
-    // argmax slice.
-    parallel_for(0, batch * ch, 1, [&](int64_t p0, int64_t p1) {
-        for (int64_t p = p0; p < p1; ++p) {
-            const float* plane = in + p * ih * iw;
-            int64_t oi = p * oh * ow;
-            for (int64_t y = 0; y < oh; ++y) {
-                for (int64_t x = 0; x < ow; ++x, ++oi) {
-                    float best = -std::numeric_limits<float>::infinity();
-                    int64_t best_idx = 0;
-                    for (int64_t ky = 0; ky < kernel_; ++ky) {
-                        for (int64_t kx = 0; kx < kernel_; ++kx) {
-                            const int64_t iy = y * stride_ + ky;
-                            const int64_t ix = x * stride_ + kx;
-                            const int64_t idx = iy * iw + ix;
-                            if (plane[idx] > best) {
-                                best = plane[idx];
-                                best_idx = idx;
+    // argmax slice. Chunks carry several planes when planes are small.
+    auto pool_planes = [&](auto with_argmax) {
+        parallel_for(0, batch * ch,
+                     flops_grain(kernel_ * kernel_ * oh * ow),
+                     [&](int64_t p0, int64_t p1) {
+            for (int64_t p = p0; p < p1; ++p) {
+                const float* plane = in + p * ih * iw;
+                int64_t oi = p * oh * ow;
+                for (int64_t y = 0; y < oh; ++y) {
+                    for (int64_t x = 0; x < ow; ++x, ++oi) {
+                        float best =
+                            -std::numeric_limits<float>::infinity();
+                        [[maybe_unused]] int64_t best_idx = 0;
+                        for (int64_t ky = 0; ky < kernel_; ++ky) {
+                            for (int64_t kx = 0; kx < kernel_; ++kx) {
+                                const int64_t idx =
+                                    (y * stride_ + ky) * iw +
+                                    x * stride_ + kx;
+                                if (plane[idx] > best) {
+                                    best = plane[idx];
+                                    if constexpr (with_argmax)
+                                        best_idx = idx;
+                                }
                             }
                         }
+                        po[oi] = best;
+                        if constexpr (with_argmax)
+                            am[oi] = static_cast<int32_t>(best_idx);
                     }
-                    po[oi] = best;
-                    argmax_[static_cast<size_t>(oi)] =
-                        static_cast<int32_t>(best_idx);
                 }
             }
-        }
-    });
+        });
+    };
+    if (training)
+        pool_planes(std::true_type{});
+    else
+        pool_planes(std::false_type{});
     return out;
 }
 
@@ -92,7 +113,9 @@ MaxPool2d::backward(const Tensor& grad_output)
                  "maxpool grad_output shape mismatch");
     const float* go = grad_output.data();
     float* gi = grad_input.data();
-    parallel_for(0, batch * ch, 1, [&](int64_t p0, int64_t p1) {
+    parallel_for(0, batch * ch,
+                 flops_grain(kernel_ * kernel_ * per_plane_out),
+                 [&](int64_t p0, int64_t p1) {
         for (int64_t p = p0; p < p1; ++p) {
             float* plane = gi + p * ih * iw;
             int64_t oi = p * per_plane_out;

@@ -79,6 +79,17 @@ void gemm(int64_t m, int64_t n, int64_t k, const float* a,
           int64_t b_cs, float* c, GemmBackend backend);
 
 /**
+ * Target GEMM width, in columns, for lowered convolutions: the conv
+ * forward packs ⌈kGroupCols / (OH·OW)⌉ images side by side into one
+ * (C·K², G·OH·OW) column matrix, so a small feature map still fills
+ * whole NR-wide register tiles and the filter matrix is packed once
+ * per group instead of once per image. A compile-time constant like
+ * the blocking sizes in gemm.cc (256 columns = 16 NR tiles, a quarter
+ * of an NC panel), so the grouping depends only on shape.
+ */
+constexpr int64_t kGroupCols = 256;
+
+/**
  * Rows per parallel chunk for a row-parallel loop whose rows cost
  * @p flops_per_row. Depends only on the problem shape (never the
  * thread count), so the decomposition — and with it the result — is

@@ -86,13 +86,14 @@ im2col(const Tensor& input, int64_t batch_index, const ConvGeometry& g)
 {
     Tensor cols = Tensor::uninitialized(
         {g.in_channels * g.kernel * g.kernel, g.out_h() * g.out_w()});
-    im2col_into(input, batch_index, g, cols.data());
+    im2col_into(input, batch_index, g, cols.data(), cols.dim(1), 0);
     return cols;
 }
 
 void
 im2col_into(const Tensor& input, int64_t batch_index,
-            const ConvGeometry& g, float* out)
+            const ConvGeometry& g, float* out, int64_t ld,
+            int64_t col0)
 {
     INSITU_CHECK(input.rank() == 4, "im2col expects NCHW input");
     INSITU_CHECK(input.dim(1) == g.in_channels &&
@@ -104,13 +105,14 @@ im2col_into(const Tensor& input, int64_t batch_index,
     INSITU_CHECK(oh > 0 && ow > 0, "conv output would be empty");
     const float* in = input.data() +
                       batch_index * g.in_channels * g.in_h * g.in_w;
-    const int64_t ncols = oh * ow;
+    INSITU_CHECK(col0 >= 0 && ld >= col0 + oh * ow,
+                 "im2col column window outside the row stride");
     for (int64_t c = 0; c < g.in_channels; ++c) {
         for (int64_t ky = 0; ky < g.kernel; ++ky) {
             for (int64_t kx = 0; kx < g.kernel; ++kx) {
                 const int64_t row =
                     (c * g.kernel + ky) * g.kernel + kx;
-                float* dst = out + row * ncols;
+                float* dst = out + row * ld + col0;
                 for (int64_t y = 0; y < oh; ++y) {
                     const int64_t iy = y * g.stride + ky - g.pad;
                     for (int64_t x = 0; x < ow; ++x) {

@@ -58,13 +58,17 @@ Tensor im2col(const Tensor& input, int64_t batch_index,
               const ConvGeometry& geom);
 
 /**
- * im2col into caller-owned storage (typically a `Workspace` borrow):
- * fully overwrites @p cols, which must hold
- * `geom.in_channels * geom.kernel^2 * geom.out_h() * geom.out_w()`
- * floats. This is the alloc-free path the conv layer runs per image.
+ * im2col into caller-owned storage (typically a `Workspace` borrow).
+ * Row r of the image's (C*K*K, R*C) column matrix is written to
+ * `cols[r * ld + col0 .. r * ld + col0 + R*C)`; nothing else is
+ * touched. `ld = R*C, col0 = 0` is the image's own matrix; the conv
+ * forward passes the group's row stride and the image's column offset
+ * so a group of images lowers side by side into one (C*K*K, G*R*C)
+ * matrix for a single GEMM.
  */
 void im2col_into(const Tensor& input, int64_t batch_index,
-                 const ConvGeometry& geom, float* cols);
+                 const ConvGeometry& geom, float* cols, int64_t ld,
+                 int64_t col0);
 
 /**
  * Scatter-add a (C*K*K, R*C) column-gradient matrix back into an image

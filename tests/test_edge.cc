@@ -136,7 +136,7 @@ TEST(Edge, ReluOnAllNegativeInputIsZeroWithZeroGrad)
 {
     ReLU relu;
     Tensor x({3}, {-1.0f, -2.0f, -0.5f});
-    const Tensor y = relu.forward(x, false);
+    const Tensor y = relu.forward(x, true);
     EXPECT_EQ(y.sum(), 0.0);
     Tensor g({3}, 1.0f);
     EXPECT_EQ(relu.backward(g).sum(), 0.0);

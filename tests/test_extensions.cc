@@ -61,7 +61,7 @@ TEST(ConvBackend, DirectForwardWithIm2colBackwardIsConsistent)
         return loss.forward(net.forward(x, false), labels);
     };
     auto backward_fn = [&] {
-        loss.forward(net.forward(x, false), labels);
+        loss.forward(net.forward(x, true), labels);
         net.backward(loss.backward());
     };
     EXPECT_TRUE(check_gradients(net, loss_fn, backward_fn).ok());

@@ -279,13 +279,13 @@ TEST(WorkspaceArena, ConvPathReusesArena)
     {
         Workspace::Scope scope;
         float* buf = ws.alloc(static_cast<int64_t>(cols.size()));
-        im2col_into(x, 0, g, buf);
+        im2col_into(x, 0, g, buf, 12 * 12, 0);
     }
     const int64_t overflow0 = ws.overflow_allocs();
     for (int64_t b = 0; b < 4; ++b) {
         Workspace::Scope scope;
         float* buf = ws.alloc(static_cast<int64_t>(cols.size()));
-        im2col_into(x, b, g, buf);
+        im2col_into(x, b, g, buf, 12 * 12, 0);
     }
     EXPECT_EQ(ws.overflow_allocs(), overflow0);
 }

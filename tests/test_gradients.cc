@@ -27,7 +27,7 @@ check_net(Network& net, const Tensor& x,
         return loss.forward(net.forward(x, false), labels);
     };
     auto backward_fn = [&]() {
-        loss.forward(net.forward(x, false), labels);
+        loss.forward(net.forward(x, true), labels);
         net.backward(loss.backward());
     };
     return check_gradients(net, loss_fn, backward_fn);

@@ -6,7 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <vector>
 
 #include "nn/activations.h"
 #include "nn/conv2d.h"
@@ -17,6 +19,10 @@
 #include "nn/pooling.h"
 #include "nn/serialize.h"
 #include "nn/trainer.h"
+#include "obs/metrics.h"
+#include "tensor/gemm.h"
+#include "tensor/ops.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace insitu {
@@ -73,7 +79,7 @@ TEST(ReLU, ForwardAndBackwardMask)
 {
     ReLU relu;
     Tensor x({4}, {-1, 0, 2, -3});
-    const Tensor y = relu.forward(x, false);
+    const Tensor y = relu.forward(x, true);
     EXPECT_EQ(y.at(0), 0.0f);
     EXPECT_EQ(y.at(2), 2.0f);
     Tensor g({4}, {1, 1, 1, 1});
@@ -107,11 +113,161 @@ TEST(MaxPool, BackwardRoutesToArgmax)
 {
     MaxPool2d pool("p", 2, 2);
     Tensor x({1, 1, 2, 2}, {1, 9, 3, 4});
-    pool.forward(x, false);
+    pool.forward(x, true);
     Tensor g({1, 1, 1, 1}, {5.0f});
     const Tensor gi = pool.backward(g);
     EXPECT_EQ(gi.at(0, 0, 0, 1), 5.0f);
     EXPECT_EQ(gi.at(0, 0, 0, 0), 0.0f);
+}
+
+// --- grouped conv forward ------------------------------------------
+
+/// The per-image lowering the grouped forward replaced: one
+/// im2col_into, one raw gemm() and one bias add per image.
+Tensor
+per_image_conv(const Conv2d& conv, const Tensor& x, GemmBackend be)
+{
+    ConvGeometry g;
+    g.in_channels = conv.in_channels();
+    g.in_h = x.dim(2);
+    g.in_w = x.dim(3);
+    g.kernel = conv.kernel();
+    g.stride = conv.stride();
+    g.pad = conv.pad();
+    const int64_t m = conv.out_channels();
+    const int64_t ckk = g.in_channels * g.kernel * g.kernel;
+    const int64_t ohw = g.out_h() * g.out_w();
+    const float* bias = conv.bias()->value().data();
+    Tensor y({x.dim(0), m, g.out_h(), g.out_w()});
+    std::vector<float> cols(static_cast<size_t>(ckk * ohw));
+    for (int64_t b = 0; b < x.dim(0); ++b) {
+        im2col_into(x, b, g, cols.data(), ohw, 0);
+        float* dst = y.data() + b * m * ohw;
+        gemm(m, ohw, ckk, conv.weight()->value().data(), ckk, 1,
+             cols.data(), ohw, 1, dst, be);
+        for (int64_t f = 0; f < m; ++f)
+            for (int64_t i = 0; i < ohw; ++i) dst[f * ohw + i] += bias[f];
+    }
+    return y;
+}
+
+TEST(Conv2dGrouped, BitIdenticalToPerImageOracleWithExactFlops)
+{
+    auto& flops =
+        obs::MetricsRegistry::global().counter("tensor.matmul.flops");
+    const GemmBackend prev = gemm_backend();
+    Rng rng(14);
+    // Output sides 1, 2, 4, 8, 24: OH*OW in {1, 4, 16, 64, 576}.
+    for (const int64_t side : {1, 2, 4, 8, 24}) {
+        const int64_t ohw = side * side;
+        const int64_t group = (kGroupCols + ohw - 1) / ohw;
+        // C*K^2 = 270 crosses the GEMM's 256-deep k panel; the
+        // 576-column maps stay at 3 channels to keep the sweep quick.
+        const int64_t in_ch = ohw < 576 ? 30 : 3;
+        for (const int64_t pad : {0, 1}) {
+            Conv2d conv("c", in_ch, 5, 3, 2, pad, rng);
+            conv.bias()->value().fill_uniform(rng, -1.0f, 1.0f);
+            const int64_t in = 2 * (side - 1) + 3 - 2 * pad;
+            for (const int64_t batch :
+                 {int64_t{1}, group - 1, group + 1, int64_t{288}}) {
+                if (batch < 1) continue;
+                Tensor x({batch, in_ch, in, in});
+                x.fill_uniform(rng, -1.0f, 1.0f);
+                for (const GemmBackend be :
+                     {GemmBackend::kBlocked, GemmBackend::kNaive}) {
+                    set_gemm_backend(be);
+                    const Tensor ref = per_image_conv(conv, x, be);
+                    for (const int width : {1, 4}) {
+                        set_num_threads(width);
+                        const int64_t f0 = flops.value();
+                        const Tensor y = conv.forward(x, false);
+                        EXPECT_EQ(flops.value() - f0,
+                                  2 * conv.out_channels() * in_ch * 9 *
+                                      ohw * batch); // K^2 = 9
+                        ASSERT_EQ(y.shape(), ref.shape());
+                        EXPECT_EQ(std::memcmp(y.data(), ref.data(),
+                                              sizeof(float) *
+                                                  static_cast<size_t>(
+                                                      y.numel())),
+                                  0)
+                            << "OH*OW " << ohw << " pad " << pad
+                            << " batch " << batch << " backend "
+                            << gemm_backend_name() << " width "
+                            << width;
+                    }
+                }
+            }
+        }
+    }
+    set_num_threads(0);
+    set_gemm_backend(prev);
+}
+
+// --- eval-mode forwards keep no backward state ----------------------
+
+TEST(EvalForward, OutputMatchesTrainingForward)
+{
+    Rng rng(15);
+    Network net("n");
+    net.emplace<Conv2d>("c", 2, 4, 3, 1, 1, rng);
+    net.emplace<ReLU>();
+    net.emplace<MaxPool2d>("p", 2, 2);
+    net.emplace<Flatten>();
+    net.emplace<Linear>("fc", 4 * 3 * 3, 3, rng);
+    Tensor x({3, 2, 6, 6});
+    x.fill_uniform(rng, -1.0f, 1.0f);
+    const Tensor train = net.forward(x, true);
+    const Tensor eval = net.forward(x, false);
+    ASSERT_EQ(train.shape(), eval.shape());
+    EXPECT_EQ(std::memcmp(train.data(), eval.data(),
+                          sizeof(float) *
+                              static_cast<size_t>(train.numel())),
+              0);
+}
+
+// Each layer first runs a training forward, so the death proves the
+// eval forward dropped that state rather than never having had any.
+
+TEST(EvalForwardDeathTest, ConvBackwardDies)
+{
+    Rng rng(16);
+    Conv2d conv("c", 1, 2, 3, 1, 1, rng);
+    const Tensor x({1, 1, 4, 4}, 0.5f);
+    conv.forward(x, true);
+    conv.forward(x, false);
+    EXPECT_DEATH(conv.backward(Tensor({1, 2, 4, 4}, 1.0f)),
+                 "conv backward before forward");
+}
+
+TEST(EvalForwardDeathTest, LinearBackwardDies)
+{
+    Rng rng(17);
+    Linear fc("fc", 3, 2, rng);
+    const Tensor x({2, 3}, 0.5f);
+    fc.forward(x, true);
+    fc.forward(x, false);
+    EXPECT_DEATH(fc.backward(Tensor({2, 2}, 1.0f)),
+                 "linear backward before forward");
+}
+
+TEST(EvalForwardDeathTest, MaxPoolBackwardDies)
+{
+    MaxPool2d pool("p", 2, 2);
+    const Tensor x({1, 1, 4, 4}, 0.5f);
+    pool.forward(x, true);
+    pool.forward(x, false);
+    EXPECT_DEATH(pool.backward(Tensor({1, 1, 2, 2}, 1.0f)),
+                 "maxpool backward before forward");
+}
+
+TEST(EvalForwardDeathTest, ReluBackwardDies)
+{
+    ReLU relu;
+    const Tensor x({4}, {-1.0f, 0.0f, 2.0f, -3.0f});
+    relu.forward(x, true);
+    relu.forward(x, false);
+    EXPECT_DEATH(relu.backward(Tensor({4}, 1.0f)),
+                 "relu backward before forward");
 }
 
 TEST(Softmax, RowsSumToOne)

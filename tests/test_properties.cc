@@ -61,7 +61,7 @@ TEST_P(ConvGradientSweep, AnalyticMatchesNumeric)
         return loss.forward(net.forward(x, false), labels);
     };
     auto backward_fn = [&] {
-        loss.forward(net.forward(x, false), labels);
+        loss.forward(net.forward(x, true), labels);
         net.backward(loss.backward());
     };
     const auto r = check_gradients(net, loss_fn, backward_fn);
@@ -108,7 +108,7 @@ TEST_P(PoolGradientSweep, AnalyticMatchesNumeric)
         return loss.forward(net.forward(x, false), labels);
     };
     auto backward_fn = [&] {
-        loss.forward(net.forward(x, false), labels);
+        loss.forward(net.forward(x, true), labels);
         net.backward(loss.backward());
     };
     EXPECT_TRUE(check_gradients(net, loss_fn, backward_fn).ok());
