@@ -3,11 +3,12 @@
  * Fig. 21: the analytical time model picks a batch size that yields
  * ~3x speedup over the non-batching default for AlexNet (only ~1.1x
  * for VGG, which saturates the device at batch 1) and lands close to
- * the brute-force profiled best case.
+ * the brute-force profiled best case. The "board" is a DeviceTruth
+ * near the model (kFig21Board); each batch size is measured once and
+ * every column reads that one profile.
  */
 #include <cstdio>
 
-#include "analytics/measured.h"
 #include "analytics/planner.h"
 #include "exp_common.h"
 
@@ -21,9 +22,8 @@ main()
            "~3x average speedup over non-batching for AlexNet, ~1.1x "
            "for VGGNet; model pick is close to the profiled best");
 
-    GpuModel model(tx1_spec());
-    MeasuredGpu measured(model, MeasuredGpuConfig{});
-    SingleRunningPlanner planner{model};
+    DeviceTruth board(tx1_spec(), kFig21Board);
+    SingleRunningPlanner planner{GpuModel(tx1_spec())};
 
     TablePrinter table({"network", "latency req (ms)", "model batch",
                         "best batch", "speedup vs non-batch",
@@ -32,16 +32,18 @@ main()
     int alexnet_count = 0, vgg_count = 0;
     double worst_gap = 1.0;
     for (const NetworkDesc& net : {alexnet_desc(), vgg16_desc()}) {
+        const std::vector<double> measured = profile_batches(board, net);
+        // Measured images/s at batch b.
+        const auto tp = [&](int64_t b) {
+            return static_cast<double>(b) / measured[b - 1];
+        };
         for (double req : {0.1, 0.2, 0.4, 0.8}) {
             const int64_t pick =
                 planner.max_batch_under_latency(net, req);
-            const int64_t best =
-                measured.best_batch_by_profiling(net, req);
-            const double tp_pick =
-                measured.images_per_second(net, pick);
-            const double tp_best =
-                measured.images_per_second(net, best);
-            const double tp_one = measured.images_per_second(net, 1);
+            const int64_t best = best_profiled_batch(measured, req);
+            const double tp_pick = tp(pick);
+            const double tp_best = tp(best);
+            const double tp_one = tp(1);
             const double speedup = tp_pick / tp_one;
             const double frac = tp_pick / tp_best;
             worst_gap = std::min(worst_gap, frac);

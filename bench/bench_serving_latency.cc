@@ -129,7 +129,7 @@ main()
     std::printf("\nmeasured vs modeled (AlexNet on the TX1 host "
                 "profile, 32 samples per batch size):\n");
     ServingConfig probe_cfg = make_scenario("bulk_heavy", 1.0, seed);
-    SimulatedHost host(probe_cfg.gpu, probe_cfg.host);
+    DeviceTruth host(probe_cfg.gpu, probe_cfg.host);
     GpuModel gpu(probe_cfg.gpu);
     const NetworkDesc net = probe_cfg.net;
 

@@ -60,6 +60,34 @@ SingleRunningPlanner::plan(const NetworkDesc& inference,
     return p;
 }
 
+std::vector<double>
+profile_batches(DeviceTruth& device, const NetworkDesc& net,
+                int64_t max_batch)
+{
+    std::vector<double> seconds;
+    for (int64_t b = 1; b <= max_batch; ++b)
+        seconds.push_back(device.run_batch(net, b));
+    return seconds;
+}
+
+int64_t
+best_profiled_batch(const std::vector<double>& seconds,
+                    double latency_req)
+{
+    INSITU_CHECK(latency_req > 0, "latency requirement must be > 0");
+    int64_t best = 1;
+    double best_tp = 0.0;
+    for (size_t i = 0; i < seconds.size(); ++i) {
+        if (seconds[i] > latency_req) continue;
+        const double tp = static_cast<double>(i + 1) / seconds[i];
+        if (tp > best_tp) {
+            best_tp = tp;
+            best = static_cast<int64_t>(i + 1);
+        }
+    }
+    return best;
+}
+
 CoRunningPlan
 CoRunningPlanner::plan(const NetworkDesc& net, double latency_req,
                        int64_t max_batch) const

@@ -10,6 +10,9 @@
  */
 #pragma once
 
+#include <vector>
+
+#include "hw/device_truth.h"
 #include "hw/fpga_model.h"
 #include "hw/gpu_model.h"
 #include "models/descriptor.h"
@@ -63,6 +66,29 @@ class SingleRunningPlanner {
   private:
     GpuModel gpu_;
 };
+
+/**
+ * The board Fig. 21 profiles: near the analytical model (6 % slower,
+ * 0.4 ms per-batch dispatch cost, ±5 % jitter), so brute force can
+ * beat the time model's pick only slightly, as on the paper's board.
+ */
+inline constexpr DeviceTruthConfig kFig21Board{1.06, 0.4e-3, 0x5EED};
+
+/**
+ * Brute-force profiling (Fig. 21's "best case"): element b - 1 is the
+ * measured seconds of one batch of b images, for every b in
+ * [1, max_batch], each run once on @p device in ascending order.
+ */
+std::vector<double> profile_batches(DeviceTruth& device,
+                                    const NetworkDesc& net,
+                                    int64_t max_batch = 512);
+
+/**
+ * The best-throughput batch of a profile_batches() table whose
+ * measured latency meets @p latency_req; 1 if none does.
+ */
+int64_t best_profiled_batch(const std::vector<double>& seconds,
+                            double latency_req);
 
 /** Co-running plan for the WSS+NWS pipeline on the FPGA. */
 struct CoRunningPlan {

@@ -103,10 +103,11 @@ class FaultInjector {
      */
     uint64_t storage_cut(uint64_t n);
 
-    // Device faults (consumed by serving::SimulatedHost through its
-    // HostFaultState seam). Stochastic device decisions draw from a
-    // *third* seeded stream (seed ^ 0xDE71CE), isolated exactly like
-    // the storage stream: arming device faults never perturbs the
+    // Device faults (applied by the serving runtime to each batch
+    // time the device truth returns, through
+    // serving::apply_device_faults). Stochastic device decisions draw
+    // from a *third* seeded stream (seed ^ 0xDE71CE), isolated exactly
+    // like the storage stream: arming device faults never perturbs the
     // payload or storage replay sequences, and a plan whose device
     // faults are all off consumes no device draws at all. The serving
     // event loop is serial, so the draw order is replay-stable.

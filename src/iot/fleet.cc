@@ -16,6 +16,14 @@
 
 namespace insitu {
 
+namespace {
+
+/// Per-link delivery SLO: the fraction of a link's flagged images
+/// that should reach the cloud.
+constexpr double kDeliveryObjective = 0.90;
+
+} // namespace
+
 FleetSim::FleetSim(FleetConfig config)
     : config_(config),
       cloud_(config.tiny, titan_x_spec(), config.seed),
@@ -40,18 +48,16 @@ FleetSim::FleetSim(FleetConfig config)
     pending_uploads_.resize(n);
     checkpoints_.resize(n);
     upload_trace_.resize(n);
-    if (config_.delivery_objective > 0) {
-        // Burn-rate windows in stage time: the fast window sees the
-        // last couple of stages, the slow window a run's worth.
-        for (size_t i = 0; i < n; ++i) {
-            obs::SloObjective obj;
-            obj.name = "fleet.link" + std::to_string(i) + ".delivery";
-            obj.objective = config_.delivery_objective;
-            obj.fast_window_s = 2.0 * config_.stage_window_s;
-            obj.slow_window_s = 6.0 * config_.stage_window_s;
-            obj.min_events = 4;
-            slo_links_.push_back(slo_engine_.declare(obj));
-        }
+    // Burn-rate windows in stage time: the fast window sees the last
+    // couple of stages, the slow window a run's worth.
+    for (size_t i = 0; i < n; ++i) {
+        obs::SloObjective obj;
+        obj.name = "fleet.link" + std::to_string(i) + ".delivery";
+        obj.objective = kDeliveryObjective;
+        obj.fast_window_s = 2.0 * config_.stage_window_s;
+        obj.slow_window_s = 6.0 * config_.stage_window_s;
+        obj.min_events = 4;
+        slo_links_.push_back(slo_engine_.declare(obj));
     }
     if (config_.supervisor) {
         supervisor_.emplace(config_.supervisor->validated(), n);
@@ -473,23 +479,21 @@ FleetSim::run_stage(int64_t images_per_node, double base_severity)
         // Per-link delivery SLO: deliveries are good events; terminal
         // losses (backlog evictions, crash-destroyed payloads) burn
         // the error budget. Stragglers are neither — they age.
-        if (!slo_links_.empty()) {
-            const int64_t bad = nr.dropped + nr.lost_in_crash;
-            obs::SloEvent ev = obs::SloEvent::kNone;
-            if (delivered > 0)
-                ev = slo_engine_.record(slo_links_[i], window_to, true,
-                                        delivered);
-            if (bad > 0) {
-                const obs::SloEvent ev2 = slo_engine_.record(
-                    slo_links_[i], window_to, false, bad);
-                if (ev2 != obs::SloEvent::kNone) ev = ev2;
-            }
-            if (ev == obs::SloEvent::kAlertRaised) {
-                ++report.slo_alerts;
-                black_box_.record(
-                    window_to, "slo.alert",
-                    "fleet.link" + std::to_string(i) + ".delivery");
-            }
+        const int64_t bad = nr.dropped + nr.lost_in_crash;
+        obs::SloEvent ev = obs::SloEvent::kNone;
+        if (delivered > 0)
+            ev = slo_engine_.record(slo_links_[i], window_to, true,
+                                    delivered);
+        if (bad > 0) {
+            const obs::SloEvent ev2 =
+                slo_engine_.record(slo_links_[i], window_to, false, bad);
+            if (ev2 != obs::SloEvent::kNone) ev = ev2;
+        }
+        if (ev == obs::SloEvent::kAlertRaised) {
+            ++report.slo_alerts;
+            black_box_.record(
+                window_to, "slo.alert",
+                "fleet.link" + std::to_string(i) + ".delivery");
         }
         nr.uploaded = delivered;
         nr.backlogged = uplinks_[i].backlog();
@@ -557,8 +561,7 @@ FleetSim::run_stage(int64_t images_per_node, double base_severity)
 
         cloud_.pretrain(pooled.images,
                         config_.incremental_pretrain_epochs);
-        UpdatePolicy policy =
-            config_.incremental_update.value_or(config_.update);
+        UpdatePolicy policy = config_.update;
         policy.frozen_convs = config_.shared_convs;
         const ValidatedUpdateReport vr = cloud_.validated_update(
             pooled, policy, holdout, config_.rollback_tolerance);

@@ -52,11 +52,8 @@ struct FleetConfig {
     TinyConfig tiny;
     SynthConfig synth;
     DiagnosisConfig diagnosis;
+    /// Policy of the bootstrap and the per-stage incremental updates.
     UpdatePolicy update;
-    /// Policy for the per-stage incremental updates; defaults to
-    /// `update`. Stages train on few, hard (flagged-only) images, so
-    /// a gentler learning rate than the bootstrap's is usually right.
-    std::optional<UpdatePolicy> incremental_update;
     size_t shared_convs = 3;
     int pretrain_epochs = 2;
     int incremental_pretrain_epochs = 1;
@@ -78,12 +75,6 @@ struct FleetConfig {
     double rollback_tolerance = 0.02;
     /// Failure scenario; the default injects nothing.
     FaultPlan faults;
-    /// Per-link delivery SLO: fraction of a link's flagged images
-    /// that should reach the cloud (terminal losses — backlog
-    /// evictions and crash-destroyed payloads — burn the budget;
-    /// stragglers merely age). Burn-rate windows scale with
-    /// stage_window_s. <= 0 disables the fleet SLOs.
-    double delivery_objective = 0.90;
     /// Optional self-healing supervision layer (uplink circuit
     /// breakers, crash-loop quarantine, canary rollout — see
     /// iot/supervisor.h). nullopt reproduces the unsupervised fleet
@@ -255,7 +246,7 @@ class FleetSim {
     /// recover_from_storage().
     std::vector<storage::WalRecord> recovered_records_;
     /// Per-link delivery SLOs (one handle per node) fed on the serial
-    /// drain path; empty when delivery_objective <= 0.
+    /// drain path; burn-rate windows scale with stage_window_s.
     obs::SloEngine slo_engine_;
     std::vector<size_t> slo_links_;
     /// Last-256-events black box (stage starts, crashes, quarantines,

@@ -44,6 +44,25 @@ event_after(const FleetEvent& a, const FleetEvent& b)
 constexpr int64_t kPpm = 1000000;
 constexpr int64_t kGenesisQualityPpm = 350000;
 
+// Node behaviour: every node captures, flags and drains alike.
+constexpr double kDrainIntervalS = 60.0;  ///< uplink cadence per node
+constexpr int64_t kImagesPerCapture = 24;
+/// Baseline fraction of captured images flagged valuable (permille).
+constexpr int32_t kFlagPermille = 120;
+/// Per-node micro-climate spread applied to kFlagPermille (±, permille).
+constexpr int32_t kSeveritySpreadPermille = 200;
+constexpr int64_t kLinkCapacity = 16; ///< images per drain window
+constexpr int64_t kBacklogCap = 256;  ///< on-device buffer; oldest dropped
+static_assert(kDrainIntervalS > 0, "drain interval must be positive");
+static_assert(kImagesPerCapture >= 0, "negative capture size");
+static_assert(kLinkCapacity >= 1, "link capacity must be positive");
+static_assert(kBacklogCap >= kLinkCapacity,
+              "backlog cap below one drain window");
+static_assert(kFlagPermille >= 0 && kFlagPermille <= 1000 &&
+                  kSeveritySpreadPermille >= 0 &&
+                  kSeveritySpreadPermille <= 1000,
+              "permille constants live in [0, 1000]");
+
 // Derivation salts. Per-node *draws* use the node's own draw counter
 // (never these), so the streams stay disjoint: counters in a run stay
 // far below the smallest salt.
@@ -71,18 +90,10 @@ ScaleFleetConfig::validated() const
     INSITU_CHECK(nodes <= (int64_t(1) << 31), "node ids are 32-bit");
     INSITU_CHECK(shards >= 0, "negative shard count");
     INSITU_CHECK(stage_window_s > 0, "stage window must be positive");
-    INSITU_CHECK(drain_interval_s > 0,
-                 "drain interval must be positive");
-    INSITU_CHECK(images_per_capture >= 0, "negative capture size");
-    INSITU_CHECK(link_capacity >= 1, "link capacity must be positive");
-    INSITU_CHECK(backlog_cap >= link_capacity,
-                 "backlog cap below one drain window");
     const auto permille_ok = [](int32_t p) {
         return p >= 0 && p <= 1000;
     };
-    INSITU_CHECK(permille_ok(flag_permille) &&
-                     permille_ok(severity_spread_permille) &&
-                     permille_ok(crash_permille) &&
+    INSITU_CHECK(permille_ok(crash_permille) &&
                      permille_ok(drop_permille) &&
                      permille_ok(poison_permille),
                  "permille knobs live in [0, 1000]");
@@ -279,37 +290,33 @@ ScaleFleetEngine::process_capture(Shard& shard, ScaleNode& node,
                                    : shard.deployed_version);
     }
 
-    shard.captured += config_.images_per_capture;
+    shard.captured += kImagesPerCapture;
     // Flag rate = baseline shifted by the node's static micro-climate
     // (a pure hash), with integer dithering on the remainder so the
     // fleet-wide expectation is exact.
     const uint64_t climate =
         derive_stream(config_.seed, id, kClimateSalt);
-    const int32_t spread = config_.severity_spread_permille;
     const int32_t severity =
-        spread > 0 ? static_cast<int32_t>(
-                         climate % (2 * spread + 1)) -
-                         spread
-                   : 0;
+        static_cast<int32_t>(climate % (2 * kSeveritySpreadPermille + 1)) -
+        kSeveritySpreadPermille;
     const int64_t rate = std::clamp<int64_t>(
-        static_cast<int64_t>(config_.flag_permille) *
-            (1000 + severity) / 1000,
+        static_cast<int64_t>(kFlagPermille) * (1000 + severity) / 1000,
         0, 1000);
-    const int64_t scaled = config_.images_per_capture * rate;
+    const int64_t scaled = kImagesPerCapture * rate;
     int64_t flagged = scaled / 1000;
     if (node_draw(node, id) % 1000 <
         static_cast<uint64_t>(scaled % 1000))
         ++flagged;
     shard.flagged += flagged;
     node.backlog += static_cast<uint32_t>(flagged);
-    if (node.backlog > static_cast<uint64_t>(config_.backlog_cap)) {
-        shard.dropped += node.backlog - config_.backlog_cap;
-        node.backlog = static_cast<uint32_t>(config_.backlog_cap);
+    if (node.backlog > static_cast<uint64_t>(kBacklogCap)) {
+        shard.dropped += node.backlog - kBacklogCap;
+        node.backlog = static_cast<uint32_t>(kBacklogCap);
     }
     if (node.backlog > 0 && !(node.state & kDrainQueued)) {
         node.state |= kDrainQueued;
         push_event(shard,
-                   FleetEvent{event.t + config_.drain_interval_s, id,
+                   FleetEvent{event.t + kDrainIntervalS, id,
                               static_cast<uint8_t>(
                                   FleetEventKind::kDrain),
                               0, node.seq++});
@@ -323,7 +330,7 @@ ScaleFleetEngine::process_drain(Shard& shard, ScaleNode& node,
     node.state &= static_cast<uint8_t>(~kDrainQueued);
     if (node.state & kDown) return;
     const int64_t batch =
-        std::min<int64_t>(node.backlog, config_.link_capacity);
+        std::min<int64_t>(node.backlog, kLinkCapacity);
     if (batch > 0) {
         const bool lost =
             config_.drop_permille > 0 &&
@@ -346,7 +353,7 @@ ScaleFleetEngine::process_drain(Shard& shard, ScaleNode& node,
         // simply carries into the next stage's drain loop.
         node.state |= kDrainQueued;
         push_event(shard,
-                   FleetEvent{event.t + config_.drain_interval_s, id,
+                   FleetEvent{event.t + kDrainIntervalS, id,
                               static_cast<uint8_t>(
                                   FleetEventKind::kDrain),
                               0, node.seq++});

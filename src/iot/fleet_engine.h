@@ -95,15 +95,7 @@ struct ScaleFleetConfig {
     /// thread count.
     int shards = 0;
 
-    double stage_window_s = 600.0;  ///< simulated stage length
-    double drain_interval_s = 60.0; ///< uplink cadence per node
-    int64_t images_per_capture = 24;
-    /// Baseline fraction of captured images flagged valuable (permille).
-    int32_t flag_permille = 120;
-    /// Per-node micro-climate spread applied to flag_permille (±, permille).
-    int32_t severity_spread_permille = 200;
-    int64_t link_capacity = 16;  ///< images per drain window
-    int64_t backlog_cap = 256;   ///< on-device buffer; oldest dropped
+    double stage_window_s = 600.0; ///< simulated stage length
 
     // Chaos knobs (all off by default; integer probabilities so draws
     // stay exact across platforms).

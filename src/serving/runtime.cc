@@ -29,6 +29,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// exact doubles, this only guards against representation noise.
 constexpr double kDeadlineEps = 1e-12;
 
+/// Admission queue bound; arrivals beyond it are dropped_capacity.
+constexpr size_t kQueueCapacity = 512;
+
+/// Deadline-hit objective of best_effort classes: looser than the
+/// guaranteed one, because the ladder sheds them first by design and
+/// alerting at the guaranteed target would page on intended behavior.
+constexpr double kBestEffortObjective = 0.75;
+
 /** Nearest-rank quantile of an ascending-sorted vector. */
 double
 quantile(const std::vector<double>& sorted, double q)
@@ -74,7 +82,7 @@ struct ServingRuntime::Impl {
 
     std::vector<Request> arrivals;
     AdmissionQueue queue;
-    SimulatedHost host;
+    DeviceTruth host;
     GpuModel planner_gpu; ///< the planner's (self-calibrating) model
     BatchPlanner planner;
     NetworkDesc diag_net;
@@ -82,7 +90,6 @@ struct ServingRuntime::Impl {
 
     // ---- device faults + gray-failure detection ----
     std::optional<FaultInjector> injector; ///< armed iff device_faulty
-    HostFaultState fault_state;
     GrayFailureDetector detector;
     DeviceHealth cur_state = DeviceHealth::kHealthy;
     int cur_rung = 0;
@@ -176,7 +183,7 @@ struct ServingRuntime::Impl {
 
     Impl(ServingConfig config, InsituNode* n)
         : cfg(std::move(config)), node(n),
-          queue(cfg.queue_capacity, cfg.mix.classes.size()),
+          queue(kQueueCapacity, cfg.mix.classes.size()),
           host(cfg.gpu, cfg.host),
           planner_gpu(cfg.gpu), planner(cfg.planner),
           detector(cfg.detector),
@@ -231,15 +238,8 @@ struct ServingRuntime::Impl {
           l_latency(local.histogram("serving.request.latency_s",
                                     latency_options()))
     {
-        if (cfg.faults.device_faulty()) {
-            injector.emplace(cfg.faults);
-            fault_state.injector = &*injector;
-            host.set_fault_state(&fault_state);
-        }
-        if (cfg.diagnosis_net.layers.empty())
-            diag_net = diagnosis_desc(cfg.net);
-        else
-            diag_net = cfg.diagnosis_net;
+        if (cfg.faults.device_faulty()) injector.emplace(cfg.faults);
+        diag_net = diagnosis_desc(cfg.net);
         diag_batch_ops =
             diag_net.total_ops() *
             static_cast<double>(cfg.corun.diagnosis_batch);
@@ -257,7 +257,7 @@ struct ServingRuntime::Impl {
                 obs::SloObjective obj;
                 obj.name = "serving." + c.name + ".deadline";
                 obj.objective = c.best_effort
-                                    ? cfg.slo.best_effort_objective
+                                    ? kBestEffortObjective
                                     : cfg.slo.objective;
                 obj.fast_window_s = cfg.slo.fast_window_s;
                 obj.slow_window_s = cfg.slo.slow_window_s;
@@ -467,13 +467,13 @@ struct ServingRuntime::Impl {
         // Ground truth: the host executes under the same Fig. 16
         // interference the planner predicted with.
         const double corun =
-            dops > 0 ? host.analytical().corun_slowdown(
+            dops > 0 ? host.model().corun_slowdown(
                            cfg.net.total_ops() *
                                static_cast<double>(d.batch),
                            dops)
                      : 1.0;
-        const double exec =
-            host.run_batch(cfg.net, d.batch, corun, t);
+        double exec = host.run_batch(cfg.net, d.batch, corun);
+        if (injector) exec = apply_device_faults(*injector, exec, t);
         f.completion_s = t + exec;
         f.pure_exec_s = exec / corun;
 
@@ -973,6 +973,17 @@ struct ServingRuntime::Impl {
                  static_cast<long long>(rep.flight_dumps));
     }
 };
+
+double
+apply_device_faults(FaultInjector& injector, double seconds,
+                    double now_s)
+{
+    seconds *= injector.device_slowdown(now_s);
+    seconds *= injector.storm_jitter(now_s);
+    if (injector.transient_stall())
+        seconds *= injector.plan().transient_stall_mult;
+    return seconds;
+}
 
 ServingRuntime::ServingRuntime(ServingConfig config, InsituNode* node)
     : impl_(std::make_unique<Impl>(std::move(config), node))

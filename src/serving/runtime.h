@@ -8,7 +8,8 @@
  * - **Inference stream**: bursty arrivals (serving/traffic.h) land in
  *   the EDF admission queue; whenever the device goes idle the batch
  *   planner (serving/batch_planner.h) forms the next dispatch and the
- *   simulated host (serving/host.h) executes it.
+ *   device truth (hw/device_truth.h) executes it, under whatever
+ *   device faults the plan arms (apply_device_faults).
  * - **Diagnosis ticks**: a periodic diagnosis batch co-runs on the
  *   device; inference batches dispatched inside its window are
  *   inflated by the Fig. 16 interference model — and the planner
@@ -39,16 +40,17 @@
 
 #include "data/synth.h"
 #include "faults/fault_plan.h"
+#include "hw/device_truth.h"
 #include "hw/gpu_model.h"
 #include "hw/spec.h"
 #include "obs/metrics.h"
 #include "serving/batch_planner.h"
 #include "serving/degrade.h"
-#include "serving/host.h"
 #include "serving/queue.h"
 #include "serving/traffic.h"
 
 namespace insitu {
+class FaultInjector;
 class InsituNode;
 }
 
@@ -85,12 +87,9 @@ struct CalibrationConfig {
  */
 struct SloConfig {
     bool enabled = true;
-    /// Deadline-hit objective for guaranteed classes.
+    /// Deadline-hit objective for guaranteed classes (best_effort
+    /// classes get a fixed looser one: they are shed first by design).
     double objective = 0.90;
-    /// Looser objective for best_effort classes (they are shed first
-    /// by design; alerting at the guaranteed target would page on
-    /// intended behavior).
-    double best_effort_objective = 0.75;
     double fast_window_s = 2.0;
     double slow_window_s = 8.0;
     /// Raise when both windows burn error budget at >= this rate.
@@ -111,22 +110,21 @@ struct ServingConfig {
     PlannerConfig planner;
     CorunConfig corun;
     CalibrationConfig calibration;
-    HostProfile host;
+    /// The device's hidden constants: the truth the planner's
+    /// calibration loop has to recover.
+    DeviceTruthConfig host;
     GpuSpec gpu = tx1_spec();
     /// Analytical descriptor of the inference network (what the
-    /// planner's Eq 3-8 model reasons about).
+    /// planner's Eq 3-8 model reasons about). The co-running
+    /// diagnosis batch runs diagnosis_desc(net).
     NetworkDesc net = alexnet_desc();
-    /// Descriptor of the co-running diagnosis batch; empty layers =
-    /// derive diagnosis_desc(net).
-    NetworkDesc diagnosis_net;
-    size_t queue_capacity = 512;
     /// Drop already-expired requests at batch formation instead of
     /// spending device time on guaranteed misses.
     bool shed_expired = true;
     TranscriptLevel transcript = TranscriptLevel::kOff;
     /// With a node attached: actually run InsituNode inference on
     /// every Nth dispatched batch (0 = never). Timing always comes
-    /// from the simulated host; this grounds the stream in the real
+    /// from the device truth; this grounds the stream in the real
     /// substrate and tallies the nn.* metrics.
     int64_t real_inference_every = 0;
     /// Image geometry of the synthetic request payloads used when
@@ -228,6 +226,17 @@ struct ServingReport {
     double makespan_s = 0; ///< last batch completion
     std::string transcript;
 };
+
+/**
+ * The device-fault seam: @p seconds, a batch time the device truth
+ * measured at simulation time @p now_s, scaled by the injector's
+ * thermal-throttle slowdown, jitter-storm factor and transient stall,
+ * in that order. The runtime calls it only when the plan arms a
+ * device fault, and always after the device's own jitter draw, so
+ * arming faults never shifts the fault-free replay.
+ */
+double apply_device_faults(FaultInjector& injector, double seconds,
+                           double now_s);
 
 /** One full serving scenario, runnable once. */
 class ServingRuntime {

@@ -23,9 +23,9 @@ make_scenario(const std::string& name, double duration_s,
     cfg.calibration.min_samples = 8;
     cfg.host.seed = seed ^ 0x105E41;
 
-    // Capacity anchors of the (jitter-free) host: the service time of
-    // a single image and the best sustainable rate at the batch cap.
-    SimulatedHost probe(cfg.gpu, cfg.host);
+    // Capacity anchors of the (jitter-free) device: the service time
+    // of a single image and the best sustainable rate at the batch cap.
+    const DeviceTruth probe(cfg.gpu, cfg.host);
     const double l1 = probe.mean_batch_seconds(cfg.net, 1);
     const double lmax =
         probe.mean_batch_seconds(cfg.net, cfg.planner.max_batch);

@@ -1,12 +1,11 @@
 /**
  * @file
- * Unit tests for the planners and the measured-GPU stand-in: mode
+ * Unit tests for the planners and Fig. 21's brute-force profile: mode
  * selection, Single-running batch picking (time + resource models),
  * Co-running configuration search, and the Fig. 21 relationships.
  */
 #include <gtest/gtest.h>
 
-#include "analytics/measured.h"
 #include "analytics/planner.h"
 
 namespace insitu {
@@ -108,55 +107,56 @@ TEST(CoRunning, LooserLatencyNeverHurtsThroughput)
     }
 }
 
-TEST(MeasuredGpu, DeviatesFromModelBoundedly)
+TEST(ProfileBatches, DeviatesFromModelBoundedly)
 {
     GpuModel model(tx1_spec());
-    MeasuredGpu measured(model, MeasuredGpuConfig{});
+    DeviceTruth board(tx1_spec(), kFig21Board);
     const NetworkDesc net = alexnet_desc();
+    const std::vector<double> measured = profile_batches(board, net, 64);
     for (int64_t b : {1, 4, 16, 64}) {
         const double m = model.network_latency(net, b);
-        const double r = measured.network_latency(net, b);
+        const double r = measured[b - 1];
         EXPECT_GT(r, 0.8 * m);
         EXPECT_LT(r, 1.5 * m);
     }
 }
 
-TEST(MeasuredGpu, Deterministic)
+TEST(ProfileBatches, Deterministic)
 {
-    MeasuredGpu a(GpuModel(tx1_spec()), MeasuredGpuConfig{});
-    MeasuredGpu b(GpuModel(tx1_spec()), MeasuredGpuConfig{});
-    EXPECT_DOUBLE_EQ(a.network_latency(alexnet_desc(), 8),
-                     b.network_latency(alexnet_desc(), 8));
+    DeviceTruth a(tx1_spec(), kFig21Board);
+    DeviceTruth b(tx1_spec(), kFig21Board);
+    EXPECT_EQ(profile_batches(a, alexnet_desc()),
+              profile_batches(b, alexnet_desc()));
 }
 
-TEST(MeasuredGpu, ProfiledBestRespectsLatency)
+TEST(ProfileBatches, ProfiledBestRespectsLatency)
 {
-    MeasuredGpu measured(GpuModel(tx1_spec()), MeasuredGpuConfig{});
-    const NetworkDesc net = alexnet_desc();
-    const int64_t best = measured.best_batch_by_profiling(net, 0.2);
-    EXPECT_LE(measured.network_latency(net, best), 0.2);
+    DeviceTruth board(tx1_spec(), kFig21Board);
+    const std::vector<double> measured =
+        profile_batches(board, alexnet_desc());
+    const int64_t best = best_profiled_batch(measured, 0.2);
+    EXPECT_LE(measured[best - 1], 0.2);
     // Brute force is at least as good as any single candidate.
-    EXPECT_GE(measured.images_per_second(net, best),
-              measured.images_per_second(net, 1));
+    EXPECT_GE(static_cast<double>(best) / measured[best - 1],
+              1.0 / measured[0]);
 }
 
-TEST(MeasuredGpu, ModelPickCloseToProfiledBest)
+TEST(ProfileBatches, ModelPickCloseToProfiledBest)
 {
     // Fig 21: "the performance achieved by our method is close to the
     // best case" — within 15% on throughput.
-    GpuModel model(tx1_spec());
-    MeasuredGpu measured(model, MeasuredGpuConfig{});
-    SingleRunningPlanner planner{model};
+    DeviceTruth board(tx1_spec(), kFig21Board);
+    SingleRunningPlanner planner{GpuModel(tx1_spec())};
     const NetworkDesc net = alexnet_desc();
+    const std::vector<double> measured = profile_batches(board, net);
+    const auto tp = [&](int64_t b) {
+        return static_cast<double>(b) / measured[b - 1];
+    };
     for (double req : {0.1, 0.25, 0.5}) {
         const int64_t model_pick =
             planner.max_batch_under_latency(net, req);
-        const int64_t best =
-            measured.best_batch_by_profiling(net, req);
-        const double model_tp =
-            measured.images_per_second(net, model_pick);
-        const double best_tp = measured.images_per_second(net, best);
-        EXPECT_GE(model_tp, 0.85 * best_tp) << "req " << req;
+        const int64_t best = best_profiled_batch(measured, req);
+        EXPECT_GE(tp(model_pick), 0.85 * tp(best)) << "req " << req;
     }
 }
 

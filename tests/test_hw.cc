@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "hw/device_truth.h"
 #include "hw/fpga_model.h"
 #include "hw/gpu_model.h"
 #include "hw/spec.h"
@@ -385,6 +386,29 @@ TEST(GpuCalibration, DegenerateInputsFallBack)
     const GpuCalibration fit = fit_calibration(gpu, net, one);
     EXPECT_NEAR(fit.time_scale, 2.0, 1e-9);
     EXPECT_DOUBLE_EQ(fit.overhead_s, 0.0);
+}
+
+TEST(DeviceTruth, MeanIsTheHiddenCalibrationAndJitterIsBounded)
+{
+    const DeviceTruthConfig hidden{1.3, 2e-3, 7};
+    DeviceTruth device(tx1_spec(), hidden);
+    const GpuModel analytical(tx1_spec());
+    const NetworkDesc net = alexnet_desc();
+    for (int64_t b : {1, 8, 32}) {
+        const double mean = device.mean_batch_seconds(net, b);
+        EXPECT_DOUBLE_EQ(mean,
+                         1.3 * analytical.network_latency(net, b) + 2e-3);
+        for (int i = 0; i < 50; ++i) {
+            const double corun = 1.0 + 0.5 * (i % 3);
+            const double t = device.run_batch(net, b, corun) / corun;
+            EXPECT_GE(t, mean * (1.0 - DeviceTruth::kJitterFrac));
+            EXPECT_LE(t, mean * (1.0 + DeviceTruth::kJitterFrac));
+        }
+    }
+    // The co-running model is the analytical one: the hidden
+    // constants never leak into Fig. 16's interference factor.
+    EXPECT_EQ(device.model().corun_slowdown(1e9, 3e9),
+              analytical.corun_slowdown(1e9, 3e9));
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <cmath>
 
 #include "cloud/update_service.h"
+#include "faults/fault_injector.h"
 #include "iot/node.h"
 #include "serving/calibrate.h"
 #include "serving/scenarios.h"
@@ -405,6 +406,49 @@ TEST(Calibrate, RegistryFitRecoversHostConstants)
     obs::MetricsRegistry empty;
     EXPECT_TRUE(
         calibrate_from_registry(empty, gpu, net).is_identity());
+}
+
+// ---- device truth and the device-fault seam ----------------------
+
+TEST(DeviceTruth, ReplaysParentHostSequence)
+{
+    // 16 batch times recorded from the serving host before it became
+    // a DeviceTruth: default host constants, a plan arming a thermal
+    // throttle, a jitter storm and transient stalls. Any reordering of
+    // mean × jitter × corun × throttle × storm × stall moves a bit.
+    static const double kRecorded[16] = {
+        0x1.f4267aaa47c0ap-6, 0x1.2ef4e28f244cfp-4,
+        0x1.67a492303e447p-1, 0x1.69d6c5491c29fp-1,
+        0x1.255053db5097fp+2, 0x1.65110181a0e01p-4,
+        0x1.00c3a3c844cccp-2, 0x1.cdd247ee36ffcp+1,
+        0x1.c066eafd76f33p-5, 0x1.aae7d8585100cp-2,
+        0x1.ae2cd429ce6abp-3, 0x1.a928980b0d3c3p-2,
+        0x1.08f396cdf08c5p-1, 0x1.a7e939f0e3facp-3,
+        0x1.a640f4ce892aep-3, 0x1.d8c92338ba74bp+0,
+    };
+    FaultPlan plan;
+    plan.seed = 0x5EED15;
+    plan.throttles.push_back(ThrottleWindow{0.5, 3.0, 2.5, 1.0});
+    plan.jitter_storms.push_back(JitterStormWindow{1.25, 3.5, 0.4});
+    plan.transient_stall_prob = 0.3;
+    plan.transient_stall_mult = 4.0;
+    FaultInjector injector(plan);
+    DeviceTruth host(tx1_spec(), DeviceTruthConfig{});
+
+    const NetworkDesc net = alexnet_desc();
+    const int64_t batches[] = {1, 4, 9, 16, 32, 3, 7, 64};
+    const double coruns[] = {1.0, 1.37, 2.2, 1.0, 2.9};
+    for (int i = 0; i < 16; ++i) {
+        const double now = 0.25 * i;
+        const double t = apply_device_faults(
+            injector, host.run_batch(net, batches[i % 8], coruns[i % 5]),
+            now);
+        EXPECT_EQ(t, kRecorded[i]) << "call " << i;
+    }
+    // Every fault kind fired inside the sequence.
+    EXPECT_EQ(injector.log().throttled_batches, 9);
+    EXPECT_EQ(injector.log().storm_batches, 9);
+    EXPECT_EQ(injector.log().transient_stalls, 5);
 }
 
 // ---- end-to-end runtime -------------------------------------------
