@@ -61,11 +61,7 @@ main()
             if (preds[i] != rest.labels[i])
                 wrong.push_back(static_cast<int64_t>(i));
     }
-    Dataset errors;
-    errors.condition = cond;
-    errors.images = gather_rows(rest.images, wrong);
-    for (int64_t i : wrong)
-        errors.labels.push_back(rest.labels[static_cast<size_t>(i)]);
+    const Dataset errors = gather_dataset(rest, wrong);
 
     const Dataset all = concat_datasets({&base, &rest});
 

@@ -9,8 +9,8 @@
  * study on the full FleetSim (real networks): a node adapts faster
  * when siblings contribute flagged data to the shared cloud model.
  *
- * Emits BENCH_fleet_scaling.json via the exp_common atexit hook, with
- * per-size throughput and peak-RSS gauges.
+ * Records per-size throughput and peak-RSS gauges
+ * (`fleet.scale.n<N>.*`), exported with INSITU_TELEMETRY_JSONL set.
  */
 #include <sys/resource.h>
 

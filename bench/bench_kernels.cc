@@ -14,10 +14,7 @@
  */
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-
 #include "data/synth.h"
-#include "exp_common.h"
 #include "models/tiny.h"
 #include "nn/conv2d.h"
 #include "nn/loss.h"
@@ -32,27 +29,11 @@
 namespace insitu {
 namespace {
 
-void
-BM_Matmul(benchmark::State& state)
-{
-    const int64_t n = state.range(0);
-    Rng rng(1);
-    Tensor a({n, n}), b({n, n});
-    a.fill_uniform(rng, -1.0f, 1.0f);
-    b.fill_uniform(rng, -1.0f, 1.0f);
-    for (auto _ : state) {
-        Tensor c = matmul(a, b);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
-
 // --- blocked vs naive GEMM ----------------------------------------
-// The A/B pair behind scripts/check_perf.sh: same square matmul, one
-// run per backend, single thread (the backends parallelize
-// differently, so the single-thread ratio is the honest kernel
-// comparison). The script asserts blocked/naive stays above a floor.
+// Same square matmul, one run per backend; BM_GemmBlocked is the
+// default-backend matmul. The pass/fail floor on their ratio lives in
+// tests/test_perf_floors.cc (ctest check_perf); these rows are the
+// by-hand view across sizes.
 
 void
 gemm_backend_bench(benchmark::State& state, GemmBackend backend)
@@ -290,21 +271,4 @@ BENCHMARK(BM_TrainStepThreads)->Arg(1)->Arg(2)->Arg(4);
 } // namespace
 } // namespace insitu
 
-// Expanded BENCHMARK_MAIN() plus the repo's telemetry hook: when
-// INSITU_BENCH_JSON_DIR is set, banner() registers the atexit
-// BENCH_kernels.json writer, giving scripts/check_perf.sh the metrics
-// snapshot (exact tensor.matmul.* counters) next to the timing JSON.
-int
-main(int argc, char** argv)
-{
-    const char* dir = std::getenv("INSITU_BENCH_JSON_DIR");
-    if (dir != nullptr && *dir != '\0') {
-        insitu::bench::banner("kernels", "kernel microbenchmarks",
-                              "library-level; no paper figure");
-    }
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

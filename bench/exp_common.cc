@@ -3,70 +3,30 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 
 #include "nn/optimizer.h"
 #include "obs/clock.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/csv.h"
 
 namespace insitu::bench {
 
 namespace {
 
-std::string g_bench_id; ///< sanitized id of the running bench
-
-/// Wall time of the first banner() call, so the exit hook can record
-/// the whole run as a stage — every bench then carries at least one
-/// timing metric, including the purely analytical ones.
-std::chrono::steady_clock::time_point g_bench_start;
-
-std::string
-sanitize(const std::string& id)
-{
-    std::string out;
-    out.reserve(id.size());
-    for (const char c : id) {
-        const bool ok = (c >= 'a' && c <= 'z') ||
-                        (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '_' ||
-                        c == '-' || c == '.';
-        out += ok ? c : '_';
-    }
-    return out.empty() ? std::string("bench") : out;
-}
-
-/// atexit hook: every bench binary gets a machine-readable
-/// BENCH_<id>.json (metrics snapshot + environment block) without
+/// atexit hook: with INSITU_TELEMETRY_JSONL=<path> set, every bench
+/// binary leaves the same JSONL export `chaos_fleet` writes, without
 /// per-bench code — banner() is the only touch point.
 void
-write_bench_json()
+write_telemetry_jsonl()
 {
-    if (g_bench_id.empty()) return;
-    obs::MetricsRegistry::global()
-        .histogram("bench.stage.total.wall_s")
-        .observe(std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - g_bench_start)
-                     .count());
-    const char* dir = std::getenv("INSITU_BENCH_JSON_DIR");
-    const std::string path =
-        (dir != nullptr && *dir != '\0' ? std::string(dir) + "/"
-                                        : std::string()) +
-        "BENCH_" + g_bench_id + ".json";
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "[warn] could not write %s\n",
-                     path.c_str());
-        return;
-    }
-    out << "{\n  \"bench\": \""
-        << obs::json_escape(g_bench_id) << "\",\n  \"environment\": ";
-    obs::export_environment_json(out);
-    out << ",\n  \"metrics\": ";
-    obs::export_metrics_json(out, obs::MetricsRegistry::global());
-    out << "\n}\n";
-    std::printf("wrote %s\n", path.c_str());
+    const char* path = std::getenv("INSITU_TELEMETRY_JSONL");
+    if (path == nullptr || *path == '\0') return;
+    if (obs::export_jsonl_file(path))
+        std::printf("telemetry written to %s\n", path);
+    else
+        std::fprintf(stderr, "[warn] could not write %s\n", path);
 }
 
 } // namespace
@@ -75,16 +35,17 @@ void
 banner(const std::string& id, const std::string& title,
        const std::string& paper_claim)
 {
-    if (g_bench_id.empty()) {
+    static bool hooked = false;
+    if (!hooked) {
+        hooked = true;
         // Touch the telemetry singletons before registering the
         // atexit hook: they are function-local statics, so being
         // constructed first guarantees they outlive the hook.
         obs::MetricsRegistry::global();
+        obs::TraceRecorder::global();
         obs::TelemetryClock::global();
-        g_bench_start = std::chrono::steady_clock::now();
-        std::atexit(write_bench_json);
+        std::atexit(write_telemetry_jsonl);
     }
-    g_bench_id = sanitize(id);
     std::printf("==============================================\n");
     std::printf("%s — %s\n", id.c_str(), title.c_str());
     std::printf("paper: %s\n", paper_claim.c_str());
@@ -99,23 +60,15 @@ verdict(bool shape_holds, const std::string& detail)
 }
 
 void
-maybe_write_csv(const std::string& id,
-                const std::vector<std::string>& headers,
-                const std::vector<std::vector<std::string>>& rows)
+maybe_write_csv(const std::string& id, const TablePrinter& table)
 {
     const char* dir = std::getenv("INSITU_BENCH_CSV_DIR");
     if (dir == nullptr || *dir == '\0') return;
-    CsvWriter csv(headers);
-    for (const auto& row : rows) csv.add_row(row);
+    CsvWriter csv(table.headers());
+    for (const auto& row : table.rows()) csv.add_row(row);
     const std::string path = std::string(dir) + "/" + id + ".csv";
     if (csv.write_file(path))
         std::printf("wrote %s\n", path.c_str());
-}
-
-void
-maybe_write_csv(const std::string& id, const TablePrinter& table)
-{
-    maybe_write_csv(id, table.headers(), table.rows());
 }
 
 double

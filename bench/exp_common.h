@@ -12,7 +12,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "data/synth.h"
 #include "models/tiny.h"
@@ -33,13 +32,8 @@ void verdict(bool shape_holds, const std::string& detail);
 /**
  * Optionally dump a rendered table as CSV: when the environment
  * variable INSITU_BENCH_CSV_DIR is set, write <dir>/<id>.csv with the
- * same headers/rows. No-op otherwise.
+ * table's headers/rows. No-op otherwise.
  */
-void maybe_write_csv(const std::string& id,
-                     const std::vector<std::string>& headers,
-                     const std::vector<std::vector<std::string>>& rows);
-
-/** Convenience overload for a rendered TablePrinter. */
 void maybe_write_csv(const std::string& id, const TablePrinter& table);
 
 /** Reduced-scale knobs shared by the training-based experiments. */

@@ -117,6 +117,10 @@ struct RunOutcome {
     /// Fleet accuracy right after the poisoned stage deployed — the
     /// stage where fleet-wide rollout and canary rollout differ most.
     double post_poison_accuracy = 0;
+    size_t nodes = 0;
+    /// Nodes the poisoned stage's update reached: its canary subset,
+    /// or the whole fleet when no canary ran.
+    size_t poison_reached = 0;
 
     double joules_per_image() const
     {
@@ -135,11 +139,16 @@ run_scenario(bool supervised, bool print)
     if (print) std::printf("bootstrap accuracy: %.2f\n", boot);
 
     RunOutcome out;
+    out.nodes = fleet.size();
     for (int stage = 0; stage < 5; ++stage) {
         const FleetStageReport r =
             fleet.run_stage(45, 0.25 + 0.03 * stage);
         out.lines.push_back(stage_line(r));
-        if (r.poisoned) out.post_poison_accuracy = r.mean_accuracy_after;
+        if (r.poisoned) {
+            out.post_poison_accuracy = r.mean_accuracy_after;
+            out.poison_reached =
+                r.canary_started ? r.canary_nodes.size() : out.nodes;
+        }
         if (print) std::printf("%s\n", out.lines.back().c_str());
     }
 
@@ -222,7 +231,8 @@ main()
                 naive.post_poison_accuracy,
                 supervised.post_poison_accuracy -
                     naive.post_poison_accuracy,
-                static_cast<size_t>(2), static_cast<size_t>(3));
+                supervised.nodes - supervised.poison_reached,
+                supervised.nodes);
 
     std::printf("\nreplaying the supervised scenario from the same "
                 "seed...\n");

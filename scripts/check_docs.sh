@@ -66,7 +66,7 @@ else
     # benches that exercise them, and the fleet-scale gates alongside
     # the sweep they guard.
     for needle in 'INSITU_GEMM' 'check_perf' 'check_fleet_scale' \
-            'INSITU_PERF_FLOOR_FLEET' 'check_determinism'; do
+            'check_determinism'; do
         if ! grep -qF "$needle" "$perf"; then
             note "docs/performance.md does not mention $needle"
             fail=1

@@ -40,12 +40,7 @@ Framework::autonomous_step(const Dataset& stage)
         DiagnosisTask::flagged_indices(report.node.flags);
     report.uploaded = static_cast<int64_t>(idx.size());
     if (!idx.empty()) {
-        Dataset valuable;
-        valuable.condition = stage.condition;
-        valuable.images = gather_rows(stage.images, idx);
-        for (int64_t i : idx)
-            valuable.labels.push_back(
-                stage.labels[static_cast<size_t>(i)]);
+        const Dataset valuable = gather_dataset(stage, idx);
         // Continued unsupervised pre-training on the raw upload keeps
         // the diagnosis model current with the drift; because the
         // conv prefix is shared, the inference features improve too.

@@ -338,13 +338,7 @@ FleetSim::run_stage(int64_t images_per_node, double base_severity)
             int64_t flagged = 0;
             for (size_t j = 0; j < flags.size(); ++j)
                 if (flags[j]) idx[flagged++] = static_cast<int64_t>(j);
-            Dataset valuable;
-            valuable.condition = data.condition;
-            valuable.images = gather_rows(data.images, idx, flagged);
-            valuable.labels.reserve(static_cast<size_t>(flagged));
-            for (int64_t k = 0; k < flagged; ++k)
-                valuable.labels.push_back(
-                    data.labels[static_cast<size_t>(idx[k])]);
+            Dataset valuable = gather_dataset(data, idx, flagged);
 
             if (pending_uploads_[i].size() == 0) {
                 pending_uploads_[i] = std::move(valuable);

@@ -145,26 +145,15 @@ IotSystemSim::incremental_stage(int stage, const Dataset& data)
             diagnosis_desc(tinynet_desc()),
             static_cast<double>(data.size()) * paper_scale);
         m.cloud_energy_j += diag.energy_j;
-        valuable = dataset_slice(data, 0, 0);
-        const auto idx =
-            DiagnosisTask::flagged_indices(node_report.flags);
-        valuable.images = gather_rows(data.images, idx);
-        valuable.labels.clear();
-        for (int64_t i : idx)
-            valuable.labels.push_back(
-                data.labels[static_cast<size_t>(i)]);
+        valuable = gather_dataset(
+            data, DiagnosisTask::flagged_indices(node_report.flags));
         break;
       }
       case IotSystemKind::kNodeDiagnosis:
       case IotSystemKind::kInsituAi: {
-        const auto idx =
-            DiagnosisTask::flagged_indices(node_report.flags);
-        valuable = dataset_slice(data, 0, 0);
-        valuable.images = gather_rows(data.images, idx);
-        for (int64_t i : idx)
-            valuable.labels.push_back(
-                data.labels[static_cast<size_t>(i)]);
-        account_upload(m, static_cast<int64_t>(idx.size()));
+        valuable = gather_dataset(
+            data, DiagnosisTask::flagged_indices(node_report.flags));
+        account_upload(m, valuable.size());
         break;
       }
     }

@@ -16,8 +16,8 @@ namespace {
  * Per-kind layer timing histogram, e.g. `nn.forward.conv.time_s`.
  * In simulated-clock runs every observation is 0 s — the counts still
  * tell how often each layer kind ran, deterministically; wall-clock
- * runs yield the real per-kind runtime breakdown (see
- * results/fig12_breakdown_from_telemetry.md).
+ * runs yield the real per-kind runtime breakdown (a bench run with
+ * INSITU_TELEMETRY_JSONL set exports it).
  */
 obs::Histogram&
 layer_time_histogram(const char* dir, const std::string& kind)

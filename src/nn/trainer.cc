@@ -74,6 +74,26 @@ gather_rows(const Tensor& inputs, const int64_t* indices,
     return out;
 }
 
+Dataset
+gather_dataset(const Dataset& data, const std::vector<int64_t>& indices)
+{
+    return gather_dataset(data, indices.data(),
+                          static_cast<int64_t>(indices.size()));
+}
+
+Dataset
+gather_dataset(const Dataset& data, const int64_t* indices,
+               int64_t count)
+{
+    Dataset out;
+    out.condition = data.condition;
+    out.images = gather_rows(data.images, indices, count);
+    out.labels.reserve(static_cast<size_t>(count));
+    for (int64_t i = 0; i < count; ++i)
+        out.labels.push_back(data.labels[static_cast<size_t>(indices[i])]);
+    return out;
+}
+
 std::vector<EpochStats>
 train_epochs(Network& net, Sgd& opt, const Tensor& inputs,
              const std::vector<int64_t>& labels, int64_t batch_size,

@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "data/synth.h"
 #include "nn/loss.h"
 #include "nn/network.h"
 #include "nn/optimizer.h"
@@ -52,5 +53,17 @@ Tensor gather_rows(const Tensor& inputs,
  */
 Tensor gather_rows(const Tensor& inputs, const int64_t* indices,
                    int64_t count);
+
+/**
+ * The rows of @p data at @p indices as a new Dataset: images, labels
+ * and @p data's condition. This is how flagged captures become an
+ * upload.
+ */
+Dataset gather_dataset(const Dataset& data,
+                       const std::vector<int64_t>& indices);
+
+/** Pointer-range overload, arena-friendly like gather_rows'. */
+Dataset gather_dataset(const Dataset& data, const int64_t* indices,
+                       int64_t count);
 
 } // namespace insitu

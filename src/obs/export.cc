@@ -2,14 +2,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <ctime>
 #include <fstream>
 #include <ostream>
-#include <thread>
 #include <unordered_map>
 
 #include "obs/clock.h"
-#include "util/parallel.h"
 
 namespace insitu::obs {
 
@@ -264,56 +261,6 @@ export_chrome_trace_file(const std::string& path)
     return static_cast<bool>(out);
 }
 
-void
-export_metrics_json(std::ostream& os, const MetricsRegistry& registry)
-{
-    os << "[";
-    bool first = true;
-    for (const MetricValue& m : registry.snapshot().metrics) {
-        if (suppressed_in_simulated_mode(m)) continue;
-        if (!first) os << ",";
-        first = false;
-        os << "\n  ";
-        write_metric(os, m);
-    }
-    os << "\n]";
-}
-
-void
-export_environment_json(std::ostream& os)
-{
-    char stamp[64] = "unknown";
-    const std::time_t now = std::time(nullptr);
-    std::tm tm_utc{};
-    if (gmtime_r(&now, &tm_utc) != nullptr)
-        std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%SZ",
-                      &tm_utc);
-    os << "{\n"
-       << "    \"compiler\": \"" << json_escape(
-#if defined(__clang__)
-              "clang " __clang_version__
-#elif defined(__GNUC__)
-              "gcc " __VERSION__
-#else
-              "unknown"
-#endif
-              )
-       << "\",\n    \"cxx_standard\": " << __cplusplus
-       << ",\n    \"build\": \""
-#ifdef NDEBUG
-       << "release"
-#else
-       << "debug"
-#endif
-       << "\",\n    \"threads\": " << num_threads()
-       << ",\n    \"hardware_concurrency\": "
-       << std::thread::hardware_concurrency()
-       << ",\n    \"clock\": \""
-       << (TelemetryClock::global().simulated() ? "simulated"
-                                                : "wall")
-       << "\",\n    \"timestamp_utc\": \"" << stamp << "\"\n  }";
-}
-
 double
 histogram_quantile(const std::vector<double>& bounds,
                    const std::vector<int64_t>& bucket_counts, double q)
@@ -359,35 +306,6 @@ histogram_percentile_summary(const MetricValue& m)
             histogram_quantile(m.bounds, m.bucket_counts, p.q));
     }
     return out;
-}
-
-TablePrinter
-metrics_summary_table(const MetricsRegistry& registry)
-{
-    TablePrinter table({"metric", "kind", "count", "value"});
-    for (const MetricValue& m : registry.snapshot().metrics) {
-        switch (m.kind) {
-        case MetricValue::Kind::kCounter:
-            table.add_row(
-                {m.name, "counter", std::to_string(m.count), ""});
-            break;
-        case MetricValue::Kind::kGauge:
-            table.add_row(
-                {m.name, "gauge", "", TablePrinter::num(m.value, 6)});
-            break;
-        case MetricValue::Kind::kHistogram: {
-            const double mean =
-                m.count > 0
-                    ? m.value / static_cast<double>(m.count)
-                    : 0.0;
-            table.add_row({m.name, "histogram",
-                           std::to_string(m.count),
-                           TablePrinter::num(mean, 6) + " (mean)"});
-            break;
-        }
-        }
-    }
-    return table;
 }
 
 } // namespace insitu::obs

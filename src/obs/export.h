@@ -1,7 +1,7 @@
 /**
  * @file
- * Telemetry exporters: JSONL event stream, Chrome trace_event JSON,
- * and a human-readable summary table.
+ * Telemetry exporters: JSONL event stream and Chrome trace_event
+ * JSON.
  *
  * All exporters are deterministic given deterministic inputs: metrics
  * are emitted name-sorted, spans in creation order, and every double
@@ -16,7 +16,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/table.h"
 
 namespace insitu::obs {
 
@@ -43,23 +42,6 @@ void export_chrome_trace(std::ostream& os,
 
 /** Chrome trace of the global recorder to @p path. */
 bool export_chrome_trace_file(const std::string& path);
-
-/**
- * JSON array of metric objects (the same objects the JSONL emits),
- * for embedding in a larger document (e.g. BENCH_<name>.json).
- */
-void export_metrics_json(std::ostream& os,
-                         const MetricsRegistry& registry);
-
-/**
- * JSON object describing the build/runtime environment: compiler,
- * build flags, thread width, clock mode, timestamp. The one
- * deliberately nondeterministic exporter (it stamps wall time).
- */
-void export_environment_json(std::ostream& os);
-
-/** Render every metric as a table: name, kind, count, value/mean. */
-TablePrinter metrics_summary_table(const MetricsRegistry& registry);
 
 /** JSON-escape @p s (quotes not included). */
 std::string json_escape(const std::string& s);

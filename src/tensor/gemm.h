@@ -26,9 +26,9 @@
  * from other hosts when the microkernel dispatches to FMA.)
  *
  * The naive loops survive as a selectable reference backend for A/B
- * testing and as the regression baseline of scripts/check_perf.sh:
- * set `INSITU_GEMM=naive` (process-wide) or call
- * `set_gemm_backend()` (tests/benches).
+ * testing and as the baseline of the `check_perf` speedup floor
+ * (tests/test_perf_floors.cc): set `INSITU_GEMM=naive`
+ * (process-wide) or call `set_gemm_backend()` (tests/benches).
  */
 #pragma once
 

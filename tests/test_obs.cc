@@ -339,18 +339,6 @@ TEST(Export, WallOnlyMetricsSuppressedInSimulatedMode)
               std::string::npos);
 }
 
-TEST(Export, SummaryTableListsEveryMetric)
-{
-    obs::MetricsRegistry registry;
-    registry.counter("x.count").add(7);
-    registry.histogram("y.time_s").observe(2.0);
-    const std::string table =
-        obs::metrics_summary_table(registry).to_string();
-    EXPECT_NE(table.find("x.count"), std::string::npos);
-    EXPECT_NE(table.find("y.time_s"), std::string::npos);
-    EXPECT_NE(table.find("(mean)"), std::string::npos);
-}
-
 TEST(Export, JsonEscapeHandlesControlAndQuoteCharacters)
 {
     EXPECT_EQ(obs::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");

@@ -1,0 +1,114 @@
+/**
+ * @file
+ * Wall-clock performance floors. Each floor guards against an
+ * order-of-magnitude regression, not a few percent: perfbench is the
+ * instrument for measuring gains.
+ *
+ * ctest runs this binary under two names, each with a
+ * --gtest_filter (tests/CMakeLists.txt): `check_perf` runs GemmFloor.*
+ * in every build, and `check_perf_fleet` runs FleetFloor.* only
+ * without sanitizers. The binary is not gtest-discovered, so the
+ * width-4, TSan and ASan reruns never time it.
+ */
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <limits>
+
+#include "iot/fleet_engine.h"
+#include "tensor/gemm.h"
+#include "tensor/ops.h"
+#include "util/parallel.h"
+#include "util/rng.h"
+
+namespace insitu {
+namespace {
+
+double
+seconds_since(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
+/**
+ * naive / blocked time for one n×n×n matmul at width 1, each side the
+ * best of 9 samples. The backends parallelize differently, so the
+ * single-thread ratio is the honest kernel comparison. Samples
+ * alternate between backends, so CPU steal hits both alike.
+ */
+double
+blocked_speedup(int64_t n)
+{
+    set_num_threads(1);
+    const GemmBackend prev = gemm_backend();
+    Rng rng(1);
+    Tensor a({n, n}), b({n, n});
+    a.fill_uniform(rng, -1.0f, 1.0f);
+    b.fill_uniform(rng, -1.0f, 1.0f);
+    // Enough calls per sample that the naive side takes milliseconds.
+    const int64_t calls = std::max<int64_t>(1, (int64_t{1} << 24) /
+                                                   (n * n * n));
+    auto sample = [&](GemmBackend backend) {
+        set_gemm_backend(backend);
+        const auto t0 = std::chrono::steady_clock::now();
+        for (int64_t c = 0; c < calls; ++c) (void)matmul(a, b);
+        return seconds_since(t0);
+    };
+    sample(GemmBackend::kBlocked); // warm the packing arena
+    double blocked = std::numeric_limits<double>::infinity();
+    double naive = blocked;
+    for (int s = 0; s < 9; ++s) {
+        blocked = std::min(blocked, sample(GemmBackend::kBlocked));
+        naive = std::min(naive, sample(GemmBackend::kNaive));
+    }
+    set_gemm_backend(prev);
+    set_num_threads(0);
+    return naive / blocked;
+}
+
+void
+expect_speedup_at_least(int64_t n, double floor)
+{
+    const double speedup = blocked_speedup(n);
+    std::printf("n=%lld: blocked is %.2fx naive (floor %.1fx)\n",
+                static_cast<long long>(n), speedup, floor);
+    EXPECT_GE(speedup, floor);
+}
+
+TEST(GemmFloor, BlockedNotSlowerThanNaiveAt64)
+{
+    expect_speedup_at_least(64, 1.0);
+}
+
+TEST(GemmFloor, BlockedThreeTimesNaiveAt256)
+{
+    expect_speedup_at_least(256, 3.0);
+}
+
+/// A 4-core Xeon VM sustains ~16M events/s, ~80× this, so only a
+/// collapse fails it.
+constexpr double kFleetEventsPerSecFloor = 200000.0;
+
+TEST(FleetFloor, EventsPerSecondAt100kNodes)
+{
+    ScaleFleetConfig config;
+    config.nodes = 100000;
+    config.seed = 2018;
+    ScaleFleetEngine engine(config);
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int s = 0; s < 6; ++s) engine.run_stage();
+    const double run_s = seconds_since(t0);
+    const double events_per_sec =
+        static_cast<double>(engine.events_processed()) / run_s;
+    std::printf("%lld events in %.3f s: %.0f events/s (floor %.0f)\n",
+                static_cast<long long>(engine.events_processed()),
+                run_s, events_per_sec, kFleetEventsPerSecFloor);
+    EXPECT_GE(events_per_sec, kFleetEventsPerSecFloor);
+}
+
+} // namespace
+} // namespace insitu
