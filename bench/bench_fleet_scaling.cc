@@ -52,7 +52,7 @@ main()
 {
     banner("fleet_scaling",
            "sharded discrete-event fleet: 10 -> 1M nodes",
-           "per-node event queues sharded by node id, serial-fold "
+           "node-parallel stage step sharded by node id, serial-fold "
            "merge, COW registry; throughput should scale near-"
            "linearly and rollback latency stay flat");
 
@@ -61,7 +61,7 @@ main()
     // --- Part 1: discrete-event sweep -------------------------------
     const int kStages = 4;
     TablePrinter table({"nodes", "shards", "events", "events/sec",
-                        "approx MB", "rollback ms", "hot allocs"});
+                        "approx MB", "rollback ms"});
     std::vector<SweepPoint> points;
     for (int64_t nodes : {10LL, 100LL, 1000LL, 10000LL, 100000LL,
                           1000000LL}) {
@@ -70,11 +70,9 @@ main()
         config.seed = 2018;
         ScaleFleetEngine engine(config);
 
-        // Warm-up stage: first stage pays one-time heap/list growth;
-        // hot_allocs() must stay at zero from stage 2 on.
+        // Warm-up stage, excluded from the timed rate.
         engine.run_stage();
         const int64_t warm_events = engine.events_processed();
-        const int64_t warm_allocs = engine.hot_allocs();
 
         const auto t0 = std::chrono::steady_clock::now();
         for (int s = 1; s < kStages; ++s) engine.run_stage();
@@ -85,7 +83,6 @@ main()
         const int64_t events = engine.events_processed() - warm_events;
         const double eps =
             run_s > 0 ? static_cast<double>(events) / run_s : 0.0;
-        const int64_t steady_allocs = engine.hot_allocs() - warm_allocs;
 
         const auto r0 = std::chrono::steady_clock::now();
         const bool rb_ok = engine.rollback_and_redeploy(1);
@@ -100,17 +97,13 @@ main()
             "fleet.scale.n" + std::to_string(nodes);
         metrics.gauge(tag + ".events_per_sec").set(eps);
         metrics.gauge(tag + ".rollback_ms").set(rb_ms);
-        metrics.counter(tag + ".steady_hot_allocs")
-            .add(steady_allocs);
 
         table.add_row(
             {std::to_string(nodes), std::to_string(engine.shards()),
              std::to_string(events), TablePrinter::num(eps, 0),
              TablePrinter::num(
                  static_cast<double>(engine.approx_bytes()) / 1e6, 1),
-             TablePrinter::num(rb_ms, 3),
-             std::to_string(steady_allocs) +
-                 (steady_allocs == 0 ? "" : " !")});
+             TablePrinter::num(rb_ms, 3)});
         if (!rb_ok) {
             std::printf("rollback failed at %lld nodes\n",
                         static_cast<long long>(nodes));

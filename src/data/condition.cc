@@ -39,14 +39,4 @@ Condition::night()
     return c;
 }
 
-Condition
-Condition::partial_view()
-{
-    Condition c = in_situ(0.4);
-    c.occlusion_prob = 0.9;
-    c.occlusion_size = 0.6;
-    c.name = "partial_view";
-    return c;
-}
-
 } // namespace insitu

@@ -47,9 +47,6 @@ struct Condition {
 
     /** Night-time preset (severity-0.8 illumination emphasis). */
     static Condition night();
-
-    /** Partial-subject preset (occlusion emphasis). */
-    static Condition partial_view();
 };
 
 } // namespace insitu

@@ -34,9 +34,6 @@ class IotStream {
     IotStream(SynthConfig config, std::vector<StreamStage> stages,
               uint64_t seed);
 
-    /** Number of stages. */
-    size_t stage_count() const { return stages_.size(); }
-
     /** True when every stage has been consumed. */
     bool exhausted() const { return next_ == stages_.size(); }
 

@@ -110,13 +110,6 @@ GpuModel::perf_per_watt(const NetworkDesc& net, int64_t batch) const
 }
 
 double
-GpuModel::energy_per_image(const NetworkDesc& net, int64_t batch) const
-{
-    return network_latency(net, batch) * spec_.power_watts /
-           static_cast<double>(batch);
-}
-
-double
 GpuModel::memory_required(const NetworkDesc& net, int64_t batch) const
 {
     // All weights resident, plus the largest layer's live

@@ -130,10 +130,6 @@ class GpuModel {
     /** Energy-efficiency metric of Fig. 11/14: images/s/W. */
     double perf_per_watt(const NetworkDesc& net, int64_t batch) const;
 
-    /** Joules consumed per processed image at the given batch. */
-    double energy_per_image(const NetworkDesc& net,
-                            int64_t batch) const;
-
     /** Eq (9): bytes of device memory the run needs. */
     double memory_required(const NetworkDesc& net, int64_t batch) const;
 

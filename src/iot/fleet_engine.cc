@@ -33,13 +33,22 @@ fnv_mix(uint64_t digest, uint64_t value)
     return digest;
 }
 
-/** std::push_heap keeps the comparator's "largest" on top; invert the
- * engine order to get a min-heap popping the earliest event. */
-bool
-event_after(const FleetEvent& a, const FleetEvent& b)
+/** Count one event and fold (time bits, node id, kind) into the digest. */
+void
+fold_event(uint64_t& digest, int64_t& events, double t, uint32_t id,
+           uint8_t kind)
 {
-    return fleet_event_before(b, a);
+    ++events;
+    uint64_t time_bits = 0;
+    static_assert(sizeof(time_bits) == sizeof(t));
+    std::memcpy(&time_bits, &t, sizeof(time_bits));
+    digest = fnv_mix(fnv_mix(digest, time_bits),
+                     (static_cast<uint64_t>(id) << 8) | kind);
 }
+
+/// Event kinds, as folded into a shard's digest. At equal times a
+/// node's reboot precedes its capture, which precedes its drain.
+enum : uint8_t { kRebootEvent = 0, kCaptureEvent = 1, kDrainEvent = 2 };
 
 constexpr int64_t kPpm = 1000000;
 constexpr int64_t kGenesisQualityPpm = 350000;
@@ -73,15 +82,6 @@ constexpr uint64_t kPoisonDepthSalt = 0x0D05ULL << 32;
 constexpr uint64_t kCanarySalt = 0xCA7AULL << 32; ///< canary scan start
 
 } // namespace
-
-bool
-fleet_event_before(const FleetEvent& a, const FleetEvent& b)
-{
-    if (a.t != b.t) return a.t < b.t;
-    if (a.node != b.node) return a.node < b.node;
-    if (a.kind != b.kind) return a.kind < b.kind;
-    return a.seq < b.seq;
-}
 
 const ScaleFleetConfig&
 ScaleFleetConfig::validated() const
@@ -141,11 +141,6 @@ ScaleFleetEngine::ScaleFleetEngine(ScaleFleetConfig config)
             shard_range(config_.nodes, nshards, s);
         shard.begin = range.begin;
         shard.end = range.end;
-        // Worst case in-heap per node: one capture + one drain + one
-        // reboot. Reserving that up front is what makes the steady
-        // state allocation-free (hot_allocs() stays 0).
-        const int64_t owned = range.size();
-        shard.heap.reserve(static_cast<size_t>(owned * 3 + 16));
     }
 
     quality_ppm_ = kGenesisQualityPpm;
@@ -164,21 +159,13 @@ ScaleFleetEngine::node_draw(ScaleNode& node, uint32_t id)
 }
 
 void
-ScaleFleetEngine::push_event(Shard& shard, const FleetEvent& event)
-{
-    if (shard.heap.size() == shard.heap.capacity())
-        ++shard.hot_allocs;
-    shard.heap.push_back(event);
-    std::push_heap(shard.heap.begin(), shard.heap.end(), event_after);
-}
-
-void
 ScaleFleetEngine::run_shard_stage(Shard& shard, double t0)
 {
     shard.events = 0;
     shard.captured = 0;
     shard.flagged = 0;
     shard.delivered = 0;
+    shard.value_fixed = 0;
     shard.dropped = 0;
     shard.lost_in_crash = 0;
     shard.crashes = 0;
@@ -186,64 +173,32 @@ ScaleFleetEngine::run_shard_stage(Shard& shard, double t0)
     shard.backlog = 0;
     shard.newly_quarantined = 0;
     shard.readmitted = 0;
-    shard.hot_allocs = 0;
     shard.digest = kFnvOffset;
 
-    // Stage tick: schedule every owned node's capture at a jittered
-    // offset. Bulk-append then one make_heap — O(n) against n pushes
-    // of O(log n).
+    // One pass: each owned node steps through its own window in time
+    // order. No event reads another node, so node order is free.
     const double jitter_unit = config_.stage_window_s / 1024.0;
+    const double window_end = t0 + config_.stage_window_s;
     for (int64_t i = shard.begin; i < shard.end; ++i) {
         ScaleNode& node = nodes_[static_cast<size_t>(i)];
         const uint32_t id = static_cast<uint32_t>(i);
-        const double jitter =
-            static_cast<double>(node_draw(node, id) % 512) *
-            jitter_unit;
-        if (shard.heap.size() == shard.heap.capacity())
-            ++shard.hot_allocs;
-        shard.heap.push_back(FleetEvent{
-            t0 + jitter, id,
-            static_cast<uint8_t>(FleetEventKind::kCapture), 0,
-            node.seq++});
-    }
-    std::make_heap(shard.heap.begin(), shard.heap.end(), event_after);
-
-    const double window_end = t0 + config_.stage_window_s;
-    while (!shard.heap.empty() &&
-           shard.heap.front().t < window_end) {
-        std::pop_heap(shard.heap.begin(), shard.heap.end(),
-                      event_after);
-        const FleetEvent event = shard.heap.back();
-        shard.heap.pop_back();
-        ++shard.events;
-        uint64_t time_bits = 0;
-        static_assert(sizeof(time_bits) == sizeof(event.t));
-        std::memcpy(&time_bits, &event.t, sizeof(time_bits));
-        shard.digest = fnv_mix(shard.digest, time_bits);
-        shard.digest = fnv_mix(
-            shard.digest, (static_cast<uint64_t>(event.node) << 24) |
-                              (static_cast<uint64_t>(event.kind)
-                               << 16) |
-                              event.seq);
-        ScaleNode& node = nodes_[event.node];
-        switch (static_cast<FleetEventKind>(event.kind)) {
-        case FleetEventKind::kReboot:
+        const double capture_t =
+            t0 + static_cast<double>(node_draw(node, id) % 512) *
+                     jitter_unit;
+        // A node that crashed last stage reboots at the window start.
+        if (node.state & kDown) {
             node.state &= static_cast<uint8_t>(~kDown);
-            break;
-        case FleetEventKind::kCapture:
-            process_capture(shard, node, event.node, event, t0);
-            break;
-        case FleetEventKind::kDrain:
-            process_drain(shard, node, event.node, event);
-            break;
+            fold_event(shard.digest, shard.events, t0, id, kRebootEvent);
         }
-    }
+        // Drains carried from earlier stages, then the capture (it
+        // wins a tie), then the drains it leaves inside the window.
+        while (node.next_drain < capture_t) process_drain(shard, node, id);
+        process_capture(shard, node, id, capture_t);
+        while (node.next_drain < window_end)
+            process_drain(shard, node, id);
 
-    // Stage close. A crashed node reboots at the next stage boundary,
-    // so here kDown means exactly "crashed this stage". An up,
-    // admitted node with an empty window cannot change state.
-    for (int64_t i = shard.begin; i < shard.end; ++i) {
-        ScaleNode& node = nodes_[static_cast<size_t>(i)];
+        // Stage close: kDown now means exactly "crashed this stage".
+        // An up, admitted node with an empty window cannot change state.
         shard.backlog += node.backlog;
         const bool crashed = (node.state & kDown) != 0;
         if (!(crashed | node.window.faults | node.window.quarantined))
@@ -258,11 +213,11 @@ ScaleFleetEngine::run_shard_stage(Shard& shard, double t0)
 
 void
 ScaleFleetEngine::process_capture(Shard& shard, ScaleNode& node,
-                                  uint32_t id,
-                                  const FleetEvent& event, double t0)
+                                  uint32_t id, double t)
 {
-    if (node.state & kDown) return;
+    fold_event(shard.digest, shard.events, t, id, kCaptureEvent);
     // Chaos: the capture moment doubles as the per-stage crash draw.
+    // The node reboots at the next stage's window start.
     if (config_.crash_permille > 0 &&
         node_draw(node, id) % 1000 <
             static_cast<uint64_t>(config_.crash_permille)) {
@@ -270,14 +225,6 @@ ScaleFleetEngine::process_capture(Shard& shard, ScaleNode& node,
         shard.lost_in_crash += node.backlog;
         node.backlog = 0;
         node.state |= kDown;
-        // The reboot lands exactly at the next stage boundary — the
-        // comparator's kReboot < kCapture tie-break is what lets it
-        // precede that stage's capture at the same instant.
-        push_event(shard,
-                   FleetEvent{t0 + config_.stage_window_s, id,
-                              static_cast<uint8_t>(
-                                  FleetEventKind::kReboot),
-                              0, node.seq++});
         return;
     }
 
@@ -313,21 +260,17 @@ ScaleFleetEngine::process_capture(Shard& shard, ScaleNode& node,
         shard.dropped += node.backlog - kBacklogCap;
         node.backlog = static_cast<uint32_t>(kBacklogCap);
     }
-    if (node.backlog > 0 && !(node.state & kDrainQueued)) {
-        node.state |= kDrainQueued;
-        push_event(shard,
-                   FleetEvent{event.t + kDrainIntervalS, id,
-                              static_cast<uint8_t>(
-                                  FleetEventKind::kDrain),
-                              0, node.seq++});
-    }
+    if (node.backlog > 0 && std::isinf(node.next_drain))
+        node.next_drain = t + kDrainIntervalS;
 }
 
 void
 ScaleFleetEngine::process_drain(Shard& shard, ScaleNode& node,
-                                uint32_t id, const FleetEvent& event)
+                                uint32_t id)
 {
-    node.state &= static_cast<uint8_t>(~kDrainQueued);
+    const double t = node.next_drain;
+    node.next_drain = std::numeric_limits<double>::infinity();
+    fold_event(shard.digest, shard.events, t, id, kDrainEvent);
     if (node.state & kDown) return;
     const int64_t batch =
         std::min<int64_t>(node.backlog, kLinkCapacity);
@@ -342,22 +285,13 @@ ScaleFleetEngine::process_drain(Shard& shard, ScaleNode& node,
             shard.excluded += batch;
         } else {
             shard.delivered += batch;
-            shard.totals.images += batch;
-            shard.totals.batches += 1;
-            shard.totals.value_fixed += batch * node.value_permille;
+            shard.value_fixed += batch * node.value_permille;
         }
         node.backlog -= static_cast<uint32_t>(batch);
     }
-    if (node.backlog > 0) {
-        // Straggler: keep draining. A reschedule past the window end
-        // simply carries into the next stage's drain loop.
-        node.state |= kDrainQueued;
-        push_event(shard,
-                   FleetEvent{event.t + kDrainIntervalS, id,
-                              static_cast<uint8_t>(
-                                  FleetEventKind::kDrain),
-                              0, node.seq++});
-    }
+    // Straggler: keep draining. A drain past the window end simply
+    // carries into a later stage.
+    if (node.backlog > 0) node.next_drain = t + kDrainIntervalS;
 }
 
 void
@@ -379,13 +313,9 @@ ScaleFleetEngine::run_stage()
     // from here to the end of the function is single-threaded.
     ScaleStageReport report;
     report.stage = stage_;
-    CloudShardTotals totals;
-    int64_t stage_hot = 0;
-    for (auto& shard : shards_) {
-        totals.images += shard.totals.images;
-        totals.batches += shard.totals.batches;
-        totals.value_fixed += shard.totals.value_fixed;
-        shard.totals = CloudShardTotals{};
+    int64_t value_fixed = 0;
+    for (const auto& shard : shards_) {
+        value_fixed += shard.value_fixed;
         report.events += shard.events;
         report.captured += shard.captured;
         report.flagged += shard.flagged;
@@ -398,12 +328,10 @@ ScaleFleetEngine::run_stage()
         report.quarantined += shard.quarantined;
         report.newly_quarantined += shard.newly_quarantined;
         report.readmitted += shard.readmitted;
-        stage_hot += shard.hot_allocs;
     }
-    hot_allocs_total_ += stage_hot;
 
     if (canary_pending_) judge_canary(report);
-    run_cloud_phase(totals, report);
+    run_cloud_phase(value_fixed, report);
 
     report.version = version_;
     report.quality_ppm = quality_ppm_;
@@ -475,14 +403,12 @@ ScaleFleetEngine::run_stage()
         fleet_counter("fleet.shard.quarantines");
     static auto& readmissions =
         fleet_counter("fleet.shard.readmissions");
-    static auto& hot = fleet_counter("fleet.shard.hot_allocs");
     events.add(report.events);
     merges.add(nshards);
     stages.add(1);
     crashes.add(report.crashes);
     quarantines.add(report.newly_quarantined);
     readmissions.add(report.readmitted);
-    hot.add(stage_hot);
 
     clock_s_ = t_end;
     ++stage_;
@@ -537,19 +463,20 @@ ScaleFleetEngine::judge_canary(ScaleStageReport& report)
 }
 
 void
-ScaleFleetEngine::run_cloud_phase(const CloudShardTotals& totals,
+ScaleFleetEngine::run_cloud_phase(int64_t value_fixed,
                                   ScaleStageReport& report)
 {
-    if (totals.images <= 0) return;
+    const int64_t images = report.delivered;
+    if (images <= 0) return;
     const double t_end = clock_s_ + config_.stage_window_s;
     report.update_ran = true;
     // Integer quality model: the candidate improves on the deployed
     // quality in proportion to the pool's mean upload value and
     // (logarithmically) its size. ppm throughout, so the outcome is
     // exactly invariant to shard count and thread width.
-    const int64_t mean_value = totals.value_fixed / totals.images;
+    const int64_t mean_value = value_fixed / images;
     int64_t log2_images = 0;
-    for (int64_t x = totals.images; x > 1; x >>= 1) ++log2_images;
+    for (int64_t x = images; x > 1; x >>= 1) ++log2_images;
     int64_t candidate =
         quality_ppm_ + (kPpm - quality_ppm_) * mean_value *
                            std::min<int64_t>(log2_images, 20) /
@@ -588,7 +515,7 @@ ScaleFleetEngine::run_cloud_phase(const CloudShardTotals& totals,
     const int64_t committed =
         registry_.commit(model_, tag,
                          static_cast<double>(candidate) / kPpm,
-                         totals.images);
+                         images);
     black_box_.record(t_end, "cloud.update.commit",
                       std::string(tag) +
                           " version=" + std::to_string(committed) +
@@ -665,15 +592,9 @@ ScaleFleetEngine::quarantined_nodes() const
 int64_t
 ScaleFleetEngine::approx_bytes() const
 {
-    int64_t bytes =
-        static_cast<int64_t>(nodes_.capacity() * sizeof(ScaleNode));
-    for (const auto& shard : shards_) {
-        bytes += static_cast<int64_t>(shard.heap.capacity() *
-                                      sizeof(FleetEvent));
-        bytes += static_cast<int64_t>(sizeof(Shard));
-    }
-    bytes += static_cast<int64_t>(transcript_.capacity());
-    return bytes;
+    return static_cast<int64_t>(nodes_.capacity() * sizeof(ScaleNode) +
+                                shards_.capacity() * sizeof(Shard) +
+                                transcript_.capacity());
 }
 
 bool

@@ -1,55 +1,56 @@
 /**
  * @file
- * Sharded discrete-event fleet engine: the scale path of the In-situ
- * AI loop, built to sweep from 10 to 1,000,000 nodes on one machine.
+ * Sharded fleet engine: the scale path of the In-situ AI loop, built
+ * to sweep from 10 to 1,000,000 nodes on one machine.
  *
  * `FleetSim` (src/iot/fleet.h) carries a real neural network, radio
  * model and scheduler per node — paper-fidelity, but memory-bound in
  * the hundreds of nodes. `ScaleFleetEngine` keeps the *system*
  * behaviors (capture/flag/upload, crash chaos, quarantine, canary
  * rollout, validation-gated updates, rollback) while shrinking each
- * node to a ~24-byte POD, so a million-node fleet fits in tens of
- * megabytes and steps millions of events per second.
+ * node to a POD of at most 32 bytes, so a million-node fleet fits in
+ * tens of megabytes and steps millions of events per second.
  *
- * Engine shape, per stage:
+ * Engine shape, per stage (the same as `FleetSim`'s):
  *
- *  1. **Sharded event phase.** Nodes are split into `shards()`
+ *  1. **Node-parallel stage step.** Nodes are split into `shards()`
  *     contiguous node-id shards (a pure function of the config, never
- *     of the thread count). Each shard owns a binary min-heap of
- *     `FleetEvent`s ordered by the strict `(time, node_id, kind, seq)`
- *     comparator and drains it for the stage window on the ThreadPool
- *     via `parallel_shards`. All writes are shard-disjoint; per-node
- *     randomness is the pure function
- *     `derive_stream(seed, node, draw_counter)`, so a node's
+ *     of the thread count), each one `parallel_shards` job. Inside a
+ *     stage window no node reads another node's state: an event
+ *     touches only its own node, integer shard tallies, and version
+ *     watermarks that stay fixed for the whole window. So each node
+ *     simply steps through its own window in time order — a reboot
+ *     at the window start if it crashed last stage, then its one
+ *     capture merged with its drain chain (the capture wins a tie),
+ *     then one stage-close `quarantine_step`, the policy
+ *     `FleetSupervisor` runs too. Per-node randomness is the pure
+ *     function `derive_stream(seed, node, draw_counter)`, so a node's
  *     trajectory is identical at any shard count and thread width.
- *     The drain ends with a stage-close pass over the shard's nodes:
- *     each one that crashed this stage, sits in quarantine or still
- *     has a fault in its window takes one `quarantine_step` — the
- *     policy `FleetSupervisor` runs too.
- *  2. **Serial merge fold.** Shard partials — upload totals
- *     (integer-quantized, ppm scale), tallies, quarantine and
+ *  2. **Serial merge fold.** Shard partials — integer tallies and
+ *     fixed-point upload values (ppm scale), quarantine and
  *     readmission counts, FNV digests — are folded in ascending shard
- *     order into one stage report. Integer sums make the merged
- *     totals *exactly* invariant to the shard count.
+ *     order into one stage report, exactly invariant to the shard
+ *     count.
  *  3. **Serial cloud phase.** Validation-gated model update, canary
  *     start/judgment, rollback — all against a real (tiny) `Network`
  *     and the copy-on-write `ModelRegistry`, so version bookkeeping
  *     and rollback latency are honestly O(1) in fleet size: a deploy
  *     repoints one per-shard version watermark, never per-node state.
  *
+ * tests/test_fleet_oracle.cc replays random configs through a
+ * brute-force reference — one global (time, node, kind) event list,
+ * no shards — and requires every report field to match, which is
+ * what licenses stepping nodes one at a time.
+ *
  * The transcript (one merged stage line plus one digest line per
  * shard, all emitted serially) and the flight-recorder ring are byte
  * identical at any `INSITU_THREADS`, including under chaos — the
  * check_fleet_scale ctest gate byte-diffs both at widths 1 vs 4.
- *
- * Zero hot-path allocations: every heap is preallocated at
- * construction; `hot_allocs()` counts capacity regrowths inside the
- * event phase and must stay 0 in steady state (asserted by tests and
- * reported as `fleet.shard.hot_allocs`).
  */
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -59,33 +60,6 @@
 #include "obs/flight.h"
 
 namespace insitu {
-
-/**
- * Event kinds, in tie-break order at equal (time, node): a reboot
- * precedes the rebooted node's capture at the same instant, and
- * captures precede uplink drains.
- */
-enum class FleetEventKind : uint8_t {
-    kReboot = 0,  ///< crashed node comes back (adopts the watermark)
-    kCapture = 1, ///< sensor capture + on-device diagnosis
-    kDrain = 2,   ///< uplink window: ship backlog to the cloud
-};
-
-/** One scheduled simulation event. 16 bytes. */
-struct FleetEvent {
-    double t = 0;      ///< simulated seconds
-    uint32_t node = 0; ///< owning node id
-    uint8_t kind = 0;  ///< FleetEventKind
-    uint8_t pad = 0;
-    uint16_t seq = 0;  ///< per-node issue counter (final tie-break)
-};
-
-/**
- * Strict weak order `(t, node, kind, seq)`. Total over every event a
- * run can schedule, so heap pop order — and therefore the transcript —
- * is a pure function of the event set, never of insertion order.
- */
-bool fleet_event_before(const FleetEvent& a, const FleetEvent& b);
 
 /** Configuration of one scale-engine run. */
 struct ScaleFleetConfig {
@@ -118,19 +92,6 @@ struct ScaleFleetConfig {
     int resolved_shards() const;
 };
 
-/**
- * Upload totals one fleet shard delivered to the cloud in a stage.
- * Integers (image counts and fixed-point value sums), so the serial
- * fold over shards is exactly invariant to the shard count and to the
- * thread width that filled them.
- */
-struct CloudShardTotals {
-    int64_t images = 0;
-    int64_t batches = 0;
-    /// Fixed-point sum of per-batch value contributions (ppm scale).
-    int64_t value_fixed = 0;
-};
-
 /** Merged, shard-count- and width-invariant summary of one stage. */
 struct ScaleStageReport {
     int stage = 0;
@@ -158,7 +119,7 @@ struct ScaleStageReport {
 };
 
 /**
- * The sharded discrete-event engine. Constructed from a config; each
+ * The sharded fleet engine. Constructed from a config; each
  * `run_stage()` advances one stage window and returns the merged
  * report. See the file header for the phase structure.
  */
@@ -166,19 +127,18 @@ class ScaleFleetEngine {
   public:
     explicit ScaleFleetEngine(ScaleFleetConfig config);
 
-    /** Advance one stage window (event phase, merge fold, cloud). */
+    /** Advance one stage window (node step, merge fold, cloud). */
     ScaleStageReport run_stage();
 
     const ScaleFleetConfig& config() const { return config_; }
     int shards() const { return static_cast<int>(shards_.size()); }
     int64_t nodes() const { return static_cast<int64_t>(nodes_.size()); }
-    int stages_run() const { return stage_; }
 
     /** Events processed across all stages so far. */
     int64_t events_processed() const { return events_total_; }
 
-    /** Capacity regrowths inside the sharded event phase, lifetime. */
-    int64_t hot_allocs() const { return hot_allocs_total_; }
+    /** Always 0: nothing in the node step can grow (kept for perfbench). */
+    int64_t hot_allocs() const { return 0; }
 
     /** Registry version the fleet watermark points at. */
     int64_t version() const { return version_; }
@@ -217,27 +177,26 @@ class ScaleFleetEngine {
     /// Per-node state. Kept POD-small on purpose: the 1M-node sweep
     /// is nodes * sizeof(ScaleNode) resident.
     struct ScaleNode {
+        /// The one event state that crosses a stage: when the next
+        /// uplink drain fires, +inf while nothing is queued.
+        double next_drain = std::numeric_limits<double>::infinity();
         uint32_t backlog = 0;       ///< flagged images awaiting uplink
         uint32_t draws = 0;         ///< RNG draw counter (pure streams)
         uint32_t version = 0;       ///< model version the node runs
-        uint16_t seq = 0;           ///< event issue counter (tie-break)
         uint16_t value_permille = 0;///< usefulness of this node's uploads
         QuarantineWindow window;    ///< crash window + quarantine flag
-        uint8_t state = 0;          ///< kDown | kCanary | kDrainQueued
+        uint8_t state = 0;          ///< kDown | kCanary
     };
-    static constexpr uint8_t kDown = 1;        ///< crashed, awaiting reboot
-    static constexpr uint8_t kCanary = 2;      ///< runs the candidate
-    static constexpr uint8_t kDrainQueued = 4; ///< a kDrain is in-heap
+    static_assert(sizeof(ScaleNode) <= 32);
+    static constexpr uint8_t kDown = 1;   ///< crashed, reboots next stage
+    static constexpr uint8_t kCanary = 2; ///< runs the candidate
 
     /// One node-id shard: disjoint state written only by its own job.
-    /// Cache-line aligned so two shards drained on different threads
-    /// never share a line (their tallies and heap pointers are written
-    /// on every event).
+    /// Cache-line aligned so two shards stepped on different threads
+    /// never share a line (their tallies are written on every event).
     struct alignas(64) Shard {
         int64_t begin = 0; ///< first owned node id
         int64_t end = 0;   ///< one past the last owned node id
-        std::vector<FleetEvent> heap; ///< min-heap (fleet_event_before)
-        CloudShardTotals totals;      ///< uploads delivered this stage
         int64_t quarantined = 0;      ///< owned nodes in quarantine
         int64_t deployed_version = 0; ///< the shard's deploy watermark
         // Per-stage tallies (reset at stage start, folded serially).
@@ -245,6 +204,8 @@ class ScaleFleetEngine {
         int64_t captured = 0;
         int64_t flagged = 0;
         int64_t delivered = 0;
+        /// Fixed-point sum of delivered batch * value_permille.
+        int64_t value_fixed = 0;
         int64_t dropped = 0;
         int64_t lost_in_crash = 0;
         int64_t crashes = 0;
@@ -252,20 +213,16 @@ class ScaleFleetEngine {
         int64_t backlog = 0;
         int64_t newly_quarantined = 0;
         int64_t readmitted = 0;
-        int64_t hot_allocs = 0; ///< capacity regrowths this stage
         uint64_t digest = 0;    ///< FNV fold of processed events
     };
 
     uint64_t node_draw(ScaleNode& node, uint32_t id);
-    void push_event(Shard& shard, const FleetEvent& event);
     void run_shard_stage(Shard& shard, double t0);
     void process_capture(Shard& shard, ScaleNode& node, uint32_t id,
-                         const FleetEvent& event, double t0);
-    void process_drain(Shard& shard, ScaleNode& node, uint32_t id,
-                       const FleetEvent& event);
+                         double t);
+    void process_drain(Shard& shard, ScaleNode& node, uint32_t id);
     void deploy_all(int64_t version);
-    void run_cloud_phase(const CloudShardTotals& totals,
-                         ScaleStageReport& report);
+    void run_cloud_phase(int64_t value_fixed, ScaleStageReport& report);
     void judge_canary(ScaleStageReport& report);
     void start_canary(int64_t candidate_version,
                       int64_t candidate_quality_ppm,
@@ -283,7 +240,6 @@ class ScaleFleetEngine {
     int64_t version_ = 0;      ///< fleet-deployed registry version
     int64_t quality_ppm_ = 0;  ///< quality of version_
     int64_t events_total_ = 0;
-    int64_t hot_allocs_total_ = 0;
 
     // Pending canary rollout (serial cloud phase only).
     bool canary_pending_ = false;
