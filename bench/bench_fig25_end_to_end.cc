@@ -38,30 +38,6 @@ struct ChaosOutcome {
     }
 };
 
-FleetConfig
-chaos_fleet_config(bool supervised)
-{
-    FleetConfig c;
-    c.tiny.num_permutations = 8;
-    c.update.epochs = 2;
-    c.pretrain_epochs = 3;
-    c.incremental_pretrain_epochs = 1;
-    c.node_severity_offset = {0.0, 0.1, 0.2};
-    c.stage_window_s = 60.0;
-    c.holdout_images = 64;
-    c.rollback_tolerance = 1.0; // gate off: the canary must catch it
-    c.seed = 42;
-    c.uplink.backoff_max_s = 1.0;
-    c.faults.payload_loss_prob = 0.20;
-    c.faults.payload_corrupt_prob = 0.05;
-    c.faults.flapping = {{0.0, 120.0, 10.0, 8.0}};
-    c.faults.crashes = {{0, 1}, {1, 1}};
-    c.faults.poisoned_stages = {3};
-    c.faults.seed = 0xC0FFEE;
-    if (supervised) c.supervisor = SupervisorConfig{};
-    return c;
-}
-
 ChaosOutcome
 run_chaos(bool supervised)
 {
@@ -107,7 +83,7 @@ main()
     std::vector<std::vector<StageMetrics>> all;
     for (IotSystemKind kind : kinds) {
         IotSystemSim sim(kind, config);
-        IotStream stream(config.synth,
+        IotStream stream(SynthConfig{},
                          paper_incremental_schedule(0.002), 2018);
         all.push_back(sim.run(stream));
         std::printf("simulated %s\n", iot_system_name(kind));

@@ -79,7 +79,7 @@ main()
         ServingReport reps[2]; // [0]=unguarded, [1]=ladder
         for (int guarded = 0; guarded < 2; ++guarded) {
             ServingConfig cfg = make_mode(mode, duration_s, seed);
-            cfg.degrade.enabled = guarded == 1;
+            cfg.degrade = guarded == 1;
             ServingRuntime runtime(std::move(cfg));
             reps[guarded] = runtime.run();
             const ServingReport& r = reps[guarded];

@@ -129,9 +129,9 @@ main()
     std::printf("\nmeasured vs modeled (AlexNet on the TX1 host "
                 "profile, 32 samples per batch size):\n");
     ServingConfig probe_cfg = make_scenario("bulk_heavy", 1.0, seed);
-    DeviceTruth host(probe_cfg.gpu, probe_cfg.host);
-    GpuModel gpu(probe_cfg.gpu);
-    const NetworkDesc net = probe_cfg.net;
+    DeviceTruth host(tx1_spec(), probe_cfg.host);
+    GpuModel gpu(tx1_spec());
+    const NetworkDesc net = alexnet_desc();
 
     obs::MetricsRegistry reg;
     for (int64_t b : statics)

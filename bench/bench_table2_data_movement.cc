@@ -32,7 +32,7 @@ main()
     config.seed = 2018;
 
     IotSystemSim sim(IotSystemKind::kInsituAi, config);
-    IotStream stream(config.synth, paper_incremental_schedule(0.002),
+    IotStream stream(SynthConfig{}, paper_incremental_schedule(0.002),
                      2018);
     const auto stages = sim.run(stream);
 

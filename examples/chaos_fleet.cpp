@@ -32,44 +32,6 @@ using namespace insitu;
 
 namespace {
 
-FleetConfig
-chaos_config(bool supervised)
-{
-    FleetConfig c;
-    c.tiny.num_permutations = 8;
-    c.update.epochs = 2;
-    c.pretrain_epochs = 3;
-    c.incremental_pretrain_epochs = 1;
-    c.node_severity_offset = {0.0, 0.1, 0.2};
-    c.stage_window_s = 60.0;
-    c.holdout_images = 64;
-    // The holdout gate waves everything through: this scenario
-    // demonstrates the *canary* as the second line of defense.
-    c.rollback_tolerance = 1.0;
-    c.seed = 42;
-    // A persistent sender: short backoff ceiling, so a flapping link
-    // gets hammered unless a breaker intervenes.
-    c.uplink.backoff_max_s = 1.0;
-
-    // The failure scenario. Stage s occupies simulated time
-    // [60 s, 60 (s+1)).
-    c.faults.payload_loss_prob = 0.20;
-    c.faults.payload_corrupt_prob = 0.05;
-    // Stages 0-1: the link flaps, down 8 s of every 10 s. Unlike an
-    // outage, a flap is discovered only by a failed (energy-burning)
-    // transmission attempt.
-    c.faults.flapping = {{0.0, 120.0, 10.0, 8.0}};
-    c.faults.crashes = {{0, 1}, {1, 1}}; // node 1 crash-loops
-    c.faults.poisoned_stages = {3};      // bad labels in stage 3
-    c.faults.seed = 0xC0FFEE;
-
-    if (supervised) {
-        SupervisorConfig sup; // stock breaker/quarantine/canary knobs
-        c.supervisor = sup;
-    }
-    return c;
-}
-
 /** One stage's resilience report as a printable line. */
 std::string
 stage_line(const FleetStageReport& r)
@@ -134,7 +96,7 @@ struct RunOutcome {
 RunOutcome
 run_scenario(bool supervised, bool print)
 {
-    FleetSim fleet(chaos_config(supervised));
+    FleetSim fleet(chaos_fleet_config(supervised));
     const double boot = fleet.bootstrap(90, 0.2);
     if (print) std::printf("bootstrap accuracy: %.2f\n", boot);
 

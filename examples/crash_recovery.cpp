@@ -30,7 +30,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -187,9 +186,7 @@ sweep_registry(const std::string& dir)
         require(cloud.rollback_to(1, "canary-rollback"),
                 "rollback_to refused a known version");
         final_versions = cloud.registry().versions();
-        std::ostringstream os;
-        save_weights(cloud.inference(), os);
-        final_weights = os.str();
+        final_weights = save_weights(cloud.inference());
     }
 
     std::string image;
@@ -230,9 +227,7 @@ sweep_registry(const std::string& dir)
                         " differs from the committed history");
         }
         if (got.size() == final_versions.size()) {
-            std::ostringstream os;
-            save_weights(recovered.inference(), os);
-            require(os.str() == final_weights,
+            require(save_weights(recovered.inference()) == final_weights,
                     "full-log recovery changed the weights");
         }
     }

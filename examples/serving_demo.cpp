@@ -209,7 +209,7 @@ run_chaos()
                                        seed);
     base.transcript = TranscriptLevel::kSummary;
     ServingConfig unguarded_base = base;
-    unguarded_base.degrade.enabled = false;
+    unguarded_base.degrade = false;
     const ServingReport ff_guarded = run_cfg(base);
     const ServingReport ff_unguarded = run_cfg(unguarded_base);
     const bool fault_free_ok =
@@ -239,7 +239,7 @@ run_chaos()
         fp != nullptr && *fp != '\0')
         guarded.flight_dump_path = fp;
     ServingConfig unguarded = guarded;
-    unguarded.degrade.enabled = false;
+    unguarded.degrade = false;
     unguarded.flight_dump_path.clear(); // the guarded run owns it
     const ServingReport chaos_guarded = run_cfg(guarded);
     const ServingReport chaos_unguarded = run_cfg(unguarded);

@@ -8,6 +8,12 @@
 #    docs/performance.md.
 # 3. docs/observability.md must document every instrumented metric
 #    namespace, so new instrumentation can't land undocumented.
+# 4. docs/serving.md and docs/robustness.md keep their load-bearing
+#    sections.
+# 6. Every backticked `Type::member` in the top-level docs (CHANGES.md,
+#    the history, excepted) and docs/ names a member that still
+#    appears, outside comments, in the src/ header declaring Type or
+#    in its .cc.
 set -u
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -153,8 +159,42 @@ else
     done
 fi
 
+# --- 6. `Type::member` references name real members ----------------
+# Source text with /* */ and // comments stripped, so a member name
+# that survives only in prose does not count.
+code_of() { perl -0777 -pe 's{/\*.*?\*/}{}gs; s{//[^\n]*}{}g' "$@"; }
+refs=0
+for doc in "$root"/README.md "$root"/DESIGN.md "$root"/EXPERIMENTS.md \
+        "$root"/ROADMAP.md "$root"/docs/*.md; do
+    [ -f "$doc" ] || continue
+    while IFS= read -r ref; do
+        type="${ref%%::*}"
+        member="${ref#*::}"
+        refs=$((refs + 1))
+        headers=$(grep -lE "^[[:space:]]*(class|struct|enum class|enum)[[:space:]]+$type([^A-Za-z0-9_;].*)?\$" \
+            -r "$root/src" --include='*.h')
+        if [ -z "$headers" ]; then
+            note "${doc#"$root"/}: \`$ref\`: no src/ header declares $type"
+            fail=1
+            continue
+        fi
+        found=0
+        for h in $headers; do
+            if code_of "$h" "${h%.h}.cc" 2>/dev/null | grep -qw -- "$member"; then
+                found=1
+                break
+            fi
+        done
+        if [ "$found" -eq 0 ]; then
+            note "${doc#"$root"/}: \`$ref\`: $member not in $type's source"
+            fail=1
+        fi
+    done < <(grep -oE '`[A-Z][A-Za-z0-9_]*::[A-Za-z_~][A-Za-z0-9_]*' "$doc" |
+             sed 's/^`//')
+done
+
 if [ "$fail" -ne 0 ]; then
     note "check_docs: FAILED"
     exit 1
 fi
-note "check_docs: OK ($checked links, bench + telemetry docs complete)"
+note "check_docs: OK ($checked links, $refs Type::member references, bench + telemetry docs complete)"

@@ -1,7 +1,5 @@
 #include "cloud/registry.h"
 
-#include <sstream>
-
 #include "nn/serialize.h"
 #include "obs/metrics.h"
 #include "storage/codec.h"
@@ -48,9 +46,7 @@ restore_from_state(const std::vector<ModelVersion>& versions,
         warn("unknown model version " + std::to_string(id));
         return false;
     }
-    std::istringstream iss(*blobs[static_cast<size_t>(id - 1)],
-                           std::ios::binary);
-    return load_weights(net, iss);
+    return load_weights(net, *blobs[static_cast<size_t>(id - 1)]);
 }
 
 } // namespace
@@ -82,9 +78,7 @@ ModelRegistry::commit(const Network& net, std::string tag,
                       double validation_accuracy,
                       int64_t trained_images)
 {
-    std::ostringstream oss(std::ios::binary);
-    save_weights(net, oss);
-    auto blob = std::make_shared<const std::string>(oss.str());
+    auto blob = std::make_shared<const std::string>(save_weights(net));
     ModelVersion v;
     v.id = static_cast<int64_t>(state_->versions.size()) + 1;
     v.tag = std::move(tag);

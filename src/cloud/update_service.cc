@@ -20,6 +20,9 @@ cloud_counter(const char* name)
     return obs::MetricsRegistry::global().counter(name);
 }
 
+/// Minibatch size of every supervised update job.
+constexpr int64_t kUpdateBatch = 32;
+
 } // namespace
 
 ModelUpdateService::ModelUpdateService(TinyConfig config,
@@ -79,7 +82,7 @@ ModelUpdateService::update(const Dataset& data,
     Rng epoch_rng = rng_.split();
     const auto stats =
         train_epochs(inference_, opt, data.images, data.labels,
-                     policy.batch_size, policy.epochs, epoch_rng);
+                     kUpdateBatch, policy.epochs, epoch_rng);
     const auto t1 = std::chrono::steady_clock::now();
     inference_.unfreeze_all();
 

@@ -28,7 +28,6 @@ struct UpdatePolicy {
     int epochs = 2;
     double lr = 0.01;
     double momentum = 0.9;
-    int64_t batch_size = 32;
 };
 
 /** Outcome of one update job. */

@@ -8,8 +8,8 @@ namespace insitu {
 Framework::Framework(FrameworkConfig config)
     : config_(config),
       cloud_(config.tiny, titan_x_spec(), config.seed),
-      node_(config.tiny, cloud_.permutations(), config.shared_convs,
-            config.diagnosis, config.seed ^ 0x90DEULL)
+      node_(config.tiny, cloud_.permutations(), kSharedConvs,
+            DiagnosisConfig{}, config.seed ^ 0x90DEULL)
 {}
 
 double
@@ -17,11 +17,11 @@ Framework::bootstrap(const Dataset& initial)
 {
     INSITU_CHECK(initial.size() > 0, "bootstrap needs data");
     cloud_.pretrain(initial.images, config_.pretrain_epochs);
-    cloud_.transfer_from_pretext(config_.shared_convs);
+    cloud_.transfer_from_pretext(kSharedConvs);
     cloud_.inference().share_convs_from(cloud_.jigsaw().trunk(),
-                                        config_.shared_convs);
+                                        kSharedConvs);
     UpdatePolicy policy = config_.update;
-    policy.frozen_convs = config_.shared_convs;
+    policy.frozen_convs = kSharedConvs;
     cloud_.update(initial, policy);
     node_.deploy_diagnosis(cloud_.jigsaw());
     node_.deploy_inference(cloud_.inference());
@@ -47,7 +47,7 @@ Framework::autonomous_step(const Dataset& stage)
         cloud_.pretrain(valuable.images,
                         std::max(1, config_.pretrain_epochs / 2));
         UpdatePolicy policy = config_.update;
-        policy.frozen_convs = config_.shared_convs;
+        policy.frozen_convs = kSharedConvs;
         cloud_.update(valuable, policy);
         node_.deploy_diagnosis(cloud_.jigsaw());
         node_.deploy_inference(cloud_.inference());

@@ -19,10 +19,7 @@ namespace insitu {
 /** Everything configurable about a Framework instance. */
 struct FrameworkConfig {
     TinyConfig tiny;
-    SynthConfig synth;
-    DiagnosisConfig diagnosis;
     UpdatePolicy update;
-    size_t shared_convs = 3;
     int pretrain_epochs = 3;
     /// Latency the end user demands from the inference task.
     double latency_requirement_s = 0.1;
@@ -52,7 +49,7 @@ class Framework {
 
     /**
      * Cloud-side bootstrap (Fig. 4): unsupervised pre-training on the
-     * raw images, transfer of the first shared_convs conv layers,
+     * raw images, transfer of the first kSharedConvs conv layers,
      * supervised training on the labels, deployment to the node.
      * @return node accuracy on the bootstrap data.
      */

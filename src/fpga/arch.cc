@@ -91,9 +91,6 @@ FpgaArchSim::FpgaArchSim(FpgaSpec spec, int64_t total_pes)
     : spec_(std::move(spec)), total_pes_(total_pes)
 {
     INSITU_CHECK(total_pes > 0, "PE budget must be positive");
-    nws_engine_ = pick_engine_unroll(total_pes);
-    // WS: ten uniform engines (1 image + 9 tiles), Fig. 17.
-    ws_engine_ = pick_engine_unroll(total_pes / 10);
     // WSS: size Tr x Tc so that one WSS unit (inference engine + nine
     // half-side tile engines = Tr*Tc * (1 + 9/4)) times the group
     // size fills the budget; prefer the paper's 14x14 when it fits.

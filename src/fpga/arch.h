@@ -96,19 +96,11 @@ class FpgaArchSim {
     /** The WSS geometry chosen for the PE budget. */
     WssConfig wss_config() const { return wss_; }
 
-    /** Uniform unroll used by each of the ten WS engines. */
-    EngineUnroll ws_engine_unroll() const { return ws_engine_; }
-
-    /** Unroll of the single big NWS engine. */
-    EngineUnroll nws_engine_unroll() const { return nws_engine_; }
-
     int64_t total_pes() const { return total_pes_; }
 
   private:
     FpgaSpec spec_;
     int64_t total_pes_;
-    EngineUnroll nws_engine_; ///< one engine with the whole budget
-    EngineUnroll ws_engine_;  ///< one of ten uniform engines
     WssConfig wss_;           ///< balanced 4:1 output-unrolled design
 };
 

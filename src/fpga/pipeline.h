@@ -71,8 +71,6 @@ class CorunPipeline {
                                     double latency_req,
                                     int64_t max_batch = 512) const;
 
-    const FpgaArchSim& arch_sim() const { return sim_; }
-
   private:
     FpgaSpec spec_;
     FpgaArchSim sim_;

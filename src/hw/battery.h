@@ -16,7 +16,6 @@ namespace insitu {
 struct BatterySpec {
     double capacity_wh = 120.0;   ///< full charge
     double harvest_wh_per_day = 30.0; ///< mean solar income
-    double self_discharge_per_day = 0.002; ///< fraction of capacity
 };
 
 /** Mutable state of charge with daily bookkeeping. */

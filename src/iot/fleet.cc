@@ -39,7 +39,7 @@ FleetSim::FleetSim(FleetConfig config)
     uplinks_.reserve(n);
     for (size_t i = 0; i < n; ++i) {
         nodes_.emplace_back(config_.tiny, cloud_.permutations(),
-                            config_.shared_convs, config_.diagnosis,
+                            kSharedConvs, DiagnosisConfig{},
                             config_.seed + 101 * (i + 1));
         uplinks_.emplace_back(config_.link, bytes_per_image(),
                               config_.uplink);
@@ -213,7 +213,7 @@ FleetSim::bootstrap(int64_t images_per_node, double base_severity)
     const int64_t n = static_cast<int64_t>(nodes_.size());
     std::vector<Dataset> parts(nodes_.size());
     for (size_t i = 0; i < nodes_.size(); ++i)
-        parts[i] = make_dataset(config_.synth, images_per_node,
+        parts[i] = make_dataset(SynthConfig{}, images_per_node,
                                 node_condition(i, base_severity),
                                 rng_);
     std::vector<const Dataset*> part_ptrs;
@@ -221,11 +221,11 @@ FleetSim::bootstrap(int64_t images_per_node, double base_severity)
     const Dataset pooled = concat_datasets(part_ptrs);
 
     cloud_.pretrain(pooled.images, config_.pretrain_epochs);
-    cloud_.transfer_from_pretext(config_.shared_convs);
+    cloud_.transfer_from_pretext(kSharedConvs);
     cloud_.inference().share_convs_from(cloud_.jigsaw().trunk(),
-                                        config_.shared_convs);
+                                        kSharedConvs);
     UpdatePolicy policy = config_.update;
-    policy.frozen_convs = config_.shared_convs;
+    policy.frozen_convs = kSharedConvs;
     cloud_.update(pooled, policy);
     deploy_all();
 
@@ -286,7 +286,7 @@ FleetSim::run_stage(int64_t images_per_node, double base_severity)
                          : 0;
         if (!crashed[i])
             stage_data[i] =
-                make_dataset(config_.synth, images_per_node,
+                make_dataset(SynthConfig{}, images_per_node,
                              node_condition(i, base_severity), rng_);
     }
     report.nodes.assign(nnodes, FleetNodeReport{});
@@ -541,7 +541,7 @@ FleetSim::run_stage(int64_t images_per_node, double base_severity)
             // class count — maximally wrong, and exactly what the
             // holdout gate exists to catch.
             report.poisoned = true;
-            const int64_t nc = config_.synth.num_classes;
+            const int64_t nc = SynthConfig{}.num_classes;
             for (auto& label : pooled.labels)
                 label = (label + nc / 2) % nc;
         }
@@ -550,13 +550,13 @@ FleetSim::run_stage(int64_t images_per_node, double base_severity)
                             config_.node_severity_offset.end(), 0.0) /
             static_cast<double>(config_.node_severity_offset.size());
         const Dataset holdout = make_dataset(
-            config_.synth, config_.holdout_images,
+            SynthConfig{}, config_.holdout_images,
             Condition::in_situ(base_severity + mean_offset), rng_);
 
         cloud_.pretrain(pooled.images,
                         config_.incremental_pretrain_epochs);
         UpdatePolicy policy = config_.update;
-        policy.frozen_convs = config_.shared_convs;
+        policy.frozen_convs = kSharedConvs;
         const ValidatedUpdateReport vr = cloud_.validated_update(
             pooled, policy, holdout, config_.rollback_tolerance);
         report.rolled_back = vr.rolled_back;
@@ -674,6 +674,40 @@ FleetSim::run_stage(int64_t images_per_node, double base_severity)
     // end stamp is the window end, not the window start.
     obs::TelemetryClock::global().set_simulated_time_s(window_to);
     return report;
+}
+
+FleetConfig
+chaos_fleet_config(bool supervised)
+{
+    FleetConfig c;
+    c.tiny.num_permutations = 8;
+    c.update.epochs = 2;
+    c.pretrain_epochs = 3;
+    c.incremental_pretrain_epochs = 1;
+    c.node_severity_offset = {0.0, 0.1, 0.2};
+    c.stage_window_s = 60.0;
+    c.holdout_images = 64;
+    // The holdout gate waves everything through: this scenario
+    // demonstrates the *canary* as the second line of defense.
+    c.rollback_tolerance = 1.0;
+    c.seed = 42;
+    // A persistent sender: short backoff ceiling, so a flapping link
+    // gets hammered unless a breaker intervenes.
+    c.uplink.backoff_max_s = 1.0;
+
+    // The failure scenario. Stage s occupies simulated time
+    // [60 s, 60 (s+1)).
+    c.faults.payload_loss_prob = 0.20;
+    c.faults.payload_corrupt_prob = 0.05;
+    // Stages 0-1: the link flaps, down 8 s of every 10 s. Unlike an
+    // outage, a flap is discovered only by a failed (energy-burning)
+    // transmission attempt.
+    c.faults.flapping = {{0.0, 120.0, 10.0, 8.0}};
+    c.faults.crashes = {{0, 1}, {1, 1}}; // node 1 crash-loops
+    c.faults.poisoned_stages = {3};      // bad labels in stage 3
+    c.faults.seed = 0xC0FFEE;
+    if (supervised) c.supervisor = SupervisorConfig{};
+    return c;
 }
 
 } // namespace insitu

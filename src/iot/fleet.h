@@ -50,11 +50,8 @@ namespace insitu {
 /** Fleet-level configuration. */
 struct FleetConfig {
     TinyConfig tiny;
-    SynthConfig synth;
-    DiagnosisConfig diagnosis;
     /// Policy of the bootstrap and the per-stage incremental updates.
     UpdatePolicy update;
-    size_t shared_convs = 3;
     int pretrain_epochs = 2;
     int incremental_pretrain_epochs = 1;
     /// Per-node severity offsets added to the stage's base severity
@@ -270,5 +267,17 @@ class FleetSim {
     double clock_s_ = 0;
     Rng rng_;
 };
+
+/**
+ * The chaos fleet scenario `chaos_fleet`, Fig. 25's chaos section and
+ * the `chaos`/`obs` determinism gates run: three nodes under 20%
+ * payload loss and 5% corruption, a link that flaps through stages
+ * 0-1, node 1 crash-looping, and poisoned labels in stage 3, with the
+ * holdout gate waved open so only a canary rollout can catch the
+ * poison. @p supervised adds the stock SupervisorConfig (breakers,
+ * quarantine, canary); without it the fleet has only its local
+ * defenses.
+ */
+FleetConfig chaos_fleet_config(bool supervised);
 
 } // namespace insitu

@@ -116,12 +116,15 @@ ScaleFleetConfig::resolved_shards() const
 
 ScaleFleetEngine::ScaleFleetEngine(ScaleFleetConfig config)
     : config_(config.validated()),
+      // The node array is by far the largest allocation; taking it
+      // before anything else keeps a rebuilt engine in the same heap
+      // hole its predecessor left, so rebuilds do not grow the heap.
+      nodes_(static_cast<size_t>(config_.nodes)),
       model_([&] {
           Rng rng(config_.seed);
           return make_tiny_inference(TinyConfig{}, rng);
       }())
 {
-    nodes_.resize(static_cast<size_t>(config_.nodes));
     for (int64_t i = 0; i < config_.nodes; ++i) {
         // Static per-node upload usefulness in [200, 1000] permille —
         // a pure hash, not a draw, so it never shifts the draw streams.

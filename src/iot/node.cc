@@ -1,7 +1,5 @@
 #include "iot/node.h"
 
-#include <sstream>
-
 #include "nn/serialize.h"
 #include "storage/codec.h"
 #include "storage/snapshot.h"
@@ -111,47 +109,33 @@ InsituNode::deploy_diagnosis(const JigsawNetwork& cloud_jigsaw)
 NodeCheckpoint
 InsituNode::checkpoint() const
 {
-    auto blob = [](const Network& net) {
-        std::ostringstream os;
-        save_weights(net, os);
-        return os.str();
-    };
     NodeCheckpoint ckpt;
-    ckpt.inference_blob = blob(inference_.network());
-    ckpt.trunk_blob = blob(diagnosis_.network().trunk());
-    ckpt.head_blob = blob(diagnosis_.network().head());
+    ckpt.inference_blob = save_weights(inference_.network());
+    ckpt.trunk_blob = save_weights(diagnosis_.network().trunk());
+    ckpt.head_blob = save_weights(diagnosis_.network().head());
     return ckpt;
 }
 
 bool
 InsituNode::restore(const NodeCheckpoint& ckpt)
 {
-    if (ckpt.empty()) return false;
-    auto load = [](Network& net, const std::string& blob) {
-        std::istringstream is(blob);
-        return load_weights(net, is);
-    };
+    Network& trunk = diagnosis_.network().trunk();
+    Network& head = diagnosis_.network().head();
+    Network& inference = inference_.network();
     // All-or-nothing: a checkpoint with one valid and one corrupt
-    // blob must leave the node exactly as it was. load_weights can
-    // leave a network partially written on a shape mismatch, so
-    // snapshot the current weights first and undo on any failure.
-    const NodeCheckpoint before = checkpoint();
+    // blob must leave the node exactly as it was, so every blob is
+    // checked before any is loaded.
+    if (ckpt.empty() || !check_weights(trunk, ckpt.trunk_blob) ||
+        !check_weights(head, ckpt.head_blob) ||
+        !check_weights(inference, ckpt.inference_blob))
+        return false;
     // The trunk's shared conv prefix aliases the inference storage;
     // loading inference last leaves the shared tensors at the
     // inference values, matching deploy_diagnosis-then-
     // deploy_inference order.
-    const bool ok =
-        load(diagnosis_.network().trunk(), ckpt.trunk_blob) &&
-        load(diagnosis_.network().head(), ckpt.head_blob) &&
-        load(inference_.network(), ckpt.inference_blob);
-    if (!ok) {
-        INSITU_CHECK(
-            load(diagnosis_.network().trunk(), before.trunk_blob) &&
-                load(diagnosis_.network().head(), before.head_blob) &&
-                load(inference_.network(), before.inference_blob),
-            "failed to undo a partial checkpoint restore");
-    }
-    return ok;
+    return load_weights(trunk, ckpt.trunk_blob) &&
+           load_weights(head, ckpt.head_blob) &&
+           load_weights(inference, ckpt.inference_blob);
 }
 
 bool

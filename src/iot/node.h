@@ -24,6 +24,11 @@ class SnapshotStore;
 
 class ModelUpdateService;
 
+/// Conv layers the inference and diagnosis networks share (Fig. 6's
+/// weight-shared prefix): the fleet, the Fig. 24 systems and the
+/// Framework facade all build their nodes with it.
+inline constexpr size_t kSharedConvs = 3;
+
 /**
  * Serialized snapshot of everything a node must survive a reboot
  * with: the deployed inference weights and the diagnosis trunk+head.

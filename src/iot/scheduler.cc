@@ -6,13 +6,21 @@
 
 namespace insitu {
 
+namespace {
+
+/// Inference service window ("the inference task runs in the
+/// daytime").
+constexpr double kDayHours = 14;
+/// Diagnosis window ("the diagnosis task works at night").
+constexpr double kNightHours = 10;
+
+} // namespace
+
 DutyCyclePlan
 DutyCycleScheduler::plan(const NetworkDesc& inference,
                          const NetworkDesc& diagnosis) const
 {
     INSITU_CHECK(config_.frames_per_day >= 0, "negative frame count");
-    INSITU_CHECK(config_.day_hours > 0 && config_.night_hours > 0,
-                 "windows must be positive");
     DutyCyclePlan plan;
     SingleRunningPlanner planner{gpu_};
     plan.tasks = planner.plan(inference, diagnosis,
@@ -24,7 +32,7 @@ DutyCycleScheduler::plan(const NetworkDesc& inference,
         config_.frames_per_day /
         static_cast<double>(plan.tasks.inference_batch));
     plan.inference_busy_s = inf_batches * plan.tasks.inference_latency;
-    const double day_s = config_.day_hours * 3600.0;
+    const double day_s = kDayHours * 3600.0;
     plan.day_utilization = plan.inference_busy_s / day_s;
 
     // Night: the whole day's frames are diagnosed in memory-limited
@@ -35,7 +43,7 @@ DutyCycleScheduler::plan(const NetworkDesc& inference,
     const double diag_batch_latency = gpu_.network_latency(
         diagnosis, plan.tasks.diagnosis_batch);
     plan.diagnosis_busy_s = diag_batches * diag_batch_latency;
-    const double night_s = config_.night_hours * 3600.0;
+    const double night_s = kNightHours * 3600.0;
     plan.night_utilization = plan.diagnosis_busy_s / night_s;
 
     // Daily energy: busy at load power, the rest of 24 h idle.

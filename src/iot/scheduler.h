@@ -19,8 +19,6 @@ namespace insitu {
 /** Workload and power envelope of one node-day. */
 struct DutyCycleConfig {
     double frames_per_day = 5000;    ///< camera triggers per day
-    double day_hours = 14;           ///< inference service window
-    double night_hours = 10;         ///< diagnosis window
     double latency_requirement_s = 0.033;
     double battery_wh_per_day = 60;  ///< daily energy budget
 };

@@ -24,6 +24,10 @@ constexpr uint32_t kSupMagic = 0x1A51'70A5u;
 // three raw bytes (fault bits, clean streak, quarantined flag).
 constexpr uint32_t kSupVersion = 2u;
 
+/// Canary mean flag rate may exceed the control group's by this much
+/// and still promote.
+constexpr double kCanaryFlagRateTolerance = 0.15;
+
 } // namespace
 
 const char*
@@ -150,7 +154,7 @@ const CanaryConfig&
 CanaryConfig::validated() const
 {
     INSITU_CHECK(canary_nodes >= 1, "canary subset must be positive");
-    INSITU_CHECK(accuracy_tolerance >= 0 && flag_rate_tolerance >= 0,
+    INSITU_CHECK(accuracy_tolerance >= 0,
                  "canary tolerances must be non-negative");
     return *this;
 }
@@ -324,7 +328,7 @@ FleetSupervisor::end_stage(int stage)
                 canary_acc + config_.canary.accuracy_tolerance >=
                     base_acc &&
                 canary_flag <=
-                    base_flag + config_.canary.flag_rate_tolerance;
+                    base_flag + kCanaryFlagRateTolerance;
             if (healthy) {
                 decisions.canary_promoted = true;
                 static auto& promotions = supervision_counter(

@@ -183,9 +183,6 @@ struct CanaryConfig {
     /// Canary mean accuracy may lag the control group by this much
     /// and still promote.
     double accuracy_tolerance = 0.05;
-    /// Canary mean flag rate may exceed the control group's by this
-    /// much and still promote.
-    double flag_rate_tolerance = 0.15;
 
     /** Fatal-checks internal consistency; returns *this. */
     const CanaryConfig& validated() const;

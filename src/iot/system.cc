@@ -23,8 +23,8 @@ iot_system_name(IotSystemKind kind)
 IotSystemSim::IotSystemSim(IotSystemKind kind, IotSystemConfig config)
     : kind_(kind), config_(config),
       cloud_(config.tiny, config.cloud_gpu, config.seed),
-      node_(config.tiny, cloud_.permutations(), config.shared_convs,
-            config.diagnosis, config.seed ^ 0x0DEULL)
+      node_(config.tiny, cloud_.permutations(), kSharedConvs,
+            DiagnosisConfig{}, config.seed ^ 0x0DEULL)
 {}
 
 void
@@ -81,17 +81,17 @@ IotSystemSim::bootstrap_stage(const Dataset& data)
 
     // Unsupervised pre-training on the raw upload, then transfer.
     cloud_.pretrain(data.images, config_.pretrain_epochs);
-    cloud_.transfer_from_pretext(config_.shared_convs);
+    cloud_.transfer_from_pretext(kSharedConvs);
     // Variant (d) keeps the shared prefix literally shared in the
     // cloud too, so inference and diagnosis weights cannot diverge.
     if (kind_ == IotSystemKind::kInsituAi) {
         cloud_.inference().share_convs_from(cloud_.jigsaw().trunk(),
-                                            config_.shared_convs);
+                                            kSharedConvs);
     }
 
     UpdatePolicy policy = config_.update;
     policy.frozen_convs = kind_ == IotSystemKind::kInsituAi
-                              ? config_.shared_convs
+                              ? kSharedConvs
                               : 0;
     m.labeled_images = data.size();
     const UpdateReport report = cloud_.update(data, policy);
@@ -180,7 +180,7 @@ IotSystemSim::incremental_stage(int stage, const Dataset& data)
     // upload.
     UpdatePolicy policy = config_.update;
     policy.frozen_convs = kind_ == IotSystemKind::kInsituAi
-                              ? config_.shared_convs
+                              ? kSharedConvs
                               : 0;
     m.labeled_images = valuable.size();
     if (valuable.size() > 0) cloud_.update(valuable, policy);

@@ -63,12 +63,9 @@ struct StageMetrics {
 /** Simulator configuration shared across the four systems. */
 struct IotSystemConfig {
     TinyConfig tiny;
-    SynthConfig synth;
     LinkSpec link;
     GpuSpec cloud_gpu;
-    DiagnosisConfig diagnosis;
-    UpdatePolicy update;        ///< base policy (epochs, lr, batch)
-    size_t shared_convs = 3;    ///< weight-shared prefix (variant d)
+    UpdatePolicy update;        ///< base policy (epochs, lr)
     int pretrain_epochs = 3;    ///< initial unsupervised pre-training
     /// Unsupervised epochs over each stage's upload (continual
     /// pretext learning that keeps the diagnosis model current).

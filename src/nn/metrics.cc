@@ -1,100 +1,8 @@
 #include "nn/metrics.h"
 
-#include <sstream>
-
 #include "util/logging.h"
 
 namespace insitu {
-
-ConfusionMatrix::ConfusionMatrix(int num_classes)
-    : num_classes_(num_classes),
-      counts_(static_cast<size_t>(num_classes) *
-                  static_cast<size_t>(num_classes),
-              0)
-{
-    INSITU_CHECK(num_classes > 0, "need at least one class");
-}
-
-void
-ConfusionMatrix::add(int64_t truth, int64_t predicted)
-{
-    INSITU_CHECK(truth >= 0 && truth < num_classes_ && predicted >= 0 &&
-                     predicted < num_classes_,
-                 "label out of range");
-    ++counts_[static_cast<size_t>(truth * num_classes_ + predicted)];
-    ++total_;
-}
-
-void
-ConfusionMatrix::add_batch(const std::vector<int64_t>& truths,
-                           const std::vector<int64_t>& predictions)
-{
-    INSITU_CHECK(truths.size() == predictions.size(),
-                 "batch size mismatch");
-    for (size_t i = 0; i < truths.size(); ++i)
-        add(truths[i], predictions[i]);
-}
-
-int64_t
-ConfusionMatrix::count(int64_t truth, int64_t predicted) const
-{
-    INSITU_CHECK(truth >= 0 && truth < num_classes_ && predicted >= 0 &&
-                     predicted < num_classes_,
-                 "label out of range");
-    return counts_[static_cast<size_t>(truth * num_classes_ +
-                                       predicted)];
-}
-
-double
-ConfusionMatrix::accuracy() const
-{
-    if (total_ == 0) return 0.0;
-    int64_t diag = 0;
-    for (int c = 0; c < num_classes_; ++c) diag += count(c, c);
-    return static_cast<double>(diag) / static_cast<double>(total_);
-}
-
-double
-ConfusionMatrix::recall(int64_t cls) const
-{
-    int64_t row = 0;
-    for (int p = 0; p < num_classes_; ++p) row += count(cls, p);
-    if (row == 0) return 0.0;
-    return static_cast<double>(count(cls, cls)) /
-           static_cast<double>(row);
-}
-
-double
-ConfusionMatrix::precision(int64_t cls) const
-{
-    int64_t col = 0;
-    for (int t = 0; t < num_classes_; ++t) col += count(t, cls);
-    if (col == 0) return 0.0;
-    return static_cast<double>(count(cls, cls)) /
-           static_cast<double>(col);
-}
-
-double
-ConfusionMatrix::macro_recall() const
-{
-    double acc = 0.0;
-    for (int c = 0; c < num_classes_; ++c) acc += recall(c);
-    return acc / static_cast<double>(num_classes_);
-}
-
-std::string
-ConfusionMatrix::to_string() const
-{
-    std::ostringstream oss;
-    oss << "confusion (" << total_ << " samples, acc "
-        << accuracy() << ")\n";
-    for (int t = 0; t < num_classes_; ++t) {
-        for (int p = 0; p < num_classes_; ++p)
-            oss << count(t, p) << (p + 1 == num_classes_ ? "" : " ");
-        oss << "\n";
-    }
-    return oss.str();
-}
 
 double
 BinaryMetrics::precision() const

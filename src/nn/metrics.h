@@ -2,59 +2,16 @@
  * @file
  * Classification quality metrics beyond top-1 accuracy.
  *
- * The diagnosis ablations need precision/recall-style analysis (did
+ * The diagnosis ablations need precision/recall-style analysis: did
  * the diagnosis flag the images the inference task actually gets
- * wrong?), and the examples report per-class behaviour under drift.
+ * wrong?
  */
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace insitu {
-
-/** Confusion matrix over a fixed number of classes. */
-class ConfusionMatrix {
-  public:
-    explicit ConfusionMatrix(int num_classes);
-
-    /** Record one (true label, prediction) pair. */
-    void add(int64_t truth, int64_t predicted);
-
-    /** Record a whole batch. */
-    void add_batch(const std::vector<int64_t>& truths,
-                   const std::vector<int64_t>& predictions);
-
-    /** Raw count at (truth, predicted). */
-    int64_t count(int64_t truth, int64_t predicted) const;
-
-    /** Total samples recorded. */
-    int64_t total() const { return total_; }
-
-    /** Overall accuracy. */
-    double accuracy() const;
-
-    /** Recall of one class (diagonal / row sum); 0 if unseen. */
-    double recall(int64_t cls) const;
-
-    /** Precision of one class (diagonal / column sum); 0 if never
-     * predicted. */
-    double precision(int64_t cls) const;
-
-    /** Mean per-class recall (balanced accuracy). */
-    double macro_recall() const;
-
-    /** ASCII rendering for reports. */
-    std::string to_string() const;
-
-    int num_classes() const { return num_classes_; }
-
-  private:
-    int num_classes_;
-    int64_t total_ = 0;
-    std::vector<int64_t> counts_; ///< row-major (truth, predicted)
-};
 
 /** Binary detector quality (used for the diagnosis task). */
 struct BinaryMetrics {

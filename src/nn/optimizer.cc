@@ -1,9 +1,5 @@
 #include "nn/optimizer.h"
 
-#include <cmath>
-
-#include "util/logging.h"
-
 namespace insitu {
 
 void
@@ -34,65 +30,6 @@ Sgd::step(const std::vector<ParameterPtr>& params)
                 pv[i] -= lr * (pg[i] + wd * pv[i]);
         }
     }
-}
-
-
-StepLrSchedule::StepLrSchedule(Sgd& opt, int step_epochs, double gamma)
-    : opt_(opt), step_epochs_(step_epochs), gamma_(gamma)
-{
-    INSITU_CHECK(step_epochs > 0, "schedule period must be positive");
-    INSITU_CHECK(gamma > 0.0 && gamma <= 1.0,
-                 "decay factor must be in (0, 1]");
-}
-
-void
-StepLrSchedule::on_epoch_end()
-{
-    ++epoch_;
-    if (epoch_ % step_epochs_ == 0) opt_.set_lr(opt_.lr() * gamma_);
-}
-
-void
-Adam::step(const std::vector<ParameterPtr>& params)
-{
-    ++t_;
-    const double bias1 = 1.0 - std::pow(config_.beta1,
-                                        static_cast<double>(t_));
-    const double bias2 = 1.0 - std::pow(config_.beta2,
-                                        static_cast<double>(t_));
-    for (const auto& p : params) {
-        if (p->frozen()) continue;
-        auto [it, inserted] = moments_.try_emplace(p.get());
-        if (inserted) {
-            it->second.m = Tensor(p->value().shape());
-            it->second.v = Tensor(p->value().shape());
-        }
-        float* pv = p->value().data();
-        const float* pg = p->grad().data();
-        float* pm = it->second.m.data();
-        float* pvel = it->second.v.data();
-        const auto n = p->value().numel();
-        const float b1 = static_cast<float>(config_.beta1);
-        const float b2 = static_cast<float>(config_.beta2);
-        const float wd = static_cast<float>(config_.weight_decay);
-        for (int64_t i = 0; i < n; ++i) {
-            const float g = pg[i] + wd * pv[i];
-            pm[i] = b1 * pm[i] + (1.0f - b1) * g;
-            pvel[i] = b2 * pvel[i] + (1.0f - b2) * g * g;
-            const double mhat = pm[i] / bias1;
-            const double vhat = pvel[i] / bias2;
-            pv[i] -= static_cast<float>(
-                config_.lr * mhat /
-                (std::sqrt(vhat) + config_.eps));
-        }
-    }
-}
-
-void
-Adam::reset_state()
-{
-    moments_.clear();
-    t_ = 0;
 }
 
 } // namespace insitu

@@ -31,74 +31,9 @@ class Sgd {
     /** Apply one update to every non-frozen parameter. */
     void step(const std::vector<ParameterPtr>& params);
 
-    /** Current learning rate (mutable for schedules). */
-    double lr() const { return config_.lr; }
-    void set_lr(double lr) { config_.lr = lr; }
-
-    /** Drop all velocity state. */
-    void reset_state() { velocity_.clear(); }
-
   private:
     SgdConfig config_;
     std::unordered_map<const Parameter*, Tensor> velocity_;
-};
-
-/**
- * Step-decay learning-rate schedule: every @p step_epochs epochs the
- * learning rate is multiplied by @p gamma. Call on_epoch_end() once
- * per epoch; it adjusts the bound optimizer in place.
- */
-class StepLrSchedule {
-  public:
-    StepLrSchedule(Sgd& opt, int step_epochs, double gamma);
-
-    /** Advance one epoch, possibly decaying the rate. */
-    void on_epoch_end();
-
-    int epoch() const { return epoch_; }
-
-  private:
-    Sgd& opt_;
-    int step_epochs_;
-    double gamma_;
-    int epoch_ = 0;
-};
-
-/** Adam configuration. */
-struct AdamConfig {
-    double lr = 1e-3;
-    double beta1 = 0.9;
-    double beta2 = 0.999;
-    double eps = 1e-8;
-    double weight_decay = 0.0;
-};
-
-/**
- * Adam optimizer (extension beyond the paper's SGD recipe; useful for
- * quick-converging incremental updates on very small upload batches).
- * Frozen parameters are skipped like in Sgd.
- */
-class Adam {
-  public:
-    explicit Adam(AdamConfig config) : config_(config) {}
-
-    /** Apply one update to every non-frozen parameter. */
-    void step(const std::vector<ParameterPtr>& params);
-
-    double lr() const { return config_.lr; }
-    void set_lr(double lr) { config_.lr = lr; }
-
-    /** Drop moment estimates and the step counter. */
-    void reset_state();
-
-  private:
-    struct Moments {
-        Tensor m;
-        Tensor v;
-    };
-    AdamConfig config_;
-    int64_t t_ = 0;
-    std::unordered_map<const Parameter*, Moments> moments_;
 };
 
 } // namespace insitu

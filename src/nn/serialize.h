@@ -5,11 +5,14 @@
  * The format stores each distinct parameter as (name, shape, data);
  * loading matches by position and validates name + shape, modelling
  * the "deploy initialized models to the In-situ node" step of Fig. 4.
+ * Integers are little-endian through storage/codec.h; the float
+ * payload is raw little-endian IEEE-754.
  */
 #pragma once
 
-#include <iosfwd>
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "nn/network.h"
 
@@ -24,21 +27,23 @@ namespace insitu {
  */
 uint32_t weight_format_version();
 
-/** Serialize all distinct parameters of @p net to @p os. */
-void save_weights(const Network& net, std::ostream& os);
-
-/** Save to a file; returns false (with a warning) on I/O error. */
-bool save_weights_file(const Network& net, const std::string& path);
+/** Serialize all distinct parameters of @p net into one blob. */
+std::string save_weights(const Network& net);
 
 /**
- * Load weights saved by save_weights into @p net.
- * @return false if the stream is malformed or incompatible (the
- *         network is left partially updated only on shape mismatch,
- *         never silently).
+ * Whether load_weights(@p net, @p blob) would succeed; writes nothing.
+ * Lets a caller loading several blobs check them all before it
+ * writes any.
  */
-bool load_weights(Network& net, std::istream& is);
+bool check_weights(const Network& net, std::string_view blob);
 
-/** Load from a file; returns false on I/O error or mismatch. */
-bool load_weights_file(Network& net, const std::string& path);
+/**
+ * Load a blob written by save_weights into @p net. All-or-nothing:
+ * the framing, the parameter count and every name, rank, shape and
+ * byte length are checked before any parameter is written.
+ * @return false, leaving @p net untouched, if the blob is malformed
+ *         or was saved from a different architecture.
+ */
+bool load_weights(Network& net, std::string_view blob);
 
 } // namespace insitu

@@ -31,7 +31,7 @@ BatchPlanner::plan(const GpuModel& gpu, const NetworkDesc& net,
     // batch latency inflated by the co-running interference of Eq
     // 3-8's companion model (Fig. 16), then the safety margin (which
     // the degradation ladder widens when the device turns suspect).
-    const double safety = config_.safety * overrides.safety_mult;
+    const double safety = kPlannerSafety * overrides.safety_mult;
     const auto predict = [&](int64_t b) {
         const double corun =
             diagnosis_ops > 0

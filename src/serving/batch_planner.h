@@ -41,11 +41,12 @@ struct PlannerConfig {
     PlannerMode mode = PlannerMode::kOnline;
     int64_t static_batch = 8; ///< kStatic: the fixed batch size
     int64_t max_batch = 32;   ///< cap for both policies
-    /// Predicted times are multiplied by this before the deadline
-    /// check; > 1 hedges against host jitter the calibration's mean
-    /// fit cannot capture.
-    double safety = 1.05;
 };
+
+/// Predicted times are multiplied by this before the deadline check;
+/// > 1 hedges against host jitter the calibration's mean fit cannot
+/// capture.
+inline constexpr double kPlannerSafety = 1.05;
 
 /** One dispatch decision. */
 struct BatchDecision {
@@ -60,7 +61,7 @@ struct BatchDecision {
  * identity, so an unguarded caller plans exactly as before.
  */
 struct PlanOverrides {
-    /// Multiplies PlannerConfig::safety (rung 1+: hedge against a
+    /// Multiplies kPlannerSafety (rung 1+: hedge against a
     /// device whose residuals no longer match the calibration).
     double safety_mult = 1.0;
     /// Skip the deadline-feasibility search and go straight to drain

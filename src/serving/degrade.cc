@@ -59,7 +59,7 @@ GrayFailureDetector::observe(double abs_residual)
             // climbs one more rung of the ladder.
             if (++high_streak_ >= cfg_.escalate_after) {
                 high_streak_ = 0;
-                if (rung_ < cfg_.max_rung) ++rung_;
+                if (rung_ < kMaxRung) ++rung_;
             }
         } else {
             high_streak_ = 0;

@@ -64,19 +64,10 @@ struct DetectorConfig {
     int64_t escalate_after = 12;
     /// Consecutive clean batches probation demands before recovery.
     int64_t probation_batches = 8;
-    /// Top rung of the ladder (4 = force drain).
-    int max_rung = 4;
 };
 
-/** The degradation ladder's knobs (the detector decides *when*; this
- * decides *how hard*). */
-struct DegradeConfig {
-    /// Master switch: false = unguarded baseline (detector never
-    /// observes, ladder never engages).
-    bool enabled = true;
-    /// PlannerConfig::safety multiplier applied from rung 1 up.
-    double safety_mult = 1.6;
-};
+/// Top rung of the ladder (force drain).
+inline constexpr int kMaxRung = 4;
 
 /**
  * The residual-EWMA health state machine. Fed one absolute relative

@@ -7,6 +7,7 @@
 #include <limits>
 #include <optional>
 
+#include "data/synth.h"
 #include "faults/fault_injector.h"
 #include "iot/node.h"
 #include "obs/clock.h"
@@ -32,10 +33,35 @@ constexpr double kDeadlineEps = 1e-12;
 /// Admission queue bound; arrivals beyond it are dropped_capacity.
 constexpr size_t kQueueCapacity = 512;
 
+/// Images per co-running diagnosis batch (its outstanding work feeds
+/// the Fig. 16 interference model).
+constexpr int64_t kDiagnosisBatch = 9;
+
+/// Measured batches required before the first calibration fit is
+/// trusted.
+constexpr int64_t kCalibrationMinSamples = 8;
+
+/// PlanOverrides::safety_mult applied from ladder rung 1 up.
+constexpr double kDegradedSafetyMult = 1.6;
+
+// Per-RequestClass deadline-hit SLOs with multi-window burn-rate
+// alerting (obs/slo.h). One objective is declared per mix class;
+// completions, drops and sheds feed it on the serial event loop, and
+// alert transcript lines are emitted *before* the degradation ladder
+// reacts — so transcripts show alert → rung-escalation causality.
+
+/// Deadline-hit objective of guaranteed classes.
+constexpr double kSloObjective = 0.90;
 /// Deadline-hit objective of best_effort classes: looser than the
 /// guaranteed one, because the ladder sheds them first by design and
 /// alerting at the guaranteed target would page on intended behavior.
 constexpr double kBestEffortObjective = 0.75;
+constexpr double kSloFastWindowS = 2.0;
+constexpr double kSloSlowWindowS = 8.0;
+/// Raise when both windows burn error budget at >= this rate.
+constexpr double kSloBurnAlert = 2.0;
+/// Fast-window events needed to alert.
+constexpr int64_t kSloMinEvents = 8;
 
 /** Nearest-rank quantile of an ascending-sorted vector. */
 double
@@ -77,6 +103,7 @@ latency_options()
 struct ServingRuntime::Impl {
     ServingConfig cfg;
     InsituNode* node;
+    const NetworkDesc net = alexnet_desc();
 
     obs::MetricsRegistry local; ///< per-run calibration histograms
 
@@ -184,9 +211,9 @@ struct ServingRuntime::Impl {
     Impl(ServingConfig config, InsituNode* n)
         : cfg(std::move(config)), node(n),
           queue(kQueueCapacity, cfg.mix.classes.size()),
-          host(cfg.gpu, cfg.host),
-          planner_gpu(cfg.gpu), planner(cfg.planner),
-          detector(cfg.detector),
+          host(tx1_spec(), cfg.host),
+          planner_gpu(tx1_spec()), planner(cfg.planner),
+          detector(DetectorConfig{}),
           m_arrived(obs::MetricsRegistry::global().counter(
               "serving.requests.arrived")),
           m_admitted(obs::MetricsRegistry::global().counter(
@@ -239,33 +266,28 @@ struct ServingRuntime::Impl {
                                     latency_options()))
     {
         if (cfg.faults.device_faulty()) injector.emplace(cfg.faults);
-        diag_net = diagnosis_desc(cfg.net);
+        diag_net = diagnosis_desc(net);
         diag_batch_ops =
-            diag_net.total_ops() *
-            static_cast<double>(cfg.corun.diagnosis_batch);
+            diag_net.total_ops() * static_cast<double>(kDiagnosisBatch);
         tally.resize(cfg.mix.classes.size());
         if (node != nullptr && cfg.real_inference_every > 0) {
             Rng pool_rng(cfg.mix.seed ^ 0x5EBF00D);
-            pool = make_dataset(cfg.synth,
+            pool = make_dataset(SynthConfig{},
                                 std::max<int64_t>(
                                     cfg.planner.max_batch, 9),
                                 Condition{}, pool_rng);
         }
         if (node != nullptr) live_version = node->model_version();
-        if (cfg.slo.enabled) {
-            for (const RequestClass& c : cfg.mix.classes) {
-                obs::SloObjective obj;
-                obj.name = "serving." + c.name + ".deadline";
-                obj.objective = c.best_effort
-                                    ? kBestEffortObjective
-                                    : cfg.slo.objective;
-                obj.fast_window_s = cfg.slo.fast_window_s;
-                obj.slow_window_s = cfg.slo.slow_window_s;
-                obj.burn_alert = cfg.slo.burn_alert;
-                obj.min_events = cfg.slo.min_events;
-                slo_handles.push_back(
-                    slo_engine.declare(std::move(obj)));
-            }
+        for (const RequestClass& c : cfg.mix.classes) {
+            obs::SloObjective obj;
+            obj.name = "serving." + c.name + ".deadline";
+            obj.objective =
+                c.best_effort ? kBestEffortObjective : kSloObjective;
+            obj.fast_window_s = kSloFastWindowS;
+            obj.slow_window_s = kSloSlowWindowS;
+            obj.burn_alert = kSloBurnAlert;
+            obj.min_events = kSloMinEvents;
+            slo_handles.push_back(slo_engine.declare(std::move(obj)));
         }
     }
 
@@ -307,7 +329,6 @@ struct ServingRuntime::Impl {
     void
     slo_record(double t, int cls, bool good)
     {
-        if (!cfg.slo.enabled) return;
         const size_t h = slo_handles[static_cast<size_t>(cls)];
         publish(t);
         const obs::SloEvent ev = slo_engine.record(h, t, good);
@@ -416,18 +437,18 @@ struct ServingRuntime::Impl {
     try_dispatch(double t)
     {
         if (flight) return;
-        if (cfg.shed_expired) {
-            for (const auto& r : queue.shed_expired(t)) {
-                auto& c = tally[static_cast<size_t>(r.cls)];
-                ++c.shed;
-                m_shed.add();
-                line(TranscriptLevel::kFull,
-                     "[t=%.6f] shed id=%lld class=%s expired", t,
-                     static_cast<long long>(r.id),
-                     cfg.mix.classes[static_cast<size_t>(r.cls)]
-                         .name.c_str());
-                slo_record(t, r.cls, /*good=*/false);
-            }
+        // Already-expired requests are dropped at batch formation
+        // instead of spending device time on guaranteed misses.
+        for (const auto& r : queue.shed_expired(t)) {
+            auto& c = tally[static_cast<size_t>(r.cls)];
+            ++c.shed;
+            m_shed.add();
+            line(TranscriptLevel::kFull,
+                 "[t=%.6f] shed id=%lld class=%s expired", t,
+                 static_cast<long long>(r.id),
+                 cfg.mix.classes[static_cast<size_t>(r.cls)]
+                     .name.c_str());
+            slo_record(t, r.cls, /*good=*/false);
         }
         if (queue.empty()) return;
 
@@ -438,10 +459,10 @@ struct ServingRuntime::Impl {
         // at rung 0, so healthy runs plan exactly as before).
         PlanOverrides ov;
         if (cur_rung >= 1) {
-            ov.safety_mult = cfg.degrade.safety_mult;
+            ov.safety_mult = kDegradedSafetyMult;
             ++rep.degradation.safety_batches;
         }
-        if (cur_rung >= cfg.detector.max_rung) {
+        if (cur_rung >= kMaxRung) {
             ov.force_drain = true;
             ++rep.degradation.forced_drain;
             m_forced_drain.add();
@@ -452,7 +473,7 @@ struct ServingRuntime::Impl {
                 dump_flight(t);
             }
         }
-        const BatchDecision d = planner.plan(planner_gpu, cfg.net, t,
+        const BatchDecision d = planner.plan(planner_gpu, net, t,
                                              deadlines, dops, ov);
         INSITU_CHECK(d.batch > 0, "planner returned an empty batch");
         if (!d.deadline_feasible) ++rep.drain_batches;
@@ -468,11 +489,11 @@ struct ServingRuntime::Impl {
         // interference the planner predicted with.
         const double corun =
             dops > 0 ? host.model().corun_slowdown(
-                           cfg.net.total_ops() *
+                           net.total_ops() *
                                static_cast<double>(d.batch),
                            dops)
                      : 1.0;
-        double exec = host.run_batch(cfg.net, d.batch, corun);
+        double exec = host.run_batch(net, d.batch, corun);
         if (injector) exec = apply_device_faults(*injector, exec, t);
         f.completion_s = t + exec;
         f.pure_exec_s = exec / corun;
@@ -587,10 +608,10 @@ struct ServingRuntime::Impl {
     void
     observe_health(double t, int64_t batch, double pure_exec_s)
     {
-        if (!cfg.degrade.enabled || rep.calibration_fits == 0)
+        if (!cfg.degrade || rep.calibration_fits == 0)
             return;
         const double r = std::abs(
-            planner_gpu.residual(cfg.net, batch, pure_exec_s));
+            planner_gpu.residual(net, batch, pure_exec_s));
         const auto v = detector.observe(r);
         if (v.changed) {
             if (v.state != cur_state) {
@@ -717,10 +738,10 @@ struct ServingRuntime::Impl {
             observations_from_snapshot(local.snapshot());
         int64_t samples = 0;
         for (const auto& o : obs_points) samples += o.count;
-        if (samples < cfg.calibration.min_samples) return;
+        if (samples < kCalibrationMinSamples) return;
 
         const GpuCalibration calib =
-            fit_calibration(planner_gpu, cfg.net, obs_points);
+            fit_calibration(planner_gpu, net, obs_points);
         planner_gpu.set_calibration(calib);
         ++rep.calibration_fits;
         m_fits.add();
@@ -731,7 +752,7 @@ struct ServingRuntime::Impl {
         residuals.reserve(obs_points.size());
         for (const auto& o : obs_points) {
             const double r = std::abs(planner_gpu.residual(
-                cfg.net, o.batch, o.mean_seconds));
+                net, o.batch, o.mean_seconds));
             residuals.push_back(r);
             m_residual.observe(r);
         }
@@ -761,11 +782,11 @@ struct ServingRuntime::Impl {
             next_update_s = cfg.corun.update_period_s;
         if (cfg.corun.diagnosis_period_s > 0) {
             next_diag_s = cfg.corun.diagnosis_period_s;
-            diag_duration_s = host.mean_batch_seconds(
-                diag_net, cfg.corun.diagnosis_batch);
+            diag_duration_s =
+                host.mean_batch_seconds(diag_net, kDiagnosisBatch);
         }
-        if (cfg.calibration.period_s > 0)
-            next_calib_s = cfg.calibration.period_s;
+        if (cfg.calibration_period_s > 0)
+            next_calib_s = cfg.calibration_period_s;
 
         line(TranscriptLevel::kSummary,
              "[serving] mix=%s policy=%s%s requests=%lld "
@@ -812,12 +833,12 @@ struct ServingRuntime::Impl {
                         diag_tick(t_tick);
                     }
                 } else {
-                    next_calib_s += cfg.calibration.period_s;
+                    next_calib_s += cfg.calibration_period_s;
                     // Periodic fits are suspended while unhealthy: a
                     // fit would absorb the gray failure into the
                     // model and blind the detector. Probation runs
                     // the recovery fit explicitly.
-                    if (cfg.degrade.enabled &&
+                    if (cfg.degrade &&
                         cur_state != DeviceHealth::kHealthy) {
                         ++rep.degradation.calib_skipped;
                         m_calib_skipped.add();
@@ -854,7 +875,7 @@ struct ServingRuntime::Impl {
             double sum = 0;
             for (const auto& o : obs_points)
                 sum += std::abs(planner_gpu.residual(
-                    cfg.net, o.batch, o.mean_seconds));
+                    net, o.batch, o.mean_seconds));
             rep.mean_abs_residual =
                 obs_points.empty()
                     ? 0.0

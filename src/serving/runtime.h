@@ -38,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "data/synth.h"
 #include "faults/fault_plan.h"
 #include "hw/device_truth.h"
 #include "hw/gpu_model.h"
@@ -60,41 +59,10 @@ namespace insitu::serving {
 struct CorunConfig {
     /// Period of the co-running diagnosis batch (0 = no co-runner).
     double diagnosis_period_s = 0;
-    /// Images per diagnosis batch (its outstanding work feeds the
-    /// Fig. 16 interference model).
-    int64_t diagnosis_batch = 9;
     /// Period of incremental weight updates from the cloud loop
     /// (0 = none). Updates are staged at arrival and committed at
     /// the next batch boundary.
     double update_period_s = 0;
-};
-
-/** Online self-calibration of the planner's time model. */
-struct CalibrationConfig {
-    /// Refit period (0 = never calibrate; the planner then runs on
-    /// the raw analytical model).
-    double period_s = 0;
-    /// Measured batches required before the first fit is trusted.
-    int64_t min_samples = 8;
-};
-
-/**
- * Per-RequestClass deadline-hit SLOs with multi-window burn-rate
- * alerting (obs/slo.h). One objective is declared per mix class;
- * completions, drops and sheds feed it on the serial event loop, and
- * alert transcript lines are emitted *before* the degradation ladder
- * reacts — so transcripts show alert → rung-escalation causality.
- */
-struct SloConfig {
-    bool enabled = true;
-    /// Deadline-hit objective for guaranteed classes (best_effort
-    /// classes get a fixed looser one: they are shed first by design).
-    double objective = 0.90;
-    double fast_window_s = 2.0;
-    double slow_window_s = 8.0;
-    /// Raise when both windows burn error budget at >= this rate.
-    double burn_alert = 2.0;
-    int64_t min_events = 8; ///< fast-window events needed to alert
 };
 
 /** Transcript verbosity. */
@@ -104,44 +72,39 @@ enum class TranscriptLevel {
     kFull     ///< + every arrival/drop/shed
 };
 
-/** Everything configurable about one serving run. */
+/**
+ * Everything configurable about one serving run. The device is the
+ * paper's TX1 serving AlexNet (tx1_spec(), alexnet_desc(); Figs 11
+ * and 16); the co-running diagnosis batch runs
+ * diagnosis_desc(alexnet_desc()).
+ */
 struct ServingConfig {
     TrafficMix mix;
     PlannerConfig planner;
     CorunConfig corun;
-    CalibrationConfig calibration;
+    /// Period of the planner's online self-calibration refit (0 =
+    /// never calibrate; the planner then runs on the raw analytical
+    /// model).
+    double calibration_period_s = 0;
     /// The device's hidden constants: the truth the planner's
     /// calibration loop has to recover.
     DeviceTruthConfig host;
-    GpuSpec gpu = tx1_spec();
-    /// Analytical descriptor of the inference network (what the
-    /// planner's Eq 3-8 model reasons about). The co-running
-    /// diagnosis batch runs diagnosis_desc(net).
-    NetworkDesc net = alexnet_desc();
-    /// Drop already-expired requests at batch formation instead of
-    /// spending device time on guaranteed misses.
-    bool shed_expired = true;
     TranscriptLevel transcript = TranscriptLevel::kOff;
     /// With a node attached: actually run InsituNode inference on
     /// every Nth dispatched batch (0 = never). Timing always comes
     /// from the device truth; this grounds the stream in the real
-    /// substrate and tallies the nn.* metrics.
+    /// substrate and tallies the nn.* metrics. The payloads are
+    /// SynthConfig{} images, so the node's networks must match it.
     int64_t real_inference_every = 0;
-    /// Image geometry of the synthetic request payloads used when
-    /// real_inference_every > 0 (must match the node's networks).
-    SynthConfig synth;
     /// Device-fault plan (only the device kinds matter here: thermal
     /// throttles, jitter storms, transient stalls). An empty plan
     /// arms nothing and consumes no device draws, so fault-free runs
     /// replay exactly as before the fault seam existed.
     FaultPlan faults;
-    /// Gray-failure detector thresholds (serving/degrade.h).
-    DetectorConfig detector;
-    /// Degradation ladder knobs; degrade.enabled = false is the
-    /// unguarded baseline every ladder comparison runs against.
-    DegradeConfig degrade;
-    /// Per-class deadline SLOs + burn-rate alerting.
-    SloConfig slo;
+    /// The gray-failure detector and degradation ladder
+    /// (serving/degrade.h); false is the unguarded baseline every
+    /// ladder comparison runs against.
+    bool degrade = true;
     /// When non-empty: dump the runtime's flight-recorder ring
     /// through a SnapshotStore at this path whenever the ladder
     /// reaches rung >= 3 or forces a drain — the chaos black box

@@ -19,16 +19,16 @@ make_scenario(const std::string& name, double duration_s,
     cfg.mix.duration_s = duration_s;
     cfg.mix.seed = seed;
     cfg.planner.mode = PlannerMode::kOnline;
-    cfg.calibration.period_s = 2.0;
-    cfg.calibration.min_samples = 8;
+    cfg.calibration_period_s = 2.0;
     cfg.host.seed = seed ^ 0x105E41;
 
     // Capacity anchors of the (jitter-free) device: the service time
     // of a single image and the best sustainable rate at the batch cap.
-    const DeviceTruth probe(cfg.gpu, cfg.host);
-    const double l1 = probe.mean_batch_seconds(cfg.net, 1);
+    const NetworkDesc net = alexnet_desc();
+    const DeviceTruth probe(tx1_spec(), cfg.host);
+    const double l1 = probe.mean_batch_seconds(net, 1);
     const double lmax =
-        probe.mean_batch_seconds(cfg.net, cfg.planner.max_batch);
+        probe.mean_batch_seconds(net, cfg.planner.max_batch);
     const double cap_rate =
         static_cast<double>(cfg.planner.max_batch) / lmax;
 

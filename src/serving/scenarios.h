@@ -53,7 +53,7 @@ ServingConfig make_scenario(const std::string& name,
  * thermal-throttles (peak 2.3x, [0.30, 0.80) of the horizon), rides
  * a jitter storm ([0.45, 0.70), +-35%) and transiently stalls (3% of
  * dispatches at 5x) — the mix check_degrade and the serving-chaos
- * bench run. Guarded-vs-unguarded comparisons flip `degrade.enabled`
+ * bench run. Guarded-vs-unguarded comparisons flip `degrade`
  * and leave everything else untouched. Not part of scenario_names():
  * the canonical mixes stay fault-free.
  */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Fixed little-endian binary framing helpers for the durable-storage
- * formats (WAL records, snapshot frames, checkpoint blobs).
+ * formats (WAL records, snapshot frames, checkpoint and weight blobs).
  *
  * Everything durable in this repo is written through these helpers so
  * the on-disk byte layout is identical on every platform and at every

@@ -142,13 +142,6 @@ Tensor::fill_uniform(Rng& rng, float lo, float hi)
     for (auto& v : data_) v = rng.uniform_f(lo, hi);
 }
 
-void
-Tensor::fill_normal(Rng& rng, float mean, float stddev)
-{
-    for (auto& v : data_)
-        v = static_cast<float>(rng.normal(mean, stddev));
-}
-
 Tensor
 Tensor::reshape(std::vector<int64_t> new_shape) const
 {

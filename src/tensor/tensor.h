@@ -144,9 +144,6 @@ class Tensor {
     /** Fill i.i.d. uniform in [lo, hi). */
     void fill_uniform(Rng& rng, float lo, float hi);
 
-    /** Fill i.i.d. normal(mean, stddev). */
-    void fill_normal(Rng& rng, float mean, float stddev);
-
     /**
      * Return a tensor with the same data and a new shape.
      * The element counts must agree; one dimension may be -1 (inferred).

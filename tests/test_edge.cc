@@ -89,14 +89,6 @@ TEST(Edge, FreezeZeroIsNoop)
     EXPECT_EQ(net.trainable_param_count(), net.param_count());
 }
 
-TEST(Edge, StepLrScheduleGammaOneKeepsRate)
-{
-    Sgd opt({.lr = 0.3});
-    StepLrSchedule schedule(opt, 1, 1.0);
-    for (int i = 0; i < 5; ++i) schedule.on_epoch_end();
-    EXPECT_DOUBLE_EQ(opt.lr(), 0.3);
-}
-
 TEST(Edge, SgdZeroLrChangesNothing)
 {
     auto p = std::make_shared<Parameter>("w", std::vector<int64_t>{2});

@@ -167,11 +167,11 @@ TEST(LabelingCost, DiagnosisCutsLabeledImages)
     };
 
     IotSystemSim all(IotSystemKind::kCloudAll, config);
-    IotStream sa(config.synth, schedule, 5);
+    IotStream sa(SynthConfig{}, schedule, 5);
     const auto ra = all.run(sa);
 
     IotSystemSim insitu_sys(IotSystemKind::kInsituAi, config);
-    IotStream sd(config.synth, schedule, 5);
+    IotStream sd(SynthConfig{}, schedule, 5);
     const auto rd = insitu_sys.run(sd);
 
     int64_t labeled_a = 0, labeled_d = 0;

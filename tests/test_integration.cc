@@ -41,10 +41,10 @@ TEST(Integration, InsituUploadsNoMoreThanCloudAll)
 {
     auto config = tiny_system();
     IotSystemSim a(IotSystemKind::kCloudAll, config);
-    IotStream sa(config.synth, tiny_schedule(), 17);
+    IotStream sa(SynthConfig{}, tiny_schedule(), 17);
     const auto ra = a.run(sa);
     IotSystemSim d(IotSystemKind::kInsituAi, config);
-    IotStream sd(config.synth, tiny_schedule(), 17);
+    IotStream sd(SynthConfig{}, tiny_schedule(), 17);
     const auto rd = d.run(sd);
     ASSERT_EQ(ra.size(), rd.size());
     double bytes_a = 0, bytes_d = 0;
@@ -60,10 +60,10 @@ TEST(Integration, InsituCloudEnergyNoMoreThanCloudAll)
 {
     auto config = tiny_system();
     IotSystemSim a(IotSystemKind::kCloudAll, config);
-    IotStream sa(config.synth, tiny_schedule(), 19);
+    IotStream sa(SynthConfig{}, tiny_schedule(), 19);
     const auto ra = a.run(sa);
     IotSystemSim d(IotSystemKind::kInsituAi, config);
-    IotStream sd(config.synth, tiny_schedule(), 19);
+    IotStream sd(SynthConfig{}, tiny_schedule(), 19);
     const auto rd = d.run(sd);
     double e_a = 0, e_d = 0;
     for (size_t i = 0; i < ra.size(); ++i) {
@@ -184,7 +184,7 @@ TEST(Integration, StageMetricsAreInternallyConsistent)
 {
     auto config = tiny_system();
     IotSystemSim sim(IotSystemKind::kInsituAi, config);
-    IotStream stream(config.synth, tiny_schedule(), 47);
+    IotStream stream(SynthConfig{}, tiny_schedule(), 47);
     const auto stages = sim.run(stream);
     for (const auto& s : stages) {
         EXPECT_LE(s.uploaded, s.acquired);

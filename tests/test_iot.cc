@@ -187,7 +187,7 @@ TEST(SystemSim, CloudAllUploadsEverything)
 {
     auto config = small_system_config();
     IotSystemSim sim(IotSystemKind::kCloudAll, config);
-    IotStream stream(config.synth, small_schedule(), 31);
+    IotStream stream(SynthConfig{}, small_schedule(), 31);
     const auto stages = sim.run(stream);
     ASSERT_EQ(stages.size(), 3u);
     for (const auto& s : stages) EXPECT_EQ(s.uploaded, s.acquired);
@@ -197,7 +197,7 @@ TEST(SystemSim, NodeDiagnosisUploadsOnlyFlagged)
 {
     auto config = small_system_config();
     IotSystemSim sim(IotSystemKind::kInsituAi, config);
-    IotStream stream(config.synth, small_schedule(), 31);
+    IotStream stream(SynthConfig{}, small_schedule(), 31);
     const auto stages = sim.run(stream);
     ASSERT_EQ(stages.size(), 3u);
     // Stage 0 bootstraps with a full upload.
@@ -214,7 +214,7 @@ TEST(SystemSim, UploadBytesUsePaperScale)
 {
     auto config = small_system_config();
     IotSystemSim sim(IotSystemKind::kCloudAll, config);
-    IotStream stream(config.synth, {{10, Condition::ideal()}}, 31);
+    IotStream stream(SynthConfig{}, {{10, Condition::ideal()}}, 31);
     const auto stages = sim.run(stream);
     EXPECT_DOUBLE_EQ(stages[0].upload_bytes,
                      10.0 * 1000.0 * bytes_per_image());
@@ -225,8 +225,8 @@ TEST(SystemSim, CloudDiagnosisPaysCloudComputeForFiltering)
     auto config = small_system_config();
     IotSystemSim b(IotSystemKind::kCloudDiagnosis, config);
     IotSystemSim c(IotSystemKind::kNodeDiagnosis, config);
-    IotStream sb(config.synth, small_schedule(), 31);
-    IotStream sc(config.synth, small_schedule(), 31);
+    IotStream sb(SynthConfig{}, small_schedule(), 31);
+    IotStream sc(SynthConfig{}, small_schedule(), 31);
     const auto rb = b.run(sb);
     const auto rc = c.run(sc);
     // (b) uploads everything, (c) only the flagged subset.
@@ -243,7 +243,7 @@ TEST(SystemSim, AccuracyImprovesOverBootstrapChance)
     config.update.lr = 0.02;
     config.pretrain_epochs = 2;
     IotSystemSim sim(IotSystemKind::kInsituAi, config);
-    IotStream stream(config.synth,
+    IotStream stream(SynthConfig{},
                      {{150, Condition::in_situ(0.2)},
                       {40, Condition::in_situ(0.3)}},
                      31);

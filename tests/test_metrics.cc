@@ -1,57 +1,17 @@
 /**
  * @file
- * Unit tests for metrics (confusion matrix, binary detector scores),
- * the LR schedule, the Adam optimizer, and the diagnosis-vs-errors
- * scoring hook.
+ * Unit tests for the binary detector scores and the
+ * diagnosis-vs-errors scoring hook.
  */
 #include <gtest/gtest.h>
 
 #include "iot/tasks.h"
-#include "nn/linear.h"
 #include "models/tiny.h"
 #include "nn/metrics.h"
-#include "nn/optimizer.h"
 #include "util/rng.h"
 
 namespace insitu {
 namespace {
-
-TEST(ConfusionMatrix, CountsAndAccuracy)
-{
-    ConfusionMatrix cm(3);
-    cm.add_batch({0, 0, 1, 2, 2}, {0, 1, 1, 2, 0});
-    EXPECT_EQ(cm.total(), 5);
-    EXPECT_EQ(cm.count(0, 1), 1);
-    EXPECT_EQ(cm.count(2, 0), 1);
-    EXPECT_DOUBLE_EQ(cm.accuracy(), 3.0 / 5.0);
-}
-
-TEST(ConfusionMatrix, PrecisionRecall)
-{
-    ConfusionMatrix cm(2);
-    // truth 0: predicted 0 x3, predicted 1 x1.
-    // truth 1: predicted 1 x2, predicted 0 x2.
-    cm.add_batch({0, 0, 0, 0, 1, 1, 1, 1}, {0, 0, 0, 1, 1, 1, 0, 0});
-    EXPECT_DOUBLE_EQ(cm.recall(0), 0.75);
-    EXPECT_DOUBLE_EQ(cm.recall(1), 0.5);
-    EXPECT_DOUBLE_EQ(cm.precision(0), 3.0 / 5.0);
-    EXPECT_DOUBLE_EQ(cm.precision(1), 2.0 / 3.0);
-    EXPECT_DOUBLE_EQ(cm.macro_recall(), (0.75 + 0.5) / 2.0);
-}
-
-TEST(ConfusionMatrix, UnseenClassHasZeroRecall)
-{
-    ConfusionMatrix cm(3);
-    cm.add(0, 0);
-    EXPECT_DOUBLE_EQ(cm.recall(2), 0.0);
-    EXPECT_DOUBLE_EQ(cm.precision(2), 0.0);
-}
-
-TEST(ConfusionMatrix, OutOfRangeDies)
-{
-    ConfusionMatrix cm(2);
-    EXPECT_DEATH(cm.add(2, 0), "out of range");
-}
 
 TEST(BinaryMetrics, ScoreBasics)
 {
@@ -74,61 +34,6 @@ TEST(BinaryMetrics, EdgeConventions)
     nothing_flagged.true_negative = 4;
     EXPECT_DOUBLE_EQ(nothing_flagged.precision(), 1.0);
     EXPECT_DOUBLE_EQ(nothing_flagged.recall(), 1.0);
-}
-
-TEST(StepLrSchedule, DecaysAtPeriod)
-{
-    Sgd opt({.lr = 0.1});
-    StepLrSchedule schedule(opt, 2, 0.5);
-    schedule.on_epoch_end();
-    EXPECT_DOUBLE_EQ(opt.lr(), 0.1);
-    schedule.on_epoch_end();
-    EXPECT_DOUBLE_EQ(opt.lr(), 0.05);
-    schedule.on_epoch_end();
-    schedule.on_epoch_end();
-    EXPECT_DOUBLE_EQ(opt.lr(), 0.025);
-    EXPECT_EQ(schedule.epoch(), 4);
-}
-
-TEST(Adam, DescendsOnQuadratic)
-{
-    auto p = std::make_shared<Parameter>("w", std::vector<int64_t>{1});
-    p->value().at(0) = 5.0f;
-    Adam opt({.lr = 0.1});
-    for (int i = 0; i < 200; ++i) {
-        p->zero_grad();
-        p->grad().at(0) = 2.0f * (p->value().at(0) - 1.0f);
-        opt.step({p});
-    }
-    EXPECT_NEAR(p->value().at(0), 1.0f, 1e-2f);
-}
-
-TEST(Adam, SkipsFrozenAndResets)
-{
-    auto p = std::make_shared<Parameter>("w", std::vector<int64_t>{1});
-    p->set_frozen(true);
-    p->grad().at(0) = 1.0f;
-    Adam opt({.lr = 0.1});
-    opt.step({p});
-    EXPECT_EQ(p->value().at(0), 0.0f);
-    opt.reset_state(); // must not crash with empty state
-}
-
-TEST(Adam, AdaptsStepToGradientScale)
-{
-    // Two parameters with very different gradient magnitudes should
-    // move comparably under Adam (per-coordinate normalization).
-    auto a = std::make_shared<Parameter>("a", std::vector<int64_t>{1});
-    auto b = std::make_shared<Parameter>("b", std::vector<int64_t>{1});
-    Adam opt({.lr = 0.01});
-    for (int i = 0; i < 10; ++i) {
-        a->zero_grad();
-        b->zero_grad();
-        a->grad().at(0) = 100.0f;
-        b->grad().at(0) = 0.01f;
-        opt.step({a, b});
-    }
-    EXPECT_NEAR(a->value().at(0), b->value().at(0), 1e-3f);
 }
 
 TEST(DiagnosisScoring, PerfectDetectorScoresPerfectly)

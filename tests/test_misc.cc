@@ -68,22 +68,6 @@ TEST(Csv, WriteFileFailsOnBadPath)
     EXPECT_FALSE(w.write_file("/nonexistent/dir/x.csv"));
 }
 
-TEST(WeightFiles, SaveLoadRoundTripOnDisk)
-{
-    Rng rng(1);
-    TinyConfig config;
-    config.num_permutations = 8;
-    Network a = make_tiny_inference(config, rng);
-    const std::string path = "/tmp/insitu_weights_test.bin";
-    ASSERT_TRUE(save_weights_file(a, path));
-    Network b = make_tiny_inference(config, rng);
-    ASSERT_TRUE(load_weights_file(b, path));
-    EXPECT_EQ(a.params()[0]->value().at(0),
-              b.params()[0]->value().at(0));
-    std::remove(path.c_str());
-    EXPECT_FALSE(load_weights_file(b, path)); // gone now
-}
-
 TEST(Describe, LayerStringsMentionConfig)
 {
     Rng rng(2);

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <sstream>
 #include <vector>
 
 #include "nn/activations.h"
@@ -509,9 +508,7 @@ TEST(Serialize, RoundTripRestoresWeights)
     Rng rng(16);
     Network a = make_cnn(rng, "net");
     Network b = make_cnn(rng, "net");
-    std::stringstream ss;
-    save_weights(a, ss);
-    ASSERT_TRUE(load_weights(b, ss));
+    ASSERT_TRUE(load_weights(b, save_weights(a)));
     auto pa = a.params();
     auto pb = b.params();
     ASSERT_EQ(pa.size(), pb.size());
@@ -525,17 +522,14 @@ TEST(Serialize, RejectsMismatchedNetwork)
     Rng rng(17);
     Network a = make_cnn(rng);
     Network b = make_mlp(rng);
-    std::stringstream ss;
-    save_weights(a, ss);
-    EXPECT_FALSE(load_weights(b, ss));
+    EXPECT_FALSE(load_weights(b, save_weights(a)));
 }
 
 TEST(Serialize, RejectsGarbageStream)
 {
     Rng rng(18);
     Network a = make_mlp(rng);
-    std::stringstream ss("not a weight file");
-    EXPECT_FALSE(load_weights(a, ss));
+    EXPECT_FALSE(load_weights(a, "not a weight file"));
 }
 
 TEST(Network, SummaryMentionsLayers)

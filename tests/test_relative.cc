@@ -118,12 +118,12 @@ TEST(DeployBytes, QuantizedDownlinkIsSmaller)
 
     config.quantized_deployment = true;
     IotSystemSim q(IotSystemKind::kInsituAi, config);
-    IotStream sq(config.synth, schedule, 3);
+    IotStream sq(SynthConfig{}, schedule, 3);
     const auto rq = q.run(sq);
 
     config.quantized_deployment = false;
     IotSystemSim f(IotSystemKind::kInsituAi, config);
-    IotStream sf(config.synth, schedule, 3);
+    IotStream sf(SynthConfig{}, schedule, 3);
     const auto rf = f.run(sf);
 
     ASSERT_EQ(rq.size(), 1u);

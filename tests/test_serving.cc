@@ -297,9 +297,9 @@ TEST(Planner, PicksLargestDeadlineFeasiblePrefix)
     // Front slack strictly between the predicted batch-1 and batch-2
     // times: only batch 1 fits.
     const double t1 =
-        cfg.safety * gpu.predicted_batch_latency(net, 1);
+        kPlannerSafety * gpu.predicted_batch_latency(net, 1);
     const double t2 =
-        cfg.safety * gpu.predicted_batch_latency(net, 2);
+        kPlannerSafety * gpu.predicted_batch_latency(net, 2);
     ASSERT_LT(t1, t2);
     std::vector<double> tight(6, 100.0);
     tight[0] = 0.5 * (t1 + t2);
@@ -338,7 +338,7 @@ TEST(Planner, CorunInterferenceShrinksTheBatch)
     // batch fits, with it the planner must back off.
     const double diag_ops = diagnosis_desc(net).total_ops() * 9.0;
     const double t16 =
-        cfg.safety * gpu.predicted_batch_latency(net, 16);
+        kPlannerSafety * gpu.predicted_batch_latency(net, 16);
     const double slow =
         gpu.corun_slowdown(net.total_ops() * 16.0, diag_ops);
     ASSERT_GT(slow, 1.0);
@@ -595,9 +595,9 @@ TEST(Planner, OverridesInflateSafetyAndForceDrain)
     // at safety 1x, but a 3x-inflated margin must back off to a
     // smaller (still feasible) prefix.
     const double t1 =
-        cfg.safety * gpu.predicted_batch_latency(net, 1);
+        kPlannerSafety * gpu.predicted_batch_latency(net, 1);
     const double t8 =
-        cfg.safety * gpu.predicted_batch_latency(net, 8);
+        kPlannerSafety * gpu.predicted_batch_latency(net, 8);
     ASSERT_LT(3.0 * t1, 2.0 * t8); // batch 1 survives the inflation
     std::vector<double> deadlines(8, 2.0 * t8);
     EXPECT_EQ(planner.plan(gpu, net, 0.0, deadlines, 0.0).batch, 8);
@@ -707,7 +707,7 @@ TEST(Detector, WalksTheLadderAndRecovers)
     for (int i = 0; i < 3; ++i) v = det.observe(0.6);
     EXPECT_EQ(v.rung, 4);
     for (int i = 0; i < 3; ++i) v = det.observe(0.6);
-    EXPECT_EQ(v.rung, 4); // clamped at max_rung
+    EXPECT_EQ(v.rung, kMaxRung); // clamped at the top rung
 
     // Residuals recover: degraded -> probation, and after the clean
     // run the detector demands a recalibration before healthy.
@@ -749,7 +749,7 @@ TEST(Chaos, FaultFreeRunNeverTripsTheDetector)
     auto once = [](bool guarded) {
         ServingConfig cfg = make_scenario("diurnal_corun", 8.0, 13);
         cfg.transcript = TranscriptLevel::kFull;
-        cfg.degrade.enabled = guarded;
+        cfg.degrade = guarded;
         ServingRuntime runtime(cfg);
         return runtime.run();
     };
@@ -820,7 +820,7 @@ TEST(Chaos, LadderProtectsTheGuaranteedClass)
     // rate strictly below the unguarded online planner's.
     auto miss = [](bool guarded) {
         ServingConfig cfg = make_device_chaos(30.0, 11);
-        cfg.degrade.enabled = guarded;
+        cfg.degrade = guarded;
         ServingRuntime runtime(cfg);
         return runtime.run().classes[0].miss_rate; // interactive
     };

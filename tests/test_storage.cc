@@ -11,7 +11,6 @@
 #include <unistd.h>
 
 #include <filesystem>
-#include <sstream>
 
 #include "cloud/update_service.h"
 #include "data/synth.h"
@@ -19,12 +18,16 @@
 #include "iot/node.h"
 #include "iot/supervisor.h"
 #include "models/tiny.h"
+#include "nn/activations.h"
+#include "nn/conv2d.h"
+#include "nn/linear.h"
 #include "nn/serialize.h"
 #include "storage/codec.h"
 #include "storage/file.h"
 #include "storage/snapshot.h"
 #include "storage/wal.h"
 #include "util/crc32.h"
+#include "util/logging.h"
 
 namespace insitu {
 namespace {
@@ -384,13 +387,10 @@ TEST(WeightFormat, RejectsStaleVersionsAndCorruption)
     tiny.width = 0.5;
     Rng rng(3);
     Network net = make_tiny_inference(tiny, rng);
-    std::ostringstream os;
-    save_weights(net, os);
-    const std::string blob = os.str();
+    const std::string blob = save_weights(net);
 
-    auto loads = [&net](std::string b) {
-        std::istringstream is(std::move(b));
-        return load_weights(net, is);
+    auto loads = [&net](const std::string& b) {
+        return load_weights(net, b);
     };
     ASSERT_TRUE(loads(blob));
 
@@ -410,8 +410,71 @@ TEST(WeightFormat, RejectsStaleVersionsAndCorruption)
     EXPECT_FALSE(loads(blob.substr(0, blob.size() - 1)));
     EXPECT_FALSE(loads(blob.substr(0, 7)));
 
-    // The survivor still loads: rejection left the stream reusable.
+    // The survivor still loads: rejection left the network usable.
     EXPECT_TRUE(loads(blob));
+}
+
+/** A small two-conv, one-linear network: several parameters, so a
+ * loader that writes as it parses leaves a visible partial update. */
+Network
+small_net(uint64_t seed)
+{
+    Rng rng(seed);
+    Network net("small");
+    net.emplace<Conv2d>("conv1", 1, 2, 3, 1, 1, rng)
+        .emplace<Conv2d>("conv2", 2, 2, 3, 1, 1, rng)
+        .emplace<Flatten>()
+        .emplace<Linear>("fc", 2 * 4 * 4, 3, rng);
+    return net;
+}
+
+TEST(WeightFormat, RejectsHostileBlobsLeavingTheNetworkBitIdentical)
+{
+    const std::string blob = save_weights(small_net(1));
+    Network net = small_net(2); // same shapes, different weights
+    const std::string before = save_weights(net);
+    ASSERT_NE(blob, before);
+    auto rejected_untouched = [&](std::string_view hostile) {
+        return !load_weights(net, hostile) &&
+               save_weights(net) == before;
+    };
+    // One warning per rejection would bury the test log.
+    const LogLevel saved = log_level();
+    set_log_level(LogLevel::kSilent);
+
+    // Every strict prefix.
+    for (size_t n = 0; n < blob.size(); ++n)
+        ASSERT_TRUE(rejected_untouched(std::string_view(blob).substr(0, n)))
+            << "prefix of " << n << " bytes";
+
+    // A flipped byte anywhere in the header: magic, version,
+    // body size or CRC.
+    for (size_t i = 0; i < 16; ++i) {
+        std::string flipped = blob;
+        flipped[i] = static_cast<char>(flipped[i] ^ 0xFF);
+        ASSERT_TRUE(rejected_untouched(flipped)) << "header byte " << i;
+    }
+
+    // The last parameter's shape rewritten, with the CRC recomputed
+    // so the checksum passes: every earlier parameter is valid, so
+    // only a loader that validates before writing leaves them alone.
+    const Parameter& last = *net.params().back();
+    const size_t shape_at =
+        blob.size() - static_cast<size_t>(last.numel()) * sizeof(float) -
+        static_cast<size_t>(last.value().rank()) * sizeof(int64_t);
+    std::string reshaped = blob;
+    std::string dim;
+    storage::put_i64(dim, last.value().dim(0) + 1);
+    reshaped.replace(shape_at, dim.size(), dim);
+    std::string crc;
+    storage::put_u32(crc, crc32(std::string_view(reshaped).substr(16)));
+    reshaped.replace(12, crc.size(), crc);
+    EXPECT_TRUE(rejected_untouched(reshaped));
+    set_log_level(saved);
+
+    // The untouched network still takes the valid blob.
+    EXPECT_TRUE(load_weights(net, blob));
+    EXPECT_EQ(save_weights(net), blob);
 }
 
 TEST(NodeCheckpointCodec, RoundTripsAndRejectsDamage)
@@ -510,9 +573,7 @@ TEST(RegistryWal, VersionHistoryReplaysAfterACloudCrash)
 
         want_versions = cloud.registry().versions();
         want_images = cloud.images_received();
-        std::ostringstream os;
-        save_weights(cloud.inference(), os);
-        want_weights = os.str();
+        want_weights = save_weights(cloud.inference());
     }
 
     // The "crashed" cloud is rebuilt from nothing but the WAL.
@@ -537,9 +598,7 @@ TEST(RegistryWal, VersionHistoryReplaysAfterACloudCrash)
     EXPECT_EQ(recovered.images_received(), want_images);
     // The recovered inference network is byte-identical to the one
     // the crash interrupted.
-    std::ostringstream os;
-    save_weights(recovered.inference(), os);
-    EXPECT_EQ(os.str(), want_weights);
+    EXPECT_EQ(save_weights(recovered.inference()), want_weights);
     // The rollback decision survived as its own record.
     bool saw_rollback = false;
     for (const auto& r : rec.records)
