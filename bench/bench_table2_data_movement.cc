@@ -22,13 +22,10 @@ main()
 
     IotSystemConfig config;
     config.tiny.num_permutations = 16;
-    config.link = iot_uplink_spec();
-    config.cloud_gpu = titan_x_spec();
     config.update.epochs = 2;
     config.update.lr = 0.01;
     config.pretrain_epochs = 4;
     config.incremental_pretrain_epochs = 2;
-    config.image_scale = 1000.0; // each rendered image = 1000 paper
     config.seed = 2018;
 
     IotSystemSim sim(IotSystemKind::kInsituAi, config);

@@ -13,10 +13,10 @@
 #include <cstdio>
 
 #include "cloud/registry.h"
-#include "core/framework.h"
 #include "data/schedule.h"
 #include "hw/battery.h"
 #include "iot/scheduler.h"
+#include "iot/system.h"
 #include "iot/uplink.h"
 
 using namespace insitu;
@@ -26,10 +26,11 @@ main()
 {
     std::printf("== 14-day solar deployment study ==\n");
 
-    FrameworkConfig config;
+    IotSystemConfig config;
     config.update.epochs = 2;
     config.pretrain_epochs = 2;
-    Framework framework(config);
+    config.seed = 7;
+    IotSystemSim system(IotSystemKind::kInsituAi, config);
 
     SynthConfig synth;
     Rng rng(7);
@@ -40,7 +41,7 @@ main()
 
     const Dataset initial =
         make_dataset(synth, 300, env.at_hours(12.0), rng);
-    framework.bootstrap(initial);
+    system.step(initial);
 
     // Node-side infrastructure.
     DutyCycleConfig duty;
@@ -52,12 +53,12 @@ main()
     battery_spec.harvest_wh_per_day = 42.0; // sized for ~37 Wh/day load
     Battery battery(battery_spec);
     UplinkQueue uplink(iot_uplink_spec(),
-                       1000.0 * bytes_per_image());
+                       kImageScale * bytes_per_image());
     ModelRegistry registry;
 
     Dataset holdout = make_dataset(synth, 200, env.at_hours(12.0), rng);
-    registry.commit(framework.cloud().inference(), "bootstrap",
-                    framework.node().inference().accuracy(holdout),
+    registry.commit(system.cloud().inference(), "bootstrap",
+                    system.node().inference().accuracy(holdout),
                     initial.size());
 
     int rollbacks = 0;
@@ -72,20 +73,20 @@ main()
             make_dataset(synth, 30, env.at_hours(t0 + 19.0), rng);
         const Dataset capture = concat_datasets({&noon, &dusk});
 
-        const LoopReport report = framework.autonomous_step(capture);
-        uplink.enqueue(report.uploaded, t0 * 3600.0);
+        const StageMetrics m = system.step(capture);
+        uplink.enqueue(m.uploaded, t0 * 3600.0);
         // Radio window: 22:00 - 06:00.
         uplink.drain_window((t0 + 22.0) * 3600.0,
                             (t0 + 30.0) * 3600.0);
 
         // Validate and version the refreshed model.
         const double val =
-            framework.node().inference().accuracy(holdout);
-        registry.commit(framework.cloud().inference(),
+            system.node().inference().accuracy(holdout);
+        registry.commit(system.cloud().inference(),
                         "day-" + std::to_string(day), val,
                         initial.size() + day * 60);
         if (registry
-                .rollback_if_regressed(framework.cloud().inference(),
+                .rollback_if_regressed(system.cloud().inference(),
                                        0.15)
                 .has_value()) {
             ++rollbacks;
@@ -98,7 +99,7 @@ main()
         std::printf("day %2d: sev %.2f, acc %.2f, uploaded %2lld, "
                     "backlog %lld, battery %3.0f%%\n",
                     day, env.severity_at_hours(t0 + 12.0), val,
-                    static_cast<long long>(report.uploaded),
+                    static_cast<long long>(m.uploaded),
                     static_cast<long long>(uplink.backlog()),
                     100.0 * battery.state_of_charge());
     }

@@ -14,57 +14,62 @@
  */
 #include <cstdio>
 
-#include "core/framework.h"
+#include "analytics/planner.h"
+#include "iot/system.h"
 
 using namespace insitu;
 
 int
 main()
 {
-    // Configure the framework: a 10-class TinyNet deployment whose
+    // Fig. 24's system (d): a 10-class TinyNet deployment whose
     // diagnosis network shares its first three conv layers with the
     // inference network.
-    FrameworkConfig config;
+    IotSystemConfig config;
     config.update.epochs = 3;
     config.pretrain_epochs = 2;
-    config.latency_requirement_s = 0.1;
-    Framework framework(config);
+    config.seed = 7;
+    IotSystemSim system(IotSystemKind::kInsituAi, config);
+    // Latency the end user demands from the inference task.
+    const double latency_requirement_s = 0.1;
 
     // Acquire the initial data under mild conditions and bootstrap.
     SynthConfig synth;
     Rng rng(1);
     const Dataset initial =
         make_dataset(synth, 300, Condition::in_situ(0.2), rng);
-    const double boot_acc = framework.bootstrap(initial);
     std::printf("bootstrap: node accuracy %.2f on initial data\n",
-                boot_acc);
+                system.step(initial).accuracy_after);
 
     // The environment drifts; the node keeps itself current.
     for (int step = 1; step <= 3; ++step) {
         const double severity = 0.2 + 0.1 * step;
         const Dataset stage = make_dataset(
             synth, 120, Condition::in_situ(severity), rng);
-        const LoopReport report = framework.autonomous_step(stage);
+        const StageMetrics m = system.step(stage);
         std::printf(
             "step %d (severity %.1f): accuracy %.2f -> %.2f, "
             "uploaded %lld/%lld images (%.0f%% stayed local)\n",
-            step, severity, report.node.accuracy.value_or(0.0),
-            report.accuracy_after,
-            static_cast<long long>(report.uploaded),
-            static_cast<long long>(report.node.acquired),
-            100.0 * (1.0 - static_cast<double>(report.uploaded) /
-                               static_cast<double>(
-                                   report.node.acquired)));
+            step, severity, m.accuracy_before, m.accuracy_after,
+            static_cast<long long>(m.uploaded),
+            static_cast<long long>(m.acquired),
+            100.0 * (1.0 - static_cast<double>(m.uploaded) /
+                               static_cast<double>(m.acquired)));
     }
 
     // Ask the planners how to deploy this workload on real hardware.
-    const SingleRunningPlan single = framework.plan_single_running();
+    const SingleRunningPlan single =
+        SingleRunningPlanner{GpuModel(tx1_spec())}.plan(
+            tinynet_desc(), diagnosis_desc(tinynet_desc()),
+            latency_requirement_s);
     std::printf("Single-running plan on TX1: inference batch %lld "
                 "(latency %.1f ms), diagnosis batch %lld\n",
                 static_cast<long long>(single.inference_batch),
                 single.inference_latency * 1e3,
                 static_cast<long long>(single.diagnosis_batch));
-    const CoRunningPlan corun = framework.plan_co_running();
+    const CoRunningPlan corun =
+        CoRunningPlanner{FpgaModel(vx690t_spec())}.plan(
+            tinynet_desc(), latency_requirement_s);
     std::printf("Co-running plan on VX690T: WSS group %lld, FCN batch "
                 "%lld, latency %.1f ms, %.1f img/s\n",
                 static_cast<long long>(corun.config.group_size),

@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "analytics/planner.h"
-#include "core/framework.h"
+#include "iot/system.h"
 
 using namespace insitu;
 
@@ -36,36 +36,37 @@ main()
 {
     std::printf("== Serengeti-style wildlife monitor ==\n");
 
-    FrameworkConfig config;
+    IotSystemConfig config;
     config.update.epochs = 3;
     config.pretrain_epochs = 2;
-    config.inference_always_on = false; // cameras sleep at night
-    config.latency_requirement_s = 0.033; // 30 FPS trigger bursts
-    Framework framework(config);
+    config.seed = 7;
+    IotSystemSim system(IotSystemKind::kInsituAi, config);
+    const double latency_requirement_s = 0.033; // 30 FPS trigger bursts
 
+    // Cameras sleep at night, so inference is not always on.
     std::printf("working mode: %s (inference is not 24/7)\n",
-                working_mode_name(framework.working_mode()));
+                working_mode_name(
+                    choose_working_mode(/*inference_always_on=*/false)));
 
     SynthConfig synth;
     Rng rng(42);
     const Dataset initial =
         make_dataset(synth, 400, Condition::in_situ(0.15), rng);
     std::printf("bootstrap accuracy: %.2f\n",
-                framework.bootstrap(initial));
+                system.step(initial).accuracy_after);
 
     // A week in the sanctuary.
     double uploaded = 0, acquired = 0;
     for (int day = 1; day <= 5; ++day) {
         const Dataset capture = day_capture(synth, day, rng);
-        const LoopReport report = framework.autonomous_step(capture);
-        uploaded += static_cast<double>(report.uploaded);
-        acquired += static_cast<double>(report.node.acquired);
+        const StageMetrics m = system.step(capture);
+        uploaded += static_cast<double>(m.uploaded);
+        acquired += static_cast<double>(m.acquired);
         std::printf("day %d: %3lld/%3lld uploaded, day accuracy "
                     "%.2f -> %.2f\n",
-                    day, static_cast<long long>(report.uploaded),
-                    static_cast<long long>(report.node.acquired),
-                    report.node.accuracy.value_or(0.0),
-                    report.accuracy_after);
+                    day, static_cast<long long>(m.uploaded),
+                    static_cast<long long>(m.acquired),
+                    m.accuracy_before, m.accuracy_after);
     }
     std::printf("week total: %.0f%% of captures never left the "
                 "sanctuary\n",
@@ -76,7 +77,7 @@ main()
     SingleRunningPlanner planner{GpuModel(tx1_spec())};
     const SingleRunningPlan plan =
         planner.plan(alexnet_desc(), diagnosis_desc(alexnet_desc()),
-                     config.latency_requirement_s);
+                     latency_requirement_s);
     std::printf("TX1 schedule: day inference batch %lld "
                 "(%.1f ms, %.2f img/s/W), night diagnosis batch %lld "
                 "(%.2f img/s/W)\n",
@@ -89,9 +90,9 @@ main()
     // What the radio saves compared to shipping everything.
     const LinkSpec link = iot_uplink_spec();
     const double all_j =
-        link.transfer_energy(acquired * 1000.0 * bytes_per_image());
+        link.transfer_energy(acquired * kImageScale * bytes_per_image());
     const double ours_j =
-        link.transfer_energy(uploaded * 1000.0 * bytes_per_image());
+        link.transfer_energy(uploaded * kImageScale * bytes_per_image());
     std::printf("radio energy at paper scale: %.0f J vs %.0f J "
                 "(%.0f%% saved)\n",
                 all_j, ours_j, 100.0 * (1.0 - ours_j / all_j));

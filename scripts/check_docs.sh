@@ -14,6 +14,11 @@
 #    the history, excepted) and docs/ names a member that still
 #    appears, outside comments, in the src/ header declaring Type or
 #    in its .cc.
+# 7. Every backticked repo path (src/, bench/, examples/, scripts/,
+#    tests/, perfbench/, results/, docs/) in README, DESIGN,
+#    EXPERIMENTS and docs/ exists. `{a,b}` lists expand, globs are
+#    skipped, and a bare example or bench name may resolve as .cpp or
+#    .cc. ROADMAP and CHANGES narrate history and are exempt.
 set -u
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -193,8 +198,41 @@ for doc in "$root"/README.md "$root"/DESIGN.md "$root"/EXPERIMENTS.md \
              sed 's/^`//')
 done
 
+# --- 7. backticked repo paths exist --------------------------------
+# Print @p path with its first {a,b} list expanded, recursively.
+expand_braces() {
+    if [[ "$1" =~ ^([^{]*)\{([^}]*)\}(.*)$ ]]; then
+        local pre="${BASH_REMATCH[1]}" post="${BASH_REMATCH[3]}" alt
+        local -a alts
+        IFS=, read -ra alts <<< "${BASH_REMATCH[2]}"
+        for alt in "${alts[@]}"; do expand_braces "$pre$alt$post"; done
+    else
+        printf '%s\n' "$1"
+    fi
+}
+paths=0
+for doc in "$root"/README.md "$root"/DESIGN.md "$root"/EXPERIMENTS.md \
+        "$root"/docs/*.md; do
+    [ -f "$doc" ] || continue
+    while IFS= read -r ref; do
+        case "$ref" in *'*'*|*'?'*|*'['*|*'<'*) continue ;; esac
+        while IFS= read -r path; do
+            path="${path%%:[0-9]*}"  # file:line
+            path="${path%%[.,;:)]}"
+            paths=$((paths + 1))
+            if [ ! -e "$root/$path" ] && [ ! -e "$root/$path.cpp" ] &&
+                    [ ! -e "$root/$path.cc" ]; then
+                note "${doc#"$root"/}: \`$ref\` names no file in the repo"
+                fail=1
+            fi
+        done < <(expand_braces "$ref")
+    done < <(grep -o '`[^`]*`' "$doc" | tr -d '`' | tr ' ' '\n' |
+             grep -E '^(src|bench|examples|scripts|tests|perfbench|results|docs)/' |
+             sort -u)
+done
+
 if [ "$fail" -ne 0 ]; then
     note "check_docs: FAILED"
     exit 1
 fi
-note "check_docs: OK ($checked links, $refs Type::member references, bench + telemetry docs complete)"
+note "check_docs: OK ($checked links, $refs Type::member references, $paths repo paths, bench + telemetry docs complete)"

@@ -6,19 +6,11 @@ namespace insitu {
 
 IotStream::IotStream(SynthConfig config, std::vector<StreamStage> stages,
                      uint64_t seed)
-    : config_(config), stages_(std::move(stages)), seed_(seed),
-      rng_(seed)
+    : config_(config), stages_(std::move(stages)), rng_(seed)
 {
     INSITU_CHECK(!stages_.empty(), "stream needs at least one stage");
     for (const auto& s : stages_)
         INSITU_CHECK(s.count >= 0, "negative stage count");
-}
-
-const StreamStage&
-IotStream::stage(size_t i) const
-{
-    INSITU_CHECK(i < stages_.size(), "stage index out of range");
-    return stages_[i];
 }
 
 Dataset
@@ -27,21 +19,6 @@ IotStream::next_stage()
     INSITU_CHECK(!exhausted(), "stream exhausted");
     const StreamStage& s = stages_[next_++];
     return make_dataset(config_, s.count, s.condition, rng_);
-}
-
-void
-IotStream::reset()
-{
-    next_ = 0;
-    rng_.reseed(seed_);
-}
-
-int64_t
-IotStream::total_count() const
-{
-    int64_t total = 0;
-    for (const auto& s : stages_) total += s.count;
-    return total;
 }
 
 std::vector<StreamStage>

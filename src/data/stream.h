@@ -22,7 +22,7 @@ struct StreamStage {
     Condition condition;
 };
 
-/** A deterministic, restartable staged stream of synthetic IoT data. */
+/** A deterministic staged stream of synthetic IoT data. */
 class IotStream {
   public:
     /**
@@ -37,22 +37,12 @@ class IotStream {
     /** True when every stage has been consumed. */
     bool exhausted() const { return next_ == stages_.size(); }
 
-    /** Schedule entry @p i. */
-    const StreamStage& stage(size_t i) const;
-
     /** Render and return the next stage's data. */
     Dataset next_stage();
-
-    /** Restart from the first stage with the original seed. */
-    void reset();
-
-    /** Total sample count across all stages. */
-    int64_t total_count() const;
 
   private:
     SynthConfig config_;
     std::vector<StreamStage> stages_;
-    uint64_t seed_;
     Rng rng_;
     size_t next_ = 0;
 };

@@ -22,11 +22,9 @@ namespace storage {
 class SnapshotStore;
 }
 
-class ModelUpdateService;
-
 /// Conv layers the inference and diagnosis networks share (Fig. 6's
-/// weight-shared prefix): the fleet, the Fig. 24 systems and the
-/// Framework facade all build their nodes with it.
+/// weight-shared prefix): the fleet and the Fig. 24 systems build
+/// their nodes with it.
 inline constexpr size_t kSharedConvs = 3;
 
 /**

@@ -4,9 +4,24 @@
 
 #include "nn/quantize.h"
 #include "nn/trainer.h"
-#include "util/logging.h"
 
 namespace insitu {
+
+namespace {
+
+/** Paper-scale upload accounting for @p images images. */
+void
+account_upload(StageMetrics& m, int64_t images)
+{
+    const LinkSpec link = iot_uplink_spec();
+    m.uploaded = images;
+    m.upload_bytes =
+        static_cast<double>(images) * kImageScale * bytes_per_image();
+    m.upload_energy_j = link.transfer_energy(m.upload_bytes);
+    m.upload_seconds = link.transfer_seconds(m.upload_bytes);
+}
+
+} // namespace
 
 const char*
 iot_system_name(IotSystemKind kind)
@@ -22,20 +37,10 @@ iot_system_name(IotSystemKind kind)
 
 IotSystemSim::IotSystemSim(IotSystemKind kind, IotSystemConfig config)
     : kind_(kind), config_(config),
-      cloud_(config.tiny, config.cloud_gpu, config.seed),
+      cloud_(config.tiny, titan_x_spec(), config.seed),
       node_(config.tiny, cloud_.permutations(), kSharedConvs,
             DiagnosisConfig{}, config.seed ^ 0x0DEULL)
 {}
-
-void
-IotSystemSim::account_upload(StageMetrics& m, int64_t images) const
-{
-    m.uploaded = images;
-    m.upload_bytes = static_cast<double>(images) *
-                     config_.image_scale * bytes_per_image();
-    m.upload_energy_j = config_.link.transfer_energy(m.upload_bytes);
-    m.upload_seconds = config_.link.transfer_seconds(m.upload_bytes);
-}
 
 double
 IotSystemSim::deploy()
@@ -43,13 +48,11 @@ IotSystemSim::deploy()
     node_.deploy_diagnosis(cloud_.jigsaw());
     node_.deploy_inference(cloud_.inference());
     // Downlink payload: inference net + jigsaw trunk/head, quantized
-    // to int8 when enabled. (Weight sharing means the shared prefix
-    // ships once as part of the inference network; subtract the
-    // jigsaw trunk's shared prefix accordingly.)
-    auto payload = [&](const Network& net) {
-        if (config_.quantized_deployment)
-            return quantize_weights(net).payload_bytes();
-        return float_payload_bytes(net);
+    // to int8. (Weight sharing means the shared prefix ships once as
+    // part of the inference network; subtract the jigsaw trunk's
+    // shared prefix, one byte per weight, accordingly.)
+    auto payload = [](const Network& net) {
+        return quantize_weights(net).payload_bytes();
     };
     double bytes = payload(cloud_.inference()) +
                    payload(cloud_.jigsaw().head());
@@ -60,134 +63,91 @@ IotSystemSim::deploy()
     const auto convs = cloud_.jigsaw().trunk().conv_layer_indices();
     for (size_t i = 0; i < shared && i < convs.size(); ++i) {
         for (auto& p :
-             cloud_.jigsaw().trunk().layer(convs[i]).params()) {
-            const double w = static_cast<double>(p->numel());
-            trunk_bytes -= config_.quantized_deployment ? w : 4.0 * w;
-        }
+             cloud_.jigsaw().trunk().layer(convs[i]).params())
+            trunk_bytes -= static_cast<double>(p->numel());
     }
     bytes += std::max(0.0, trunk_bytes);
     return bytes;
 }
 
 StageMetrics
-IotSystemSim::bootstrap_stage(const Dataset& data)
+IotSystemSim::step(const Dataset& data)
 {
+    const bool bootstrap = stages_done_ == 0;
     StageMetrics m;
-    m.stage = 0;
-    m.acquired = data.size();
-    // All variants ship the whole first stage to the cloud to build
-    // the initial models (§V-B).
-    account_upload(m, data.size());
-
-    // Unsupervised pre-training on the raw upload, then transfer.
-    cloud_.pretrain(data.images, config_.pretrain_epochs);
-    cloud_.transfer_from_pretext(kSharedConvs);
-    // Variant (d) keeps the shared prefix literally shared in the
-    // cloud too, so inference and diagnosis weights cannot diverge.
-    if (kind_ == IotSystemKind::kInsituAi) {
-        cloud_.inference().share_convs_from(cloud_.jigsaw().trunk(),
-                                            kSharedConvs);
-    }
-
-    UpdatePolicy policy = config_.update;
-    policy.frozen_convs = kind_ == IotSystemKind::kInsituAi
-                              ? kSharedConvs
-                              : 0;
-    m.labeled_images = data.size();
-    const UpdateReport report = cloud_.update(data, policy);
-
-    // Cost accounting at paper scale: pre-training (all variants pay
-    // it once) plus the supervised pass.
-    const double paper_images =
-        static_cast<double>(data.size()) * config_.image_scale;
-    const TrainingCost pretrain_cost = cloud_.cost_model().train_cost(
-        tinynet_desc(), paper_images, config_.pretrain_epochs);
-    const TrainingCost train_cost = cloud_.cost_model().train_cost(
-        tinynet_desc(), paper_images, policy.epochs,
-        policy.frozen_convs);
-    m.cloud_energy_j = pretrain_cost.energy_j + train_cost.energy_j;
-    m.train_seconds = pretrain_cost.seconds + train_cost.seconds;
-    m.update_seconds = m.upload_seconds + m.train_seconds;
-    m.flag_rate = 1.0;
-
-    m.deploy_bytes = deploy();
-    m.accuracy_before = 0.1; // untrained prior: chance
-    m.accuracy_after = node_.inference().accuracy(data);
-    (void)report;
-    return m;
-}
-
-StageMetrics
-IotSystemSim::incremental_stage(int stage, const Dataset& data)
-{
-    StageMetrics m;
-    m.stage = stage;
+    m.stage = stages_done_++;
     m.acquired = data.size();
 
-    // The node always serves inference on everything it acquires.
-    const NodeStageReport node_report = node_.process_stage(data);
-    m.accuracy_before = node_report.accuracy.value_or(0.0);
-    m.flag_rate = node_report.flag_rate;
-
-    // Who uploads what, and who filters.
-    Dataset valuable;
-    const double paper_scale = config_.image_scale;
-    switch (kind_) {
-      case IotSystemKind::kCloudAll: {
-        account_upload(m, data.size());
-        valuable = data; // no filtering: retrain on everything
-        break;
-      }
-      case IotSystemKind::kCloudDiagnosis: {
-        account_upload(m, data.size());
-        // The cloud replays the diagnosis to filter; pay its compute.
-        const TrainingCost diag = cloud_.cost_model().diagnosis_cost(
-            diagnosis_desc(tinynet_desc()),
-            static_cast<double>(data.size()) * paper_scale);
-        m.cloud_energy_j += diag.energy_j;
-        valuable = gather_dataset(
-            data, DiagnosisTask::flagged_indices(node_report.flags));
-        break;
-      }
-      case IotSystemKind::kNodeDiagnosis:
-      case IotSystemKind::kInsituAi: {
-        valuable = gather_dataset(
-            data, DiagnosisTask::flagged_indices(node_report.flags));
-        account_upload(m, valuable.size());
-        break;
-      }
+    // Who uploads what, and who filters. All variants ship the whole
+    // first stage to the cloud to build the initial models (§V-B);
+    // afterwards the node serves inference on everything it acquires
+    // and diagnoses it.
+    Dataset flagged;
+    const Dataset* valuable = &data;
+    if (bootstrap) {
+        m.flag_rate = 1.0;
+        m.accuracy_before = 0.1; // untrained prior: chance
+    } else {
+        const NodeStageReport report = node_.process_stage(data);
+        m.accuracy_before = report.accuracy.value_or(0.0);
+        m.flag_rate = report.flag_rate;
+        if (kind_ != IotSystemKind::kCloudAll) {
+            flagged = gather_dataset(
+                data, DiagnosisTask::flagged_indices(report.flags));
+            valuable = &flagged;
+        }
+        if (kind_ == IotSystemKind::kCloudDiagnosis) {
+            // The cloud replays the diagnosis to filter; pay its
+            // compute.
+            const TrainingCost diag = cloud_.cost_model().diagnosis_cost(
+                diagnosis_desc(tinynet_desc()),
+                static_cast<double>(data.size()) * kImageScale);
+            m.cloud_energy_j += diag.energy_j;
+        }
     }
+    // (b) uploads everything and filters in the cloud; the others
+    // upload exactly what the cloud trains on.
+    account_upload(m, kind_ == IotSystemKind::kCloudDiagnosis
+                          ? data.size()
+                          : valuable->size());
 
-    // Continued unsupervised pre-training on the raw upload (every
-    // Fig. 24 variant pre-trains in the cloud; (a) over everything,
-    // (b)-(d) over the valuable subset). In variant (d) the shared
-    // conv prefix is literally the same storage as the inference
-    // network, so the unsupervised pass keeps improving both tasks.
-    const Dataset& pretrain_data =
-        kind_ == IotSystemKind::kCloudAll ? data : valuable;
-    if (pretrain_data.size() > 0) {
-        cloud_.pretrain(pretrain_data.images,
-                        config_.incremental_pretrain_epochs);
+    // Unsupervised pre-training on the raw upload ((a) over
+    // everything, (b)-(d) over the valuable subset); the bootstrap
+    // then transfers the pretext trunk's conv prefix. In variant (d)
+    // the shared prefix is literally the same storage in the cloud
+    // too, so inference and diagnosis weights cannot diverge and the
+    // unsupervised pass keeps improving both tasks.
+    const int pretrain_epochs = bootstrap
+                                    ? config_.pretrain_epochs
+                                    : config_.incremental_pretrain_epochs;
+    if (valuable->size() > 0) {
+        cloud_.pretrain(valuable->images, pretrain_epochs);
         const TrainingCost pre = cloud_.cost_model().train_cost(
             tinynet_desc(),
-            static_cast<double>(pretrain_data.size()) * paper_scale,
-            config_.incremental_pretrain_epochs);
+            static_cast<double>(valuable->size()) * kImageScale,
+            pretrain_epochs);
         m.cloud_energy_j += pre.energy_j;
         m.train_seconds += pre.seconds;
     }
+    if (bootstrap) {
+        cloud_.transfer_from_pretext(kSharedConvs);
+        if (kind_ == IotSystemKind::kInsituAi) {
+            cloud_.inference().share_convs_from(cloud_.jigsaw().trunk(),
+                                                kSharedConvs);
+        }
+    }
 
-    // Incremental supervised update on the (possibly filtered)
-    // upload.
+    // Supervised update on the (possibly filtered) upload.
     UpdatePolicy policy = config_.update;
     policy.frozen_convs = kind_ == IotSystemKind::kInsituAi
                               ? kSharedConvs
                               : 0;
-    m.labeled_images = valuable.size();
-    if (valuable.size() > 0) cloud_.update(valuable, policy);
+    m.labeled_images = valuable->size();
+    if (valuable->size() > 0) cloud_.update(*valuable, policy);
 
     const TrainingCost train_cost = cloud_.cost_model().train_cost(
         tinynet_desc(),
-        static_cast<double>(valuable.size()) * paper_scale,
+        static_cast<double>(valuable->size()) * kImageScale,
         policy.epochs, policy.frozen_convs);
     m.cloud_energy_j += train_cost.energy_j;
     m.train_seconds += train_cost.seconds;
@@ -202,15 +162,7 @@ std::vector<StageMetrics>
 IotSystemSim::run(IotStream& stream)
 {
     std::vector<StageMetrics> out;
-    int stage = 0;
-    while (!stream.exhausted()) {
-        const Dataset data = stream.next_stage();
-        if (stage == 0)
-            out.push_back(bootstrap_stage(data));
-        else
-            out.push_back(incremental_stage(stage, data));
-        ++stage;
-    }
+    while (!stream.exhausted()) out.push_back(step(stream.next_stage()));
     return out;
 }
 

@@ -15,7 +15,8 @@
  *
  * Training is real (TinyNet gradients on synthetic data); time,
  * energy and data movement are additionally priced at paper scale
- * through the link and cloud-GPU cost models.
+ * through the IoT uplink (iot_uplink_spec) and the Titan X cloud GPU
+ * (titan_x_spec) cost models.
  */
 #pragma once
 
@@ -53,54 +54,51 @@ struct StageMetrics {
     /// other cost the diagnosis filtering cuts (§II: "it is difficult
     /// for us to label these big IoT data").
     int64_t labeled_images = 0;
-    /// Bytes of the refreshed model shipped back to the node
-    /// (int8-quantized when the config enables it).
+    /// Bytes of the int8-quantized refreshed model shipped back to
+    /// the node.
     double deploy_bytes = 0;
     double accuracy_before = 0; ///< node accuracy on this stage's data
     double accuracy_after = 0;  ///< after the stage's model update
 };
 
+/// Paper-scale multiplier: each rendered image represents this many
+/// real images in the data-movement/energy accounting.
+inline constexpr double kImageScale = 1000.0;
+
 /** Simulator configuration shared across the four systems. */
 struct IotSystemConfig {
     TinyConfig tiny;
-    LinkSpec link;
-    GpuSpec cloud_gpu;
     UpdatePolicy update;        ///< base policy (epochs, lr)
     int pretrain_epochs = 3;    ///< initial unsupervised pre-training
     /// Unsupervised epochs over each stage's upload (continual
     /// pretext learning that keeps the diagnosis model current).
     int incremental_pretrain_epochs = 1;
-    /// Paper-scale multiplier: each rendered image represents this
-    /// many real images in the data-movement/energy accounting.
-    double image_scale = 1000.0;
-    /// Ship int8-quantized weights on the downlink (~4x smaller).
-    bool quantized_deployment = true;
     uint64_t seed = 1;
 };
 
-/** One Fig. 24 system, runnable stage by stage. */
+/**
+ * One Fig. 24 system, runnable stage by stage. With kInsituAi it is
+ * the paper's whole Fig. 4 loop on one node and its cloud.
+ */
 class IotSystemSim {
   public:
     IotSystemSim(IotSystemKind kind, IotSystemConfig config);
 
     /**
-     * Consume every stage of @p stream: stage 0 bootstraps the models
-     * (full upload + pre-training in all variants, as in the paper),
-     * later stages follow the variant's topology.
+     * Consume one stage of data. The first call bootstraps the models
+     * (full upload, pre-training, transfer and supervised training in
+     * all variants, as in the paper); later calls follow the variant's
+     * topology. Every call redeploys the cloud models to the node.
      */
+    StageMetrics step(const Dataset& data);
+
+    /** step() through every remaining stage of @p stream. */
     std::vector<StageMetrics> run(IotStream& stream);
 
-    IotSystemKind kind() const { return kind_; }
-    const ModelUpdateService& cloud() const { return cloud_; }
+    ModelUpdateService& cloud() { return cloud_; }
     InsituNode& node() { return node_; }
 
   private:
-    StageMetrics bootstrap_stage(const Dataset& data);
-    StageMetrics incremental_stage(int stage, const Dataset& data);
-
-    /** Paper-scale upload accounting for @p images images. */
-    void account_upload(StageMetrics& m, int64_t images) const;
-
     /** Re-deploy the current cloud models onto the node.
      * @return downlink payload bytes of the shipped models. */
     double deploy();
@@ -109,6 +107,7 @@ class IotSystemSim {
     IotSystemConfig config_;
     ModelUpdateService cloud_;
     InsituNode node_;
+    int stages_done_ = 0;
 };
 
 } // namespace insitu

@@ -173,7 +173,6 @@ TEST(Stream, StagesYieldScheduledCounts)
         {20, Condition::night()},
     };
     IotStream stream(config, stages, 99);
-    EXPECT_EQ(stream.total_count(), 30);
     const Dataset first = stream.next_stage();
     EXPECT_EQ(first.size(), 10);
     EXPECT_EQ(first.condition.name, "ideal");
@@ -184,13 +183,13 @@ TEST(Stream, StagesYieldScheduledCounts)
     EXPECT_DEATH(stream.next_stage(), "exhausted");
 }
 
-TEST(Stream, ResetReplaysIdentically)
+TEST(Stream, SameSeedReplaysIdentically)
 {
     SynthConfig config;
-    IotStream stream(config, {{5, Condition::in_situ(0.5)}}, 123);
-    const Dataset a = stream.next_stage();
-    stream.reset();
-    const Dataset b = stream.next_stage();
+    IotStream first(config, {{5, Condition::in_situ(0.5)}}, 123);
+    IotStream second(config, {{5, Condition::in_situ(0.5)}}, 123);
+    const Dataset a = first.next_stage();
+    const Dataset b = second.next_stage();
     EXPECT_EQ(a.labels, b.labels);
     for (int64_t i = 0; i < a.images.numel(); ++i)
         EXPECT_EQ(a.images.at(i), b.images.at(i));

@@ -154,8 +154,6 @@ TEST(LabelingCost, DiagnosisCutsLabeledImages)
 {
     IotSystemConfig config;
     config.tiny.num_permutations = 8;
-    config.link = iot_uplink_spec();
-    config.cloud_gpu = titan_x_spec();
     config.update.epochs = 1;
     config.pretrain_epochs = 2;
     config.incremental_pretrain_epochs = 2;

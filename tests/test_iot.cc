@@ -1,12 +1,16 @@
 /**
  * @file
  * Unit tests for the edge node: tasks, weight sharing on the node,
- * deployment, stage processing, and the four-system simulator's
- * structural invariants (who uploads what).
+ * deployment, stage processing, the four-system simulator's
+ * structural invariants (who uploads what), and system (d) as the
+ * whole single-node loop: weight sharing, quantized deployment and
+ * registry rollback through it.
  */
 #include <gtest/gtest.h>
 
+#include "cloud/registry.h"
 #include "iot/system.h"
+#include "nn/quantize.h"
 
 namespace insitu {
 namespace {
@@ -164,11 +168,8 @@ small_system_config()
 {
     IotSystemConfig c;
     c.tiny = small_tiny();
-    c.link = iot_uplink_spec();
-    c.cloud_gpu = titan_x_spec();
     c.update.epochs = 1;
     c.pretrain_epochs = 1;
-    c.image_scale = 1000.0;
     c.seed = 21;
     return c;
 }
@@ -249,6 +250,180 @@ TEST(SystemSim, AccuracyImprovesOverBootstrapChance)
                      31);
     const auto stages = sim.run(stream);
     EXPECT_GT(stages[0].accuracy_after, 0.2); // well above 10% chance
+}
+
+TEST(SystemSim, StepByStepMatchesRun)
+{
+    // run() is step() over the stream's stages: on the same seed the
+    // two give the same StageMetrics, field for field, in every system.
+    for (IotSystemKind kind :
+         {IotSystemKind::kCloudAll, IotSystemKind::kCloudDiagnosis,
+          IotSystemKind::kNodeDiagnosis, IotSystemKind::kInsituAi}) {
+        SCOPED_TRACE(iot_system_name(kind));
+        IotSystemSim by_run(kind, small_system_config());
+        IotStream sr(SynthConfig{}, small_schedule(), 31);
+        const auto want = by_run.run(sr);
+        ASSERT_EQ(want.size(), 3u);
+
+        IotSystemSim by_step(kind, small_system_config());
+        IotStream ss(SynthConfig{}, small_schedule(), 31);
+        for (const StageMetrics& w : want) {
+            ASSERT_FALSE(ss.exhausted());
+            const StageMetrics g = by_step.step(ss.next_stage());
+            EXPECT_EQ(g.stage, w.stage);
+            EXPECT_EQ(g.acquired, w.acquired);
+            EXPECT_EQ(g.uploaded, w.uploaded);
+            EXPECT_EQ(g.upload_bytes, w.upload_bytes);
+            EXPECT_EQ(g.upload_energy_j, w.upload_energy_j);
+            EXPECT_EQ(g.upload_seconds, w.upload_seconds);
+            EXPECT_EQ(g.cloud_energy_j, w.cloud_energy_j);
+            EXPECT_EQ(g.train_seconds, w.train_seconds);
+            EXPECT_EQ(g.update_seconds, w.update_seconds);
+            EXPECT_EQ(g.flag_rate, w.flag_rate);
+            EXPECT_EQ(g.labeled_images, w.labeled_images);
+            EXPECT_EQ(g.deploy_bytes, w.deploy_bytes);
+            EXPECT_EQ(g.accuracy_before, w.accuracy_before);
+            EXPECT_EQ(g.accuracy_after, w.accuracy_after);
+        }
+        EXPECT_TRUE(ss.exhausted());
+    }
+}
+
+/** Configuration of the single-node loop tests below (system d). */
+IotSystemConfig
+loop_config(int epochs, int pretrain_epochs, uint64_t seed)
+{
+    IotSystemConfig c;
+    c.tiny = small_tiny();
+    c.update.epochs = epochs;
+    c.pretrain_epochs = pretrain_epochs;
+    c.seed = seed;
+    return c;
+}
+
+TEST(SystemSim, BootstrapTrainsAndDeploys)
+{
+    IotSystemConfig config = loop_config(4, 2, 5);
+    config.update.lr = 0.02;
+    IotSystemSim sim(IotSystemKind::kInsituAi, config);
+    Rng rng(6);
+    const Dataset initial =
+        make_dataset(SynthConfig{}, 200, Condition::in_situ(0.2), rng);
+    const StageMetrics m = sim.step(initial);
+    EXPECT_EQ(m.stage, 0);
+    EXPECT_GT(m.accuracy_after, 0.25); // far above 10% chance
+    // Cloud inference and jigsaw trunk share the conv prefix.
+    EXPECT_GE(sim.cloud().inference().shared_conv_prefix(
+                  sim.cloud().jigsaw().trunk()),
+              3u);
+}
+
+TEST(SystemSim, AutonomousStepUploadsSubsetAndUpdates)
+{
+    IotSystemConfig config = loop_config(4, 2, 5);
+    config.update.lr = 0.02;
+    IotSystemSim sim(IotSystemKind::kInsituAi, config);
+    Rng rng(8);
+    SynthConfig synth;
+    sim.step(make_dataset(synth, 150, Condition::in_situ(0.2), rng));
+    const StageMetrics m = sim.step(
+        make_dataset(synth, 60, Condition::in_situ(0.35), rng));
+    EXPECT_EQ(m.stage, 1);
+    EXPECT_EQ(m.acquired, 60);
+    EXPECT_LE(m.uploaded, 60);
+    EXPECT_NEAR(static_cast<double>(m.uploaded), m.flag_rate * 60.0,
+                1e-9);
+    EXPECT_EQ(m.labeled_images, m.uploaded);
+    EXPECT_GE(m.accuracy_after, 0.0);
+}
+
+TEST(Integration, WeightSharingHoldsThroughTheWholeLoop)
+{
+    // After bootstrap + incremental steps, the node's diagnosis trunk
+    // must still alias the inference conv prefix, and cloud-side
+    // sharing must survive updates.
+    IotSystemSim sim(IotSystemKind::kInsituAi, loop_config(1, 1, 23));
+    Rng rng(29);
+    SynthConfig synth;
+    sim.step(make_dataset(synth, 100, Condition::ideal(), rng));
+    for (int i = 0; i < 2; ++i)
+        sim.step(make_dataset(synth, 50, Condition::in_situ(0.3), rng));
+    EXPECT_GE(sim.node().diagnosis().network().trunk().shared_conv_prefix(
+                  sim.node().inference().network()),
+              3u);
+    EXPECT_GE(sim.cloud().inference().shared_conv_prefix(
+                  sim.cloud().jigsaw().trunk()),
+              3u);
+    // And the shared storage really is shared: writing through the
+    // cloud trunk is visible through the cloud inference net.
+    auto ti = sim.cloud().jigsaw().trunk().conv_layer_indices();
+    auto ii = sim.cloud().inference().conv_layer_indices();
+    auto p = sim.cloud().jigsaw().trunk().layer(ti[0]).params()[0];
+    p->value().at(0) = 0.12345f;
+    EXPECT_EQ(sim.cloud()
+                  .inference()
+                  .layer(ii[0])
+                  .params()[0]
+                  ->value()
+                  .at(0),
+              0.12345f);
+}
+
+TEST(Integration, QuantizedDeploymentPreservesNodePredictions)
+{
+    // Ship the cloud model to a node through int8 quantization and
+    // verify predictions barely move.
+    IotSystemSim sim(IotSystemKind::kInsituAi, loop_config(2, 1, 31));
+    Rng rng(37);
+    const Dataset data =
+        make_dataset(SynthConfig{}, 200, Condition::in_situ(0.2), rng);
+    sim.step(data);
+
+    const double acc_float = sim.node().inference().accuracy(data);
+    const QuantizedModel q = quantize_weights(sim.cloud().inference());
+    ASSERT_TRUE(dequantize_into(sim.node().inference().network(), q));
+    const double acc_int8 = sim.node().inference().accuracy(data);
+    EXPECT_GT(acc_int8, acc_float - 0.05);
+}
+
+TEST(Integration, RegistryGuardsTheIncrementalLoop)
+{
+    // Version every update; a deliberately poisoned update must be
+    // rolled back to the best version.
+    const IotSystemConfig config = loop_config(2, 1, 41);
+    IotSystemSim sim(IotSystemKind::kInsituAi, config);
+    Rng rng(43);
+    const Dataset holdout =
+        make_dataset(SynthConfig{}, 150, Condition::in_situ(0.2), rng);
+    sim.step(holdout);
+
+    ModelRegistry registry;
+    const double good_acc = sim.node().inference().accuracy(holdout);
+    registry.commit(sim.cloud().inference(), "good", good_acc, 150);
+
+    // Poison the cloud model.
+    for (auto& p : sim.cloud().inference().params())
+        p->value().fill(0.0f);
+    const double bad_acc = [&] {
+        InferenceTask probe(
+            [&] {
+                Rng r(1);
+                TinyConfig t = config.tiny;
+                Network n = make_tiny_inference(t, r);
+                copy_parameters(n, sim.cloud().inference());
+                return n;
+            }());
+        return probe.accuracy(holdout);
+    }();
+    registry.commit(sim.cloud().inference(), "poisoned", bad_acc, 200);
+
+    const auto rolled =
+        registry.rollback_if_regressed(sim.cloud().inference(), 0.02);
+    ASSERT_TRUE(rolled.has_value());
+    // Redeploy and confirm the node is healthy again.
+    sim.node().deploy_inference(sim.cloud().inference());
+    EXPECT_NEAR(sim.node().inference().accuracy(holdout), good_acc,
+                1e-9);
 }
 
 TEST(SystemSim, NamesAreStable)

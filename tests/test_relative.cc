@@ -108,34 +108,37 @@ TEST(DeployBytes, QuantizedDownlinkIsSmaller)
 {
     IotSystemConfig config;
     config.tiny.num_permutations = 8;
-    config.link = iot_uplink_spec();
-    config.cloud_gpu = titan_x_spec();
     config.update.epochs = 1;
     config.pretrain_epochs = 1;
     config.seed = 9;
-    const std::vector<StreamStage> schedule = {
-        {40, Condition::ideal()}};
-
-    config.quantized_deployment = true;
     IotSystemSim q(IotSystemKind::kInsituAi, config);
-    IotStream sq(SynthConfig{}, schedule, 3);
+    IotStream sq(SynthConfig{}, {{40, Condition::ideal()}}, 3);
     const auto rq = q.run(sq);
-
-    config.quantized_deployment = false;
-    IotSystemSim f(IotSystemKind::kInsituAi, config);
-    IotStream sf(SynthConfig{}, schedule, 3);
-    const auto rf = f.run(sf);
-
     ASSERT_EQ(rq.size(), 1u);
     EXPECT_GT(rq[0].deploy_bytes, 0.0);
+
+    Network& inference = q.cloud().inference();
+    Network& trunk = q.cloud().jigsaw().trunk();
+    Network& head = q.cloud().jigsaw().head();
+    // The same models shipped as float32, the shared prefix once.
+    const size_t shared = trunk.shared_conv_prefix(inference);
+    ASSERT_GE(shared, kSharedConvs);
+    double shared_bytes = 0;
+    const auto convs = trunk.conv_layer_indices();
+    for (size_t i = 0; i < shared; ++i)
+        for (auto& p : trunk.layer(convs[i]).params())
+            shared_bytes += 4.0 * static_cast<double>(p->numel());
+    const double float_bytes = float_payload_bytes(inference) +
+                               float_payload_bytes(trunk) +
+                               float_payload_bytes(head) - shared_bytes;
     // int8 payload is roughly a quarter of float32.
-    EXPECT_LT(rq[0].deploy_bytes, 0.35 * rf[0].deploy_bytes);
+    EXPECT_LT(rq[0].deploy_bytes, 0.35 * float_bytes);
     // Weight sharing: the shared prefix ships once, so the payload is
     // less than inference + full jigsaw.
-    EXPECT_LT(rf[0].deploy_bytes,
-              float_payload_bytes(f.cloud().inference()) +
-                  float_payload_bytes(f.cloud().jigsaw().trunk()) +
-                  float_payload_bytes(f.cloud().jigsaw().head()));
+    EXPECT_LT(rq[0].deploy_bytes,
+              quantize_weights(inference).payload_bytes() +
+                  quantize_weights(trunk).payload_bytes() +
+                  quantize_weights(head).payload_bytes());
 }
 
 } // namespace
