@@ -42,9 +42,9 @@ ServingConfig
 make_mode(const FaultMode& mode, double duration_s, uint64_t seed)
 {
     ServingConfig cfg = make_device_chaos(duration_s, seed);
-    if (!mode.throttle) cfg.faults.throttles.clear();
-    if (!mode.storm) cfg.faults.jitter_storms.clear();
-    if (!mode.stall) cfg.faults.transient_stall_prob = 0.0;
+    if (!mode.throttle) cfg.device_faults.throttles.clear();
+    if (!mode.storm) cfg.device_faults.jitter_storms.clear();
+    if (!mode.stall) cfg.device_faults.transient_stall_prob = 0.0;
     return cfg;
 }
 

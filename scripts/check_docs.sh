@@ -19,6 +19,9 @@
 #    EXPERIMENTS and docs/ exists. `{a,b}` lists expand, globs are
 #    skipped, and a bare example or bench name may resolve as .cpp or
 #    .cc. ROADMAP and CHANGES narrate history and are exempt.
+# 8. Every backticked `Suite.TestName` in README, DESIGN, EXPERIMENTS,
+#    docs/ and results/ names a TEST, TEST_F or TEST_P in tests/.
+#    ROADMAP and CHANGES are exempt, as in rule 7.
 set -u
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -231,8 +234,26 @@ for doc in "$root"/README.md "$root"/DESIGN.md "$root"/EXPERIMENTS.md \
              sort -u)
 done
 
+# --- 8. backticked test names exist ---------------------------------
+tests=0
+for doc in "$root"/README.md "$root"/DESIGN.md "$root"/EXPERIMENTS.md \
+        "$root"/docs/*.md "$root"/results/*.md; do
+    [ -f "$doc" ] || continue
+    while IFS= read -r ref; do
+        suite="${ref%%.*}"
+        name="${ref#*.}"
+        tests=$((tests + 1))
+        if ! grep -qE "^[[:space:]]*TEST(_F|_P)?\([[:space:]]*$suite,[[:space:]]*$name[[:space:]]*\)" \
+                -r "$root/tests"; then
+            note "${doc#"$root"/}: \`$ref\` names no test in tests/"
+            fail=1
+        fi
+    done < <(grep -oE '`[A-Z][A-Za-z0-9_]*\.[A-Z][A-Za-z0-9_]*`' "$doc" |
+             tr -d '`' | sort -u)
+done
+
 if [ "$fail" -ne 0 ]; then
     note "check_docs: FAILED"
     exit 1
 fi
-note "check_docs: OK ($checked links, $refs Type::member references, $paths repo paths, bench + telemetry docs complete)"
+note "check_docs: OK ($checked links, $refs Type::member references, $paths repo paths, $tests test names, bench + telemetry docs complete)"

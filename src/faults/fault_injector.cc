@@ -21,8 +21,7 @@ fault_counter(const char* kind)
 
 FaultInjector::FaultInjector(FaultPlan plan)
     : plan_(std::move(plan)), rng_(plan_.seed),
-      storage_rng_(plan_.seed ^ 0x5704A6EULL),
-      device_rng_(plan_.seed ^ 0xDE71CEULL)
+      storage_rng_(plan_.seed ^ 0x5704A6EULL)
 {
     plan_.validated();
 }
@@ -147,45 +146,6 @@ uint64_t
 FaultInjector::storage_cut(uint64_t n)
 {
     return storage_rng_.next_below(n);
-}
-
-double
-FaultInjector::device_slowdown(double t)
-{
-    const double factor = plan_.throttle_factor(t);
-    if (factor > 1.0) {
-        ++log_.throttled_batches;
-        static auto& c = fault_counter("thermal_throttle");
-        c.add(1);
-    }
-    return factor;
-}
-
-double
-FaultInjector::storm_jitter(double t)
-{
-    const double frac = plan_.storm_jitter_frac(t);
-    // A calm instant consumes no draw, so storm windows never shift
-    // the device stream seen by dispatches outside them.
-    if (frac == 0.0) return 1.0;
-    ++log_.storm_batches;
-    static auto& c = fault_counter("jitter_storm");
-    c.add(1);
-    return 1.0 + frac * (2.0 * device_rng_.uniform() - 1.0);
-}
-
-bool
-FaultInjector::transient_stall()
-{
-    if (plan_.transient_stall_prob == 0.0) return false;
-    const bool stalled =
-        device_rng_.bernoulli(plan_.transient_stall_prob);
-    if (stalled) {
-        ++log_.transient_stalls;
-        static auto& c = fault_counter("transient_stall");
-        c.add(1);
-    }
-    return stalled;
 }
 
 } // namespace insitu

@@ -4,7 +4,8 @@
  *
  * A FaultInjector turns a FaultPlan into concrete per-event decisions:
  * Bernoulli draws for payload loss/corruption from one private Rng,
- * pure lookups for outage windows, crash and poison events. Because
+ * pure lookups for flapping windows, crash and poison events, and
+ * storage-fault draws from a second, isolated stream. Because
  * every stochastic decision comes from the injector's own seeded
  * stream and callers query it in a deterministic order, an entire
  * chaos run replays bit-identically from (config seed, plan seed).
@@ -31,9 +32,6 @@ struct FaultLog {
     int64_t bit_rots = 0;           ///< persisted buffers bit-flipped
     int64_t mid_commit_crashes = 0; ///< snapshot renames that never ran
     int64_t stale_snapshots = 0;    ///< snapshot replaces silently lost
-    int64_t throttled_batches = 0;  ///< dispatches run while throttled
-    int64_t transient_stalls = 0;   ///< dispatches hit by a stall
-    int64_t storm_batches = 0;      ///< dispatches inside a jitter storm
 };
 
 /** Decides, reproducibly, which planned faults actually happen. */
@@ -43,12 +41,6 @@ class FaultInjector {
 
     const FaultPlan& plan() const { return plan_; }
     const FaultLog& log() const { return log_; }
-
-    /** Is the link down at simulation time @p t? (pure) */
-    bool link_down(double t) const { return plan_.link_down(t); }
-
-    /** First time >= @p t at which the link is up again. (pure) */
-    double outage_end(double t) const { return plan_.outage_end(t); }
 
     /**
      * Does a transmission starting at @p t die in a flapping
@@ -65,8 +57,8 @@ class FaultInjector {
     bool drop_payload();
 
     /**
-     * Draw: does this transmission arrive bit-flipped? The caller is
-     * expected to detect this via its payload checksum.
+     * Draw: does this transmission arrive bit-flipped? The receiver
+     * NACKs a corrupted payload.
      */
     bool corrupt_payload();
 
@@ -103,39 +95,10 @@ class FaultInjector {
      */
     uint64_t storage_cut(uint64_t n);
 
-    // Device faults (applied by the serving runtime to each batch
-    // time the device truth returns, through
-    // serving::apply_device_faults). Stochastic device decisions draw
-    // from a *third* seeded stream (seed ^ 0xDE71CE), isolated exactly
-    // like the storage stream: arming device faults never perturbs the
-    // payload or storage replay sequences, and a plan whose device
-    // faults are all off consumes no device draws at all. The serving
-    // event loop is serial, so the draw order is replay-stable.
-
-    /**
-     * Thermal-throttle slowdown for a dispatch at time @p t. A pure
-     * function of the plan (no draw), but logged: a factor > 1 counts
-     * one throttled batch.
-     */
-    double device_slowdown(double t);
-
-    /**
-     * Extra multiplicative jitter for a dispatch at time @p t. Inside
-     * a storm window this consumes one device draw and is logged;
-     * outside it returns exactly 1.0 and consumes nothing.
-     */
-    double storm_jitter(double t);
-
-    /** Draw: does this dispatch transiently stall (take
-     * transient_stall_mult x its fault-free time)? Consumes a device
-     * draw only when the plan's stall probability is non-zero. */
-    bool transient_stall();
-
   private:
     FaultPlan plan_;
     Rng rng_;
     Rng storage_rng_;
-    Rng device_rng_;
     FaultLog log_;
 };
 

@@ -2,119 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "util/logging.h"
 
 namespace insitu {
-
-const char*
-fault_kind_name(FaultKind kind)
-{
-    switch (kind) {
-    case FaultKind::kOutage: return "outage";
-    case FaultKind::kFlappingLink: return "flapping-link";
-    case FaultKind::kPayloadLoss: return "payload-loss";
-    case FaultKind::kPayloadCorruption: return "payload-corruption";
-    case FaultKind::kNodeCrash: return "node-crash";
-    case FaultKind::kPoisonedUpdate: return "poisoned-update";
-    case FaultKind::kTornWrite: return "torn-write";
-    case FaultKind::kBitRot: return "bit-rot";
-    case FaultKind::kCrashMidCommit: return "crash-mid-commit";
-    case FaultKind::kStaleSnapshot: return "stale-snapshot";
-    case FaultKind::kThermalThrottle: return "thermal-throttle";
-    case FaultKind::kTransientStall: return "transient-stall";
-    case FaultKind::kJitterStorm: return "jitter-storm";
-    }
-    return "?";
-}
-
-FaultKind
-fault_kind_from_name(const char* name)
-{
-    const std::string wanted(name);
-    for (int i = 0; i < kFaultKindCount; ++i) {
-        const FaultKind kind = static_cast<FaultKind>(i);
-        if (wanted == fault_kind_name(kind)) return kind;
-    }
-    fatal("unknown fault kind '" + wanted + "'");
-}
-
-bool
-FaultPlan::empty() const
-{
-    return outages.empty() && flapping.empty() &&
-           payload_loss_prob == 0.0 && payload_corrupt_prob == 0.0 &&
-           crashes.empty() && poisoned_stages.empty() &&
-           !storage_faulty() && !device_faulty();
-}
 
 bool
 FaultPlan::storage_faulty() const
 {
     return torn_write_prob > 0.0 || bit_rot_prob > 0.0 ||
            crash_mid_commit_prob > 0.0 || stale_snapshot_prob > 0.0;
-}
-
-bool
-FaultPlan::device_faulty() const
-{
-    return !throttles.empty() || !jitter_storms.empty() ||
-           transient_stall_prob > 0.0;
-}
-
-double
-FaultPlan::throttle_factor(double t) const
-{
-    double factor = 1.0;
-    for (const ThrottleWindow& w : throttles) {
-        if (t < w.from_s || t >= w.to_s) continue;
-        const double ramp =
-            w.ramp_s > 0.0
-                ? std::min(1.0, (t - w.from_s) / w.ramp_s)
-                : 1.0;
-        factor =
-            std::max(factor, 1.0 + (w.peak_slowdown - 1.0) * ramp);
-    }
-    return factor;
-}
-
-double
-FaultPlan::storm_jitter_frac(double t) const
-{
-    double frac = 0.0;
-    for (const JitterStormWindow& w : jitter_storms)
-        if (t >= w.from_s && t < w.to_s)
-            frac = std::max(frac, w.jitter_frac);
-    return frac;
-}
-
-bool
-FaultPlan::link_down(double t) const
-{
-    return std::any_of(outages.begin(), outages.end(),
-                       [t](const OutageWindow& w) {
-                           return t >= w.from_s && t < w.to_s;
-                       });
-}
-
-double
-FaultPlan::outage_end(double t) const
-{
-    // Windows may abut or overlap; chase the latest end reachable
-    // from t so a payload never transmits inside any window.
-    double end = t;
-    bool moved = true;
-    while (moved) {
-        moved = false;
-        for (const OutageWindow& w : outages) {
-            if (end >= w.from_s && end < w.to_s) {
-                end = w.to_s;
-                moved = true;
-            }
-        }
-    }
-    return end;
 }
 
 bool
@@ -163,33 +60,12 @@ FaultPlan::validated() const
     INSITU_CHECK(
         stale_snapshot_prob >= 0.0 && stale_snapshot_prob <= 1.0,
         "stale_snapshot_prob must be a probability");
-    for (const OutageWindow& w : outages)
-        INSITU_CHECK(w.to_s >= w.from_s, "outage window must be ordered");
     for (const FlappingWindow& w : flapping) {
         INSITU_CHECK(w.to_s >= w.from_s,
                      "flapping window must be ordered");
         INSITU_CHECK(w.period_s > 0, "flapping period must be positive");
         INSITU_CHECK(w.down_s >= 0 && w.down_s <= w.period_s,
                      "flapping down burst must fit the period");
-    }
-    INSITU_CHECK(
-        transient_stall_prob >= 0.0 && transient_stall_prob <= 1.0,
-        "transient_stall_prob must be a probability");
-    INSITU_CHECK(transient_stall_mult >= 1.0,
-                 "transient_stall_mult must be >= 1");
-    for (const ThrottleWindow& w : throttles) {
-        INSITU_CHECK(w.to_s >= w.from_s,
-                     "throttle window must be ordered");
-        INSITU_CHECK(w.peak_slowdown >= 1.0,
-                     "throttle peak_slowdown must be >= 1");
-        INSITU_CHECK(w.ramp_s >= 0.0,
-                     "throttle ramp_s must be non-negative");
-    }
-    for (const JitterStormWindow& w : jitter_storms) {
-        INSITU_CHECK(w.to_s >= w.from_s,
-                     "jitter storm window must be ordered");
-        INSITU_CHECK(w.jitter_frac >= 0.0 && w.jitter_frac < 1.0,
-                     "jitter storm frac must be in [0, 1)");
     }
     return *this;
 }

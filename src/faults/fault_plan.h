@@ -6,10 +6,11 @@
  * and the cloud loop closes *eventually* (§III-C2, Fig. 25). Real
  * AIoT deployments test that premise with lossy duty-cycled links,
  * node reboots and occasionally harmful incremental updates. A
- * FaultPlan describes such a failure scenario declaratively — outage
- * windows, per-payload loss/corruption probabilities, node crash
- * events, poisoned-update events — so a fleet run can be replayed
- * bit-identically from one seed.
+ * FaultPlan describes such a failure scenario declaratively — flapping
+ * links, per-payload loss/corruption probabilities, node crash events,
+ * poisoned-update events, storage faults — so a fleet run can be
+ * replayed bit-identically from one seed. Device faults on the serving
+ * host are the serving runtime's own plan (serving::DeviceFaultPlan).
  */
 #pragma once
 
@@ -19,62 +20,12 @@
 namespace insitu {
 
 /**
- * The kinds of fault a plan can inject. Each kind has a first-class
- * defense; the fault-kind -> defense "recovery matrix" is documented
- * in docs/robustness.md.
- */
-enum class FaultKind {
-    kOutage,            ///< announced downtime: the radio waits it out
-    kFlappingLink,      ///< short repeated down-bursts discovered only
-                        ///< by failed attempts (the circuit breaker's
-                        ///< adversary)
-    kPayloadLoss,       ///< a transmission vanishes (no ack)
-    kPayloadCorruption, ///< a transmission arrives bit-flipped
-    kNodeCrash,         ///< a node reboots, losing in-flight data
-    kPoisonedUpdate,    ///< a stage's upload labels arrive scrambled
-    kTornWrite,         ///< a durable write persists only a prefix
-                        ///< (power loss mid-append)
-    kBitRot,            ///< a persisted buffer gains a flipped bit
-                        ///< (flash wear; caught by the record CRC)
-    kCrashMidCommit,    ///< death between staging a snapshot's tmp
-                        ///< file and the atomic rename
-    kStaleSnapshot,     ///< a snapshot replace is silently lost, so
-                        ///< recovery sees the previous version
-    kThermalThrottle,   ///< the device clocks down inside a window:
-                        ///< batch times ramp up to a peak slowdown
-                        ///< (the perf4sight modeled-vs-measured gap)
-    kTransientStall,    ///< one dispatch takes k x its predicted
-                        ///< time (page fault, DVFS hiccup, preempt)
-    kJitterStorm,       ///< execution-time jitter inflates inside a
-                        ///< window, poisoning calibration fits
-};
-
-/// Number of FaultKind members. The exhaustive round-trip test in
-/// tests/test_faults.cc walks [0, kFaultKindCount) and fails if an
-/// added member is missing a name string (or this count is stale).
-inline constexpr int kFaultKindCount = 13;
-
-/** Printable name of a fault kind. */
-const char* fault_kind_name(FaultKind kind);
-
-/** Inverse of fault_kind_name. Fatal-checks that @p name is one of
- * the printable names (use for config parsing and tests). */
-FaultKind fault_kind_from_name(const char* name);
-
-/** A closed-open interval [from_s, to_s) during which the link is down. */
-struct OutageWindow {
-    double from_s = 0;
-    double to_s = 0;
-};
-
-/**
  * A flapping link: inside [from_s, to_s) the link cycles with period
  * `period_s`, and is down for the first `down_s` seconds of every
- * cycle. Unlike an OutageWindow — announced downtime the radio simply
- * waits out — a flap is discovered only by a failed transmission
- * attempt: the payload gets no ack, the energy is burnt, and the
- * sender retries. This is the adversary the uplink circuit breaker
- * exists for (see iot/supervisor.h).
+ * cycle. A flap is discovered only by a failed transmission attempt:
+ * the payload gets no ack, the energy is burnt, and the sender
+ * retries. This is the adversary the uplink circuit breaker exists
+ * for (see iot/supervisor.h).
  */
 struct FlappingWindow {
     double from_s = 0;
@@ -90,51 +41,18 @@ struct NodeCrashEvent {
 };
 
 /**
- * A thermal-throttle episode (kThermalThrottle): inside
- * [from_s, to_s) the device's batch times are multiplied by a
- * slowdown that ramps linearly from 1 at from_s up to peak_slowdown
- * over ramp_s seconds, then holds — the way a passively cooled edge
- * GPU heats up and clocks down under sustained load. A pure function
- * of time: no RNG draw, so arming a throttle never perturbs any
- * replay stream.
- */
-struct ThrottleWindow {
-    double from_s = 0;
-    double to_s = 0;
-    double peak_slowdown = 1.5; ///< multiplicative, >= 1
-    double ramp_s = 5.0;        ///< seconds to reach the peak (0 = step)
-};
-
-/**
- * A jitter storm (kJitterStorm): inside [from_s, to_s) every batch
- * execution gains an extra +-jitter_frac uniform multiplicative
- * jitter on top of the host's baseline jitter. The extra draws come
- * from the injector's *device* stream, so the host's own jitter
- * replay is untouched. Storms do not shift the mean — they widen the
- * spread, which is exactly what poisons a least-squares calibration
- * fit.
- */
-struct JitterStormWindow {
-    double from_s = 0;
-    double to_s = 0;
-    double jitter_frac = 0.3; ///< extra uniform jitter in [0, 1)
-};
-
-/**
  * One failure scenario. Default-constructed plans inject nothing, so
  * fault-aware components behave exactly like their happy-path
  * versions until a plan is supplied.
  */
 struct FaultPlan {
-    /// Windows (simulation seconds) during which no payload moves.
-    std::vector<OutageWindow> outages;
     /// Windows during which the link flaps: transmission attempts
     /// inside a down-burst fail (no ack) after burning their energy.
     std::vector<FlappingWindow> flapping;
     /// Probability one transmission attempt vanishes (no ack).
     double payload_loss_prob = 0.0;
-    /// Probability one transmission arrives with flipped bits
-    /// (detected by the receiver's checksum, triggering retransmit).
+    /// Probability one transmission arrives with flipped bits (the
+    /// receiver NACKs it, triggering a retransmit).
     double payload_corrupt_prob = 0.0;
     /// Node reboot events (stage-indexed; see FleetSim).
     std::vector<NodeCrashEvent> crashes;
@@ -143,35 +61,20 @@ struct FaultPlan {
     /// update-validation gate.
     std::vector<int> poisoned_stages;
     /// Probability one durable append/stage persists only a prefix
-    /// (kTornWrite; the WAL's recovery scan truncates the tail).
+    /// (the WAL's recovery scan truncates the tail).
     double torn_write_prob = 0.0;
     /// Probability one persisted buffer gains a flipped bit
-    /// (kBitRot; detected by the per-record CRC at read time).
+    /// (detected by the per-record CRC at read time).
     double bit_rot_prob = 0.0;
     /// Probability a snapshot commit dies between writing the tmp
-    /// file and the atomic rename (kCrashMidCommit; the previous
-    /// snapshot survives untouched).
+    /// file and the atomic rename (the previous snapshot survives
+    /// untouched).
     double crash_mid_commit_prob = 0.0;
-    /// Probability a snapshot replace is silently dropped
-    /// (kStaleSnapshot; recovery sees the previous version).
+    /// Probability a snapshot replace is silently dropped (recovery
+    /// sees the previous version).
     double stale_snapshot_prob = 0.0;
-    /// Thermal-throttle episodes (kThermalThrottle): batch times ramp
-    /// to a peak multiplicative slowdown inside each window.
-    std::vector<ThrottleWindow> throttles;
-    /// Jitter storms (kJitterStorm): extra execution-time jitter
-    /// inside each window, drawn from the device stream.
-    std::vector<JitterStormWindow> jitter_storms;
-    /// Probability one dispatch stalls (kTransientStall), taking
-    /// transient_stall_mult x its fault-free time. Drawn from the
-    /// device stream.
-    double transient_stall_prob = 0.0;
-    /// Slowdown of a stalled dispatch (>= 1).
-    double transient_stall_mult = 4.0;
     /// Seed of the injector's private random stream.
     uint64_t seed = 0xFA17ULL;
-
-    /** True when the plan injects nothing at all. */
-    bool empty() const;
 
     /**
      * True when any storage fault can fire. Storage draws come from
@@ -181,39 +84,9 @@ struct FaultPlan {
     bool storage_faulty() const;
 
     /**
-     * True when any device fault can fire (throttle, transient stall
-     * or jitter storm). Device draws come from the injector's
-     * *device* stream, isolated like the storage stream, so arming
-     * them never perturbs traffic, host-jitter or payload replay.
-     */
-    bool device_faulty() const;
-
-    /**
-     * Thermal-throttle slowdown at time @p t: the largest ramped
-     * factor over the windows covering @p t, or 1 when none does.
-     * Pure function of the plan and @p t.
-     */
-    double throttle_factor(double t) const;
-
-    /**
-     * Extra jitter fraction of the storm covering @p t (largest when
-     * windows overlap), or 0 when the device is calm. Pure.
-     */
-    double storm_jitter_frac(double t) const;
-
-    /** Is the link inside an outage window at time @p t? */
-    bool link_down(double t) const;
-
-    /**
-     * End of the outage window covering @p t, or @p t itself when the
-     * link is up.
-     */
-    double outage_end(double t) const;
-
-    /**
-     * Is the link inside a flapping down-burst at time @p t? Unlike
-     * link_down, callers do not get to wait this out — they find out
-     * by the transmission failing.
+     * Is the link inside a flapping down-burst at time @p t? Callers
+     * do not get to wait this out — they find out by the transmission
+     * failing.
      */
     bool flapping_down(double t) const;
 
@@ -225,7 +98,8 @@ struct FaultPlan {
 
     /**
      * Fatal-checks internal consistency: probabilities in [0, 1],
-     * outage windows ordered. Returns *this for chaining.
+     * flapping windows ordered and fitting their period. Returns
+     * *this for chaining.
      */
     const FaultPlan& validated() const;
 };

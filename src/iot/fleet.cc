@@ -41,7 +41,7 @@ FleetSim::FleetSim(FleetConfig config)
         nodes_.emplace_back(config_.tiny, cloud_.permutations(),
                             kSharedConvs, DiagnosisConfig{},
                             config_.seed + 101 * (i + 1));
-        uplinks_.emplace_back(config_.link, bytes_per_image(),
+        uplinks_.emplace_back(iot_uplink_spec(), bytes_per_image(),
                               config_.uplink);
         uplinks_.back().set_fault_injector(&injector_);
     }
@@ -445,7 +445,7 @@ FleetSim::run_stage(int64_t images_per_node, double base_severity)
     }
 
     // Phase 2: radios drain inside the stage window. What does not
-    // make it (outage, backoff, window end) stays queued — those
+    // make it (flaps, backoff, window end) stays queued — those
     // stragglers deliver in a later stage, stale but not lost.
     // Deliberately serial: every drain consumes loss/corruption draws
     // from the injector's single replay-ordered RNG stream.
@@ -699,9 +699,9 @@ chaos_fleet_config(bool supervised)
     // [60 s, 60 (s+1)).
     c.faults.payload_loss_prob = 0.20;
     c.faults.payload_corrupt_prob = 0.05;
-    // Stages 0-1: the link flaps, down 8 s of every 10 s. Unlike an
-    // outage, a flap is discovered only by a failed (energy-burning)
-    // transmission attempt.
+    // Stages 0-1: the link flaps, down 8 s of every 10 s. A flap is
+    // discovered only by a failed (energy-burning) transmission
+    // attempt.
     c.faults.flapping = {{0.0, 120.0, 10.0, 8.0}};
     c.faults.crashes = {{0, 1}, {1, 1}}; // node 1 crash-loops
     c.faults.poisoned_stages = {3};      // bad labels in stage 3

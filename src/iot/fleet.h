@@ -10,14 +10,15 @@
  * in a harsh micro-climate benefits from data its siblings flagged.
  *
  * The fleet is resilient by construction: every node's flagged images
- * travel through a checksum-verified, bounded UplinkQueue; a
- * FaultPlan can take the link down, lose/corrupt payloads, crash
- * nodes mid-run and poison an update's labels. Crashed nodes reboot
- * from their NodeCheckpoint (losing only in-flight flagged images), a
- * stage completes with whatever the surviving nodes delivered
- * (stragglers' backlogs drain in later stages), and every incremental
- * update passes a holdout-accuracy gate that rolls a regressed model
- * back to the last good registry version before it can deploy.
+ * travel through a retransmitting, bounded UplinkQueue over the IoT
+ * radio (iot_uplink_spec()); a FaultPlan can flap the link,
+ * lose/corrupt payloads, crash nodes mid-run and poison an update's
+ * labels. Crashed nodes reboot from their NodeCheckpoint (losing
+ * only in-flight flagged images), a stage completes with whatever the
+ * surviving nodes delivered (stragglers' backlogs drain in later
+ * stages), and every incremental update passes a holdout-accuracy
+ * gate that rolls a regressed model back to the last good registry
+ * version before it can deploy.
  *
  * Per-node stepping (diagnosis, enqueue, post-deploy evaluation)
  * runs node-parallel on the deterministic thread pool
@@ -57,12 +58,10 @@ struct FleetConfig {
     /// Per-node severity offsets added to the stage's base severity
     /// (one entry per node; size defines the fleet size).
     std::vector<double> node_severity_offset = {0.0, 0.1, 0.2};
-    /// Radio characteristics of every node's uplink.
-    LinkSpec link = iot_uplink_spec();
     /// Reliability/bounding knobs of every node's uplink.
     UplinkConfig uplink;
     /// Simulated seconds per stage; the radio may use the whole
-    /// window, outages and backoff eat into it.
+    /// window, flaps and backoff eat into it.
     double stage_window_s = 600.0;
     /// Holdout images rendered per stage for the update-validation
     /// gate (clean labels, fleet-mean condition).
@@ -111,7 +110,7 @@ struct FleetStageReport {
     int64_t pooled_uploads = 0;   ///< images that reached the cloud
     int64_t straggler_backlog = 0;///< fleet-wide images still queued
     int64_t retransmits = 0;      ///< uplink attempts repeated so far
-    int64_t corrupted = 0;        ///< checksum mismatches so far
+    int64_t corrupted = 0;        ///< corrupted arrivals NACKed so far
     int64_t crashed_nodes = 0;    ///< reboots this stage
     bool update_ran = false;      ///< cloud saw >= 1 image this stage
     bool poisoned = false;        ///< this stage's labels were poisoned

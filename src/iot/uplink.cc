@@ -25,7 +25,6 @@ struct UplinkMetrics {
     obs::Counter& lost_in_flight;
     obs::Gauge& bytes_sent;
     obs::Gauge& energy_j;
-    obs::Gauge& outage_wait_s;
     obs::Histogram& backoff_wait_s;
 
     static UplinkMetrics&
@@ -41,7 +40,6 @@ struct UplinkMetrics {
             r.counter("iot.uplink.lost_in_flight"),
             r.gauge("iot.uplink.bytes_sent"),
             r.gauge("iot.uplink.energy_j"),
-            r.gauge("iot.uplink.outage_wait_s"),
             r.histogram("iot.uplink.backoff_wait_s")};
         return m;
     }
@@ -63,23 +61,6 @@ UplinkQueue::UplinkQueue(LinkSpec link, double bytes_per_payload,
                  "backoff must be positive and ordered");
 }
 
-uint64_t
-UplinkQueue::payload_checksum(uint64_t seq, double bytes)
-{
-    // FNV-1a over the identifying fields; stands in for a CRC over
-    // the image bytes the simulator does not materialize per payload.
-    uint64_t h = 0xCBF29CE484222325ULL;
-    auto mix = [&h](uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xFF;
-            h *= 0x100000001B3ULL;
-        }
-    };
-    mix(seq);
-    mix(static_cast<uint64_t>(bytes));
-    return h;
-}
-
 int64_t
 UplinkQueue::enqueue(int64_t images, double now_s)
 {
@@ -91,11 +72,7 @@ UplinkQueue::enqueue(int64_t images, double now_s)
             pending_.pop_front(); // drop-oldest: fresh data wins
             ++evicted;
         }
-        Payload p;
-        p.enqueued_s = now_s;
-        p.seq = next_seq_++;
-        p.checksum = payload_checksum(p.seq, payload_bytes_);
-        pending_.push_back(p);
+        pending_.push_back(now_s);
     }
     stats_.enqueued += images;
     stats_.dropped += evicted;
@@ -131,13 +108,6 @@ UplinkQueue::drain_window(double from_s, double to_s)
     double backoff = config_.backoff_base_s;
     int64_t delivered = 0;
     while (!pending_.empty()) {
-        // Outages delay; they never lose a queued payload.
-        if (injector_ && injector_->link_down(clock)) {
-            const double up = injector_->outage_end(clock);
-            stats_.outage_wait_s += std::min(up, to_s) - clock;
-            om.outage_wait_s.add(std::min(up, to_s) - clock);
-            clock = up;
-        }
         // An open breaker fast-fails: no attempt, no energy, until
         // its cooldown admits a half-open probe.
         if (breaker_ && !breaker_->allow_attempt(clock)) {
@@ -152,39 +122,30 @@ UplinkQueue::drain_window(double from_s, double to_s)
         }
         if (clock + per_payload_s > to_s) break;
 
-        const Payload& front = pending_.front();
         const double attempt_s = clock; // transmission start
         clock += per_payload_s;
         stats_.energy_j += link_.transfer_energy(payload_bytes_);
         om.energy_j.add(link_.transfer_energy(payload_bytes_));
 
         // Transmission attempt: a flapping burst may eat it, the
-        // payload may vanish (no ack) or arrive bit-flipped; the
-        // receiver recomputes the checksum over what it got and NACKs
-        // on mismatch. A flap is a pure function of the clock and
+        // payload may vanish (no ack) or arrive bit-flipped, which the
+        // receiver NACKs. A flap is a pure function of the clock and
         // consumes no injector draw, so plans without flapping
         // windows replay exactly as before.
         bool acked = true;
-        if (injector_ && injector_->transmission_flapped(attempt_s)) {
-            acked = false;
-            ++stats_.lost_in_flight;
-            om.lost_in_flight.add(1);
-        } else if (injector_ && injector_->drop_payload()) {
+        if (injector_ && (injector_->transmission_flapped(attempt_s) ||
+                          injector_->drop_payload())) {
             acked = false;
             ++stats_.lost_in_flight;
             om.lost_in_flight.add(1);
         } else if (injector_ && injector_->corrupt_payload()) {
-            const uint64_t wire =
-                front.checksum ^ 0x8000000000000001ULL;
-            if (wire != payload_checksum(front.seq, payload_bytes_)) {
-                acked = false;
-                ++stats_.corrupted;
-                om.corrupted.add(1);
-            }
+            acked = false;
+            ++stats_.corrupted;
+            om.corrupted.add(1);
         }
 
         if (acked) {
-            stats_.total_delay_s += clock - front.enqueued_s;
+            stats_.total_delay_s += clock - pending_.front();
             stats_.bytes_sent += payload_bytes_;
             om.bytes_sent.add(payload_bytes_);
             ++delivered;

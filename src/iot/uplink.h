@@ -8,12 +8,11 @@
  * bandwidth-limited, duty-cycled uplink, so system studies can answer
  * "how stale is the training data when it reaches the cloud?".
  *
- * The uplink is resilient, not merely lossy: every payload carries a
- * checksum, the receiver NACKs corrupted payloads, lost or corrupted
- * transmissions retransmit with exponential backoff, and outage
- * windows (from an attached FaultInjector) delay but never lose data.
- * The only way a payload dies is the bounded backlog's drop-oldest
- * eviction — and that is counted in UplinkStats.
+ * The uplink is resilient, not merely lossy: the receiver NACKs
+ * corrupted payloads, and lost, flapped or corrupted transmissions
+ * (from an attached FaultInjector) retransmit with exponential
+ * backoff. The only way a payload dies is the bounded backlog's
+ * drop-oldest eviction — and that is counted in UplinkStats.
  *
  * An optional CircuitBreaker (attached by the fleet supervisor, see
  * iot/supervisor.h) additionally gates every transmission attempt:
@@ -55,11 +54,10 @@ struct UplinkStats {
     double max_backlog = 0;     ///< peak queued bytes
     double total_delay_s = 0;   ///< summed queueing+transmit delay
     int64_t dropped = 0;        ///< evicted by the bounded backlog
-    int64_t corrupted = 0;      ///< checksum mismatches detected
+    int64_t corrupted = 0;      ///< corrupted arrivals NACKed
     int64_t lost_in_flight = 0; ///< transmissions that got no ack
                                 ///< (vanished or eaten by a flap)
     int64_t retransmits = 0;    ///< extra attempts after a failure
-    double outage_wait_s = 0;   ///< time spent waiting out outages
 
     // Circuit-breaker mirror (zero without an attached breaker):
     int64_t breaker_opens = 0;   ///< closed/half-open -> open
@@ -83,7 +81,7 @@ struct UplinkStats {
 /**
  * A FIFO uplink with finite bandwidth, optional duty cycling
  * (e.g. transmit only during the night window), a bounded backlog
- * and checksum-verified retransmission.
+ * and NACK-driven retransmission.
  */
 class UplinkQueue {
   public:
@@ -142,28 +140,14 @@ class UplinkQueue {
     const UplinkStats& stats() const { return stats_; }
     const UplinkConfig& config() const { return config_; }
 
-    /**
-     * Checksum a payload would carry on the wire (FNV-1a over its
-     * sequence number and size). Exposed for tests.
-     */
-    static uint64_t payload_checksum(uint64_t seq, double bytes);
-
   private:
-    /** One queued image awaiting (re)transmission. */
-    struct Payload {
-        double enqueued_s = 0;
-        uint64_t seq = 0;
-        uint64_t checksum = 0;
-    };
-
     LinkSpec link_;
     double payload_bytes_;
     UplinkConfig config_;
-    std::deque<Payload> pending_; ///< FIFO
+    std::deque<double> pending_; ///< enqueue times of queued images, FIFO
     UplinkStats stats_;
     FaultInjector* injector_ = nullptr; ///< not owned
     CircuitBreaker* breaker_ = nullptr; ///< not owned
-    uint64_t next_seq_ = 0;
 };
 
 } // namespace insitu

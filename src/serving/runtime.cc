@@ -8,7 +8,6 @@
 #include <optional>
 
 #include "data/synth.h"
-#include "faults/fault_injector.h"
 #include "iot/node.h"
 #include "obs/clock.h"
 #include "obs/export.h"
@@ -116,7 +115,7 @@ struct ServingRuntime::Impl {
     double diag_batch_ops = 0;
 
     // ---- device faults + gray-failure detection ----
-    std::optional<FaultInjector> injector; ///< armed iff device_faulty
+    Rng device_stream; ///< the device-fault stream
     GrayFailureDetector detector;
     DeviceHealth cur_state = DeviceHealth::kHealthy;
     int cur_rung = 0;
@@ -213,6 +212,7 @@ struct ServingRuntime::Impl {
           queue(kQueueCapacity, cfg.mix.classes.size()),
           host(tx1_spec(), cfg.host),
           planner_gpu(tx1_spec()), planner(cfg.planner),
+          device_stream(cfg.device_faults.stream()),
           detector(DetectorConfig{}),
           m_arrived(obs::MetricsRegistry::global().counter(
               "serving.requests.arrived")),
@@ -265,7 +265,7 @@ struct ServingRuntime::Impl {
           l_latency(local.histogram("serving.request.latency_s",
                                     latency_options()))
     {
-        if (cfg.faults.device_faulty()) injector.emplace(cfg.faults);
+        cfg.device_faults.validated();
         diag_net = diagnosis_desc(net);
         diag_batch_ops =
             diag_net.total_ops() * static_cast<double>(kDiagnosisBatch);
@@ -494,7 +494,8 @@ struct ServingRuntime::Impl {
                            dops)
                      : 1.0;
         double exec = host.run_batch(net, d.batch, corun);
-        if (injector) exec = apply_device_faults(*injector, exec, t);
+        exec = apply_device_faults(cfg.device_faults, device_stream,
+                                   rep.degradation, exec, t);
         f.completion_s = t + exec;
         f.pure_exec_s = exec / corun;
 
@@ -940,17 +941,9 @@ struct ServingRuntime::Impl {
             reg.counter(pfx + "shed_degraded").add(qs.shed_degraded);
         }
 
-        // Gray-failure outcome (the fields the runtime owns; the
-        // injector's device tallies join below when armed).
         rep.degradation.final_state =
             device_health_name(detector.state());
         rep.degradation.final_ewma = detector.ewma();
-        if (injector) {
-            const FaultLog& fl = injector->log();
-            rep.degradation.throttled_batches = fl.throttled_batches;
-            rep.degradation.storm_batches = fl.storm_batches;
-            rep.degradation.stalled_batches = fl.transient_stalls;
-        }
 
         line(TranscriptLevel::kSummary,
              "[serving] done: batches=%lld mean_batch=%.2f "
@@ -996,13 +989,85 @@ struct ServingRuntime::Impl {
 };
 
 double
-apply_device_faults(FaultInjector& injector, double seconds,
+DeviceFaultPlan::throttle_factor(double t) const
+{
+    double factor = 1.0;
+    for (const ThrottleWindow& w : throttles) {
+        if (t < w.from_s || t >= w.to_s) continue;
+        const double ramp =
+            w.ramp_s > 0.0
+                ? std::min(1.0, (t - w.from_s) / w.ramp_s)
+                : 1.0;
+        factor =
+            std::max(factor, 1.0 + (w.peak_slowdown - 1.0) * ramp);
+    }
+    return factor;
+}
+
+double
+DeviceFaultPlan::storm_jitter_frac(double t) const
+{
+    double frac = 0.0;
+    for (const JitterStormWindow& w : jitter_storms)
+        if (t >= w.from_s && t < w.to_s)
+            frac = std::max(frac, w.jitter_frac);
+    return frac;
+}
+
+const DeviceFaultPlan&
+DeviceFaultPlan::validated() const
+{
+    INSITU_CHECK(
+        transient_stall_prob >= 0.0 && transient_stall_prob <= 1.0,
+        "transient_stall_prob must be a probability");
+    INSITU_CHECK(transient_stall_mult >= 1.0,
+                 "transient_stall_mult must be >= 1");
+    for (const ThrottleWindow& w : throttles) {
+        INSITU_CHECK(w.to_s >= w.from_s,
+                     "throttle window must be ordered");
+        INSITU_CHECK(w.peak_slowdown >= 1.0,
+                     "throttle peak_slowdown must be >= 1");
+        INSITU_CHECK(w.ramp_s >= 0.0,
+                     "throttle ramp_s must be non-negative");
+    }
+    for (const JitterStormWindow& w : jitter_storms) {
+        INSITU_CHECK(w.to_s >= w.from_s,
+                     "jitter storm window must be ordered");
+        INSITU_CHECK(w.jitter_frac >= 0.0 && w.jitter_frac < 1.0,
+                     "jitter storm frac must be in [0, 1)");
+    }
+    return *this;
+}
+
+double
+apply_device_faults(const DeviceFaultPlan& plan, Rng& stream,
+                    DegradationReport& tally, double seconds,
                     double now_s)
 {
-    seconds *= injector.device_slowdown(now_s);
-    seconds *= injector.storm_jitter(now_s);
-    if (injector.transient_stall())
-        seconds *= injector.plan().transient_stall_mult;
+    // Each counter registers when its fault first fires, so fault-free
+    // runs export no faults.injected.* line.
+    auto& reg = obs::MetricsRegistry::global();
+    const double factor = plan.throttle_factor(now_s);
+    if (factor > 1.0) {
+        ++tally.throttled_batches;
+        static auto& c = reg.counter("faults.injected.thermal_throttle");
+        c.add(1);
+        seconds *= factor;
+    }
+    const double frac = plan.storm_jitter_frac(now_s);
+    if (frac > 0.0) {
+        ++tally.storm_batches;
+        static auto& c = reg.counter("faults.injected.jitter_storm");
+        c.add(1);
+        seconds *= 1.0 + frac * (2.0 * stream.uniform() - 1.0);
+    }
+    if (plan.transient_stall_prob > 0.0 &&
+        stream.bernoulli(plan.transient_stall_prob)) {
+        ++tally.stalled_batches;
+        static auto& c = reg.counter("faults.injected.transient_stall");
+        c.add(1);
+        seconds *= plan.transient_stall_mult;
+    }
     return seconds;
 }
 

@@ -9,7 +9,7 @@
  *   the EDF admission queue; whenever the device goes idle the batch
  *   planner (serving/batch_planner.h) forms the next dispatch and the
  *   device truth (hw/device_truth.h) executes it, under whatever
- *   device faults the plan arms (apply_device_faults).
+ *   device faults the DeviceFaultPlan arms (apply_device_faults).
  * - **Diagnosis ticks**: a periodic diagnosis batch co-runs on the
  *   device; inference batches dispatched inside its window are
  *   inflated by the Fig. 16 interference model — and the planner
@@ -38,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "faults/fault_plan.h"
 #include "hw/device_truth.h"
 #include "hw/gpu_model.h"
 #include "hw/spec.h"
@@ -47,9 +46,9 @@
 #include "serving/degrade.h"
 #include "serving/queue.h"
 #include "serving/traffic.h"
+#include "util/rng.h"
 
 namespace insitu {
-class FaultInjector;
 class InsituNode;
 }
 
@@ -63,6 +62,72 @@ struct CorunConfig {
     /// (0 = none). Updates are staged at arrival and committed at
     /// the next batch boundary.
     double update_period_s = 0;
+};
+
+/**
+ * A thermal-throttle episode: inside [from_s, to_s) the device's
+ * batch times are multiplied by a slowdown that ramps linearly from 1
+ * at from_s up to peak_slowdown over ramp_s seconds, then holds — the
+ * way a passively cooled edge GPU heats up and clocks down under
+ * sustained load (perf4sight's modeled-vs-measured gap). A pure
+ * function of time: no RNG draw.
+ */
+struct ThrottleWindow {
+    double from_s = 0;
+    double to_s = 0;
+    double peak_slowdown = 1.5; ///< multiplicative, >= 1
+    double ramp_s = 5.0;        ///< seconds to reach the peak (0 = step)
+};
+
+/**
+ * A jitter storm: inside [from_s, to_s) every batch execution gains
+ * an extra ±jitter_frac uniform multiplicative jitter on top of the
+ * device's baseline jitter. Storms do not shift the mean — they widen
+ * the spread, which is exactly what poisons a least-squares
+ * calibration fit.
+ */
+struct JitterStormWindow {
+    double from_s = 0;
+    double to_s = 0;
+    double jitter_frac = 0.3; ///< extra uniform jitter in [0, 1)
+};
+
+/**
+ * The serving host's gray failures: thermal throttles, jitter storms
+ * and transient stalls (docs/serving.md). The default plan arms
+ * nothing. Its stochastic decisions draw from one private stream,
+ * stream(), so arming a device fault never perturbs traffic or the
+ * device's own jitter replay.
+ */
+struct DeviceFaultPlan {
+    std::vector<ThrottleWindow> throttles;
+    std::vector<JitterStormWindow> jitter_storms;
+    /// Probability one dispatch stalls, taking transient_stall_mult x
+    /// its fault-free time.
+    double transient_stall_prob = 0.0;
+    /// Slowdown of a stalled dispatch (>= 1).
+    double transient_stall_mult = 4.0;
+    /// Seed of the device-fault stream.
+    uint64_t seed = 0xFA17ULL;
+
+    /** The device-fault stream (seeded seed ^ 0xDE71CE). */
+    Rng stream() const { return Rng(seed ^ 0xDE71CEULL); }
+
+    /**
+     * Thermal-throttle slowdown at time @p t: the largest ramped
+     * factor over the windows covering @p t, or 1 when none does.
+     */
+    double throttle_factor(double t) const;
+
+    /**
+     * Extra jitter fraction of the storm covering @p t (largest when
+     * windows overlap), or 0 when the device is calm.
+     */
+    double storm_jitter_frac(double t) const;
+
+    /** Fatal-checks probabilities, multipliers and window order.
+     * Returns *this for chaining. */
+    const DeviceFaultPlan& validated() const;
 };
 
 /** Transcript verbosity. */
@@ -96,11 +161,9 @@ struct ServingConfig {
     /// substrate and tallies the nn.* metrics. The payloads are
     /// SynthConfig{} images, so the node's networks must match it.
     int64_t real_inference_every = 0;
-    /// Device-fault plan (only the device kinds matter here: thermal
-    /// throttles, jitter storms, transient stalls). An empty plan
-    /// arms nothing and consumes no device draws, so fault-free runs
-    /// replay exactly as before the fault seam existed.
-    FaultPlan faults;
+    /// The device's gray failures. The default plan arms nothing and
+    /// consumes no device draws.
+    DeviceFaultPlan device_faults;
     /// The gray-failure detector and degradation ladder
     /// (serving/degrade.h); false is the unguarded baseline every
     /// ladder comparison runs against.
@@ -148,7 +211,7 @@ struct DegradationReport {
     int64_t forced_drain = 0;     ///< dispatches forced to drain (rung 4)
     int64_t probations = 0;       ///< probation periods entered
     int64_t recoveries = 0;       ///< probations passed (refit + healthy)
-    // What the device actually did (from the injector's FaultLog):
+    // What the device actually did (tallied by apply_device_faults):
     int64_t throttled_batches = 0;
     int64_t storm_batches = 0;
     int64_t stalled_batches = 0;
@@ -192,13 +255,18 @@ struct ServingReport {
 
 /**
  * The device-fault seam: @p seconds, a batch time the device truth
- * measured at simulation time @p now_s, scaled by the injector's
+ * measured at simulation time @p now_s, scaled by @p plan's
  * thermal-throttle slowdown, jitter-storm factor and transient stall,
- * in that order. The runtime calls it only when the plan arms a
- * device fault, and always after the device's own jitter draw, so
- * arming faults never shifts the fault-free replay.
+ * in that order. A storm draws one uniform from @p stream and a
+ * non-zero stall probability one Bernoulli; a calm instant and a zero
+ * stall probability draw nothing and leave @p seconds exact. Each
+ * fault that fires is tallied in @p tally and in its
+ * `faults.injected.<kind>` counter. The runtime calls it after the
+ * device's own jitter draw, so arming faults never shifts the
+ * fault-free replay.
  */
-double apply_device_faults(FaultInjector& injector, double seconds,
+double apply_device_faults(const DeviceFaultPlan& plan, Rng& stream,
+                           DegradationReport& tally, double seconds,
                            double now_s);
 
 /** One full serving scenario, runnable once. */

@@ -92,13 +92,13 @@ make_device_chaos(double duration_s, uint64_t seed)
     ServingConfig cfg =
         make_scenario("diurnal_corun", duration_s, seed);
     cfg.mix.name = "device_chaos";
-    cfg.faults.throttles.push_back(
+    cfg.device_faults.throttles.push_back(
         {0.30 * duration_s, 0.80 * duration_s, 2.3, 2.0});
-    cfg.faults.jitter_storms.push_back(
+    cfg.device_faults.jitter_storms.push_back(
         {0.45 * duration_s, 0.70 * duration_s, 0.35});
-    cfg.faults.transient_stall_prob = 0.03;
-    cfg.faults.transient_stall_mult = 5.0;
-    cfg.faults.seed = seed ^ 0xDEC0DEULL;
+    cfg.device_faults.transient_stall_prob = 0.03;
+    cfg.device_faults.transient_stall_mult = 5.0;
+    cfg.device_faults.seed = seed ^ 0xDEC0DEULL;
     return cfg;
 }
 

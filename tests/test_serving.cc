@@ -11,7 +11,6 @@
 #include <cmath>
 
 #include "cloud/update_service.h"
-#include "faults/fault_injector.h"
 #include "iot/node.h"
 #include "serving/calibrate.h"
 #include "serving/scenarios.h"
@@ -426,13 +425,14 @@ TEST(DeviceTruth, ReplaysParentHostSequence)
         0x1.08f396cdf08c5p-1, 0x1.a7e939f0e3facp-3,
         0x1.a640f4ce892aep-3, 0x1.d8c92338ba74bp+0,
     };
-    FaultPlan plan;
+    DeviceFaultPlan plan;
     plan.seed = 0x5EED15;
     plan.throttles.push_back(ThrottleWindow{0.5, 3.0, 2.5, 1.0});
     plan.jitter_storms.push_back(JitterStormWindow{1.25, 3.5, 0.4});
     plan.transient_stall_prob = 0.3;
     plan.transient_stall_mult = 4.0;
-    FaultInjector injector(plan);
+    Rng stream = plan.stream();
+    DegradationReport tally;
     DeviceTruth host(tx1_spec(), DeviceTruthConfig{});
 
     const NetworkDesc net = alexnet_desc();
@@ -441,14 +441,99 @@ TEST(DeviceTruth, ReplaysParentHostSequence)
     for (int i = 0; i < 16; ++i) {
         const double now = 0.25 * i;
         const double t = apply_device_faults(
-            injector, host.run_batch(net, batches[i % 8], coruns[i % 5]),
-            now);
+            plan, stream, tally,
+            host.run_batch(net, batches[i % 8], coruns[i % 5]), now);
         EXPECT_EQ(t, kRecorded[i]) << "call " << i;
     }
     // Every fault kind fired inside the sequence.
-    EXPECT_EQ(injector.log().throttled_batches, 9);
-    EXPECT_EQ(injector.log().storm_batches, 9);
-    EXPECT_EQ(injector.log().transient_stalls, 5);
+    EXPECT_EQ(tally.throttled_batches, 9);
+    EXPECT_EQ(tally.storm_batches, 9);
+    EXPECT_EQ(tally.stalled_batches, 5);
+}
+
+TEST(DeviceFaultPlan, ThrottleFactorRampsAndHolds)
+{
+    DeviceFaultPlan plan;
+    plan.throttles = {{10.0, 30.0, 3.0, 4.0}};
+    plan.validated();
+
+    // Outside the window: no slowdown.
+    EXPECT_DOUBLE_EQ(plan.throttle_factor(9.9), 1.0);
+    EXPECT_DOUBLE_EQ(plan.throttle_factor(30.0), 1.0);
+    // The ramp climbs linearly from 1 at from_s to the peak at
+    // from_s + ramp_s, then holds.
+    EXPECT_DOUBLE_EQ(plan.throttle_factor(10.0), 1.0);
+    EXPECT_DOUBLE_EQ(plan.throttle_factor(12.0), 2.0);
+    EXPECT_DOUBLE_EQ(plan.throttle_factor(14.0), 3.0);
+    EXPECT_DOUBLE_EQ(plan.throttle_factor(25.0), 3.0);
+    // A zero ramp is a step to the peak.
+    plan.throttles = {{10.0, 30.0, 2.5, 0.0}};
+    EXPECT_DOUBLE_EQ(plan.throttle_factor(10.0), 2.5);
+}
+
+TEST(DeviceFaultPlan, StormJitterFracCoversItsWindows)
+{
+    DeviceFaultPlan plan;
+    plan.jitter_storms = {{5.0, 15.0, 0.2}, {10.0, 20.0, 0.4}};
+    plan.validated();
+    EXPECT_DOUBLE_EQ(plan.storm_jitter_frac(4.9), 0.0);
+    EXPECT_DOUBLE_EQ(plan.storm_jitter_frac(5.0), 0.2);
+    // Overlap: the larger frac wins.
+    EXPECT_DOUBLE_EQ(plan.storm_jitter_frac(12.0), 0.4);
+    EXPECT_DOUBLE_EQ(plan.storm_jitter_frac(19.9), 0.4);
+    EXPECT_DOUBLE_EQ(plan.storm_jitter_frac(20.0), 0.0);
+}
+
+TEST(DeviceFaultPlan, CalmInstantsAndZeroStallProbabilityDrawNothing)
+{
+    // Throttles are pure; a storm draws one uniform per dispatch
+    // inside its window; a calm instant and a zero stall probability
+    // draw nothing and leave the batch time exact. The draw count is
+    // pinned by advancing a control stream by hand.
+    DeviceFaultPlan plan;
+    plan.seed = 99;
+    plan.throttles = {{0.0, 100.0, 2.0, 5.0}};
+    plan.jitter_storms = {{0.0, 50.0, 0.3}};
+    Rng stream = plan.stream();
+    Rng control = plan.stream();
+    DegradationReport tally;
+    for (int i = 0; i < 200; ++i) {
+        const double t = static_cast<double>(i);
+        const double s = apply_device_faults(plan, stream, tally, 0.25, t);
+        if (i >= 100) {
+            EXPECT_EQ(s, 0.25) << "calm dispatch " << i;
+        }
+    }
+    for (int i = 0; i < 50; ++i) control.uniform();
+    EXPECT_EQ(stream.next_u64(), control.next_u64());
+    EXPECT_EQ(tally.throttled_batches, 99); // t = 0 has not ramped yet
+    EXPECT_EQ(tally.storm_batches, 50);
+    EXPECT_EQ(tally.stalled_batches, 0);
+
+    // A non-zero stall probability adds exactly one draw per dispatch,
+    // calm or not.
+    plan.transient_stall_prob = 0.5;
+    stream = plan.stream();
+    control = plan.stream();
+    tally = DegradationReport{};
+    for (int i = 0; i < 200; ++i)
+        apply_device_faults(plan, stream, tally, 0.25, i);
+    for (int i = 0; i < 50 + 200; ++i) control.uniform();
+    EXPECT_EQ(stream.next_u64(), control.next_u64());
+    EXPECT_GT(tally.stalled_batches, 0);
+    EXPECT_LT(tally.stalled_batches, 200);
+
+    // A default plan is calm everywhere: an exact identity.
+    const DeviceFaultPlan calm;
+    Rng calm_stream = calm.stream();
+    Rng calm_control = calm.stream();
+    DegradationReport none;
+    EXPECT_EQ(apply_device_faults(calm, calm_stream, none, 0.125, 3.0),
+              0.125);
+    EXPECT_EQ(calm_stream.next_u64(), calm_control.next_u64());
+    EXPECT_EQ(none.throttled_batches + none.storm_batches +
+                  none.stalled_batches,
+              0);
 }
 
 // ---- end-to-end runtime -------------------------------------------
