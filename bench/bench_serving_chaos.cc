@@ -90,7 +90,7 @@ main()
                  TablePrinter::num(g.p99_latency_s * 1e3, 2),
                  TablePrinter::num(100.0 * r.total.miss_rate, 2),
                  std::to_string(r.degradation.max_rung),
-                 std::to_string(r.degradation.shed_degraded),
+                 std::to_string(r.total.shed_degraded),
                  std::to_string(r.degradation.recoveries)});
         }
         const ClassReport& u = reps[0].classes[0];
@@ -99,7 +99,7 @@ main()
             combined_protects = g.miss_rate < u.miss_rate;
             combined_engaged =
                 reps[1].degradation.max_rung >= 2 &&
-                reps[1].degradation.shed_degraded > 0;
+                reps[1].total.shed_degraded > 0;
             std::printf("combined chaos: device saw %lld throttled / "
                         "%lld storm / %lld stalled batches; ladder "
                         "peaked at rung %d with %lld transitions\n",
@@ -117,7 +117,7 @@ main()
             fault_free_quiet =
                 reps[1].degradation.transitions == 0 &&
                 reps[1].degradation.max_rung == 0 &&
-                reps[1].degradation.shed_degraded == 0;
+                reps[1].total.shed_degraded == 0;
     }
     std::printf("%s", table.to_string().c_str());
     maybe_write_csv("serving_degradation", table);

@@ -128,18 +128,21 @@ main()
     // ---- part 2: measured vs modeled (Fig 11 / Fig 15 refresh) ----
     std::printf("\nmeasured vs modeled (AlexNet on the TX1 host "
                 "profile, 32 samples per batch size):\n");
-    ServingConfig probe_cfg = make_scenario("bulk_heavy", 1.0, seed);
-    DeviceTruth host(tx1_spec(), probe_cfg.host);
+    const DeviceTruthConfig truth = serving_host(seed);
+    DeviceTruth host(tx1_spec(), truth);
     GpuModel gpu(tx1_spec());
     const NetworkDesc net = alexnet_desc();
 
-    obs::MetricsRegistry reg;
+    std::vector<BatchRecord> measured;
     for (int64_t b : statics)
-        for (int i = 0; i < 32; ++i)
-            reg.histogram(exec_histogram_name(b))
-                .observe(host.run_batch(net, b, 1.0));
-    gpu.set_calibration(calibrate_from_registry(reg, gpu, net));
-    const auto points = observations_from_snapshot(reg.snapshot());
+        for (int i = 0; i < 32; ++i) {
+            BatchRecord r;
+            r.size = b;
+            r.pure_exec_s = host.run_batch(net, b, 1.0);
+            measured.push_back(r);
+        }
+    const auto points = calibration_points(measured);
+    gpu.set_calibration(fit_calibration(gpu, net, points));
 
     TablePrinter model({"batch", "Eq5 model (ms)", "measured (ms)",
                         "calibrated (ms)", "residual %", "Eq3 util %"});
@@ -172,8 +175,7 @@ main()
                 "%.4f / %.3fms)\n",
                 gpu.calibration().time_scale,
                 gpu.calibration().overhead_s * 1e3,
-                probe_cfg.host.time_scale,
-                probe_cfg.host.overhead_s * 1e3);
+                truth.time_scale, truth.overhead_s * 1e3);
     maybe_write_csv("serving_calibration", model);
 
     const bool calibrated_close = max_abs_residual < 0.05;

@@ -189,7 +189,7 @@ run_chaos()
                     static_cast<long long>(
                         rep.degradation.transitions),
                     static_cast<long long>(
-                        rep.degradation.shed_degraded),
+                        rep.total.shed_degraded),
                     static_cast<long long>(
                         rep.degradation.diag_skipped),
                     static_cast<long long>(
@@ -216,7 +216,7 @@ run_chaos()
         ff_guarded.transcript == ff_unguarded.transcript &&
         ff_guarded.degradation.transitions == 0 &&
         ff_guarded.degradation.max_rung == 0 &&
-        ff_guarded.degradation.shed_degraded == 0;
+        ff_guarded.total.shed_degraded == 0;
     std::printf("fault-free: transitions=%lld max_rung=%d "
                 "transcripts %s -> %s\n",
                 static_cast<long long>(
@@ -260,7 +260,7 @@ run_chaos()
     const ClassReport& u = chaos_unguarded.classes[0];
     const bool protects = g.miss_rate < u.miss_rate;
     const bool engaged = chaos_guarded.degradation.max_rung >= 2 &&
-                         chaos_guarded.degradation.shed_degraded > 0;
+                         chaos_guarded.total.shed_degraded > 0;
     std::printf("guaranteed class '%s': guarded miss=%.2f%% "
                 "p99=%.2fms vs unguarded miss=%.2f%% p99=%.2fms "
                 "(%s)\n",

@@ -25,7 +25,7 @@ BatchPlanner::plan(const GpuModel& gpu, const NetworkDesc& net,
     if (edf_deadlines.empty()) return {};
     const int64_t depth =
         static_cast<int64_t>(edf_deadlines.size());
-    const int64_t cap = std::min(depth, config_.max_batch);
+    const int64_t cap = std::min(depth, kMaxBatch);
 
     // Predicted dispatch time of an EDF prefix of size b: calibrated
     // batch latency inflated by the co-running interference of Eq

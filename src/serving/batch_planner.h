@@ -40,8 +40,10 @@ const char* planner_mode_name(PlannerMode mode);
 struct PlannerConfig {
     PlannerMode mode = PlannerMode::kOnline;
     int64_t static_batch = 8; ///< kStatic: the fixed batch size
-    int64_t max_batch = 32;   ///< cap for both policies
 };
+
+/// Batch-size cap for both policies.
+inline constexpr int64_t kMaxBatch = 32;
 
 /// Predicted times are multiplied by this before the deadline check;
 /// > 1 hedges against host jitter the calibration's mean fit cannot
@@ -81,7 +83,7 @@ class BatchPlanner {
      * @param gpu the planner's (possibly calibrated) device model.
      * @param net analytical descriptor of the inference network.
      * @param edf_deadlines absolute deadlines of the EDF queue
-     *        prefix, ascending; at most max_batch entries are read.
+     *        prefix, ascending; at most kMaxBatch entries are read.
      *        An empty list yields the explicit empty decision
      *        (batch = 0) — there is nothing to dispatch.
      * @param diagnosis_ops outstanding ops of a co-running diagnosis
@@ -95,8 +97,6 @@ class BatchPlanner {
                        const std::vector<double>& edf_deadlines,
                        double diagnosis_ops,
                        const PlanOverrides& overrides = {}) const;
-
-    const PlannerConfig& config() const { return config_; }
 
   private:
     PlannerConfig config_;

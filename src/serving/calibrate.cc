@@ -1,60 +1,35 @@
 #include "serving/calibrate.h"
 
-#include <cstdio>
-#include <cstring>
+#include <cmath>
+#include <map>
 
 namespace insitu::serving {
 
-std::string
-exec_histogram_name(int64_t batch)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%s%03lld", kExecHistogramPrefix,
-                  static_cast<long long>(batch));
-    return buf;
-}
-
-int64_t
-parse_exec_histogram_name(const std::string& name)
-{
-    const size_t plen = std::strlen(kExecHistogramPrefix);
-    if (name.size() <= plen ||
-        name.compare(0, plen, kExecHistogramPrefix) != 0)
-        return -1;
-    int64_t batch = 0;
-    for (size_t i = plen; i < name.size(); ++i) {
-        const char c = name[i];
-        if (c < '0' || c > '9') return -1;
-        batch = batch * 10 + (c - '0');
-    }
-    return batch > 0 ? batch : -1;
-}
-
 std::vector<BatchObservation>
-observations_from_snapshot(const obs::MetricsSnapshot& snapshot)
+calibration_points(const std::vector<BatchRecord>& batches)
 {
+    constexpr double kQuantum = 1e-9;
+    struct Tally {
+        int64_t count = 0;
+        int64_t quanta = 0;
+    };
+    std::map<int64_t, Tally> by_size;
+    for (const BatchRecord& b : batches) {
+        if (!b.healthy) continue;
+        Tally& t = by_size[b.size];
+        ++t.count;
+        t.quanta += std::llround(b.pure_exec_s / kQuantum);
+    }
     std::vector<BatchObservation> out;
-    // The snapshot is name-sorted and the names are zero-padded, so
-    // iteration already yields ascending batch sizes.
-    for (const auto& m : snapshot.metrics) {
-        if (m.kind != obs::MetricValue::Kind::kHistogram) continue;
-        const int64_t batch = parse_exec_histogram_name(m.name);
-        if (batch < 0 || m.count == 0) continue;
+    for (const auto& [size, t] : by_size) {
         BatchObservation o;
-        o.batch = batch;
-        o.count = m.count;
-        o.mean_seconds = m.value / static_cast<double>(m.count);
+        o.batch = size;
+        o.count = t.count;
+        o.mean_seconds = static_cast<double>(t.quanta) * kQuantum /
+                         static_cast<double>(t.count);
         out.push_back(o);
     }
     return out;
-}
-
-GpuCalibration
-calibrate_from_registry(const obs::MetricsRegistry& registry,
-                        const GpuModel& model, const NetworkDesc& net)
-{
-    return fit_calibration(
-        model, net, observations_from_snapshot(registry.snapshot()));
 }
 
 } // namespace insitu::serving

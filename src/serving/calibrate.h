@@ -1,53 +1,29 @@
 /**
  * @file
- * The measured-vs-modeled bridge: turn the `serving.exec.time_s.b*`
- * span histograms the runtime records into BatchObservations and fit
- * the GpuModel's calibration constants from them (perf4sight-style:
+ * The measured-vs-modeled bridge: turn a run's batch ledger into the
+ * BatchObservations that fit_calibration consumes (perf4sight-style:
  * a performance model fitted to on-device measurements).
  *
- * The runtime keeps one histogram per dispatched batch size in its
- * *local* metrics registry (named by exec_histogram_name, e.g.
- * `serving.exec.time_s.b008`). A histogram's count and de-quantized
- * sum give the sample count and mean execution time at that batch
- * size — exactly the (batch, mean, weight) triples fit_calibration
- * consumes. Everything is integer-merged and name-sorted, so a fit is
- * a pure function of the scenario.
+ * Each batch size's pure execution times are summed as integer
+ * nanosecond quanta, exactly as an obs::Histogram sums them, so a
+ * fit is a pure function of the scenario and independent of the
+ * order batches are folded in.
  */
 #pragma once
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "hw/gpu_model.h"
-#include "obs/metrics.h"
+#include "serving/request.h"
 
 namespace insitu::serving {
 
-/// Name prefix of the per-batch-size execution-time histograms.
-inline constexpr const char* kExecHistogramPrefix =
-    "serving.exec.time_s.b";
-
-/** `serving.exec.time_s.b008` for batch 8 (zero-padded so the
- * name-sorted snapshot lists sizes in numeric order). */
-std::string exec_histogram_name(int64_t batch);
-
-/** Batch size encoded in @p name, or -1 if it is not an exec
- * histogram name. */
-int64_t parse_exec_histogram_name(const std::string& name);
-
-/** Extract one BatchObservation per exec histogram in @p snapshot
- * (empty histograms are skipped), ascending by batch size. */
-std::vector<BatchObservation> observations_from_snapshot(
-    const obs::MetricsSnapshot& snapshot);
-
 /**
- * Fit calibration constants for @p model from the exec histograms in
- * @p registry. Returns the identity calibration (samples == 0) when
- * the registry holds no measurements yet.
+ * One (batch, count, mean pure_exec_s) point per batch size over the
+ * healthy batches of @p batches, ascending by batch size; sizes with
+ * no healthy batch are skipped.
  */
-GpuCalibration calibrate_from_registry(
-    const obs::MetricsRegistry& registry, const GpuModel& model,
-    const NetworkDesc& net);
+std::vector<BatchObservation> calibration_points(
+    const std::vector<BatchRecord>& batches);
 
 } // namespace insitu::serving

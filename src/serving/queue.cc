@@ -2,41 +2,12 @@
 
 namespace insitu::serving {
 
-AdmissionStats&
-AdmissionQueue::cls_stats(int cls)
-{
-    const auto i = static_cast<size_t>(cls);
-    if (i >= per_class_.size()) per_class_.resize(i + 1);
-    return per_class_[i];
-}
-
-const AdmissionStats&
-AdmissionQueue::class_stats(int cls) const
-{
-    static const AdmissionStats kEmpty;
-    const auto i = static_cast<size_t>(cls);
-    return i < per_class_.size() ? per_class_[i] : kEmpty;
-}
-
 bool
 AdmissionQueue::admit(const Request& r)
 {
-    ++stats_.arrived;
-    AdmissionStats& c = cls_stats(r.cls);
-    ++c.arrived;
-    if (sheds_class(r.cls)) {
-        ++stats_.shed_degraded;
-        ++c.shed_degraded;
+    if (sheds_class(r.cls) || pending_.size() >= capacity_)
         return false;
-    }
-    if (pending_.size() >= capacity_) {
-        ++stats_.dropped_capacity;
-        ++c.dropped_capacity;
-        return false;
-    }
     pending_.insert(r);
-    ++stats_.admitted;
-    ++c.admitted;
     return true;
 }
 
@@ -72,9 +43,7 @@ AdmissionQueue::shed_expired(double now)
     while (!pending_.empty() &&
            pending_.begin()->deadline_s < now) {
         out.push_back(*pending_.begin());
-        ++cls_stats(pending_.begin()->cls).shed_expired;
         pending_.erase(pending_.begin());
-        ++stats_.shed_expired;
     }
     return out;
 }

@@ -22,39 +22,21 @@
 
 namespace insitu::serving {
 
-/** Admission-side tallies (drops count as deadline misses). */
-struct AdmissionStats {
-    int64_t arrived = 0;
-    int64_t admitted = 0;
-    int64_t dropped_capacity = 0; ///< rejected at a full queue
-    int64_t shed_expired = 0;     ///< dropped already-expired at formation
-    int64_t shed_degraded = 0;    ///< refused by the degradation ladder
-};
-
 /** Deterministic EDF priority queue over pending requests. */
 class AdmissionQueue {
   public:
-    /**
-     * @param num_classes RequestClass count of the traffic mix; sizes
-     *        the per-class stats table (grown on demand if a request
-     *        carries a larger class index).
-     */
-    explicit AdmissionQueue(size_t capacity, size_t num_classes = 1)
-        : capacity_(capacity),
-          per_class_(num_classes > 0 ? num_classes : 1)
-    {}
+    explicit AdmissionQueue(size_t capacity) : capacity_(capacity) {}
 
     /**
      * Admit @p r, or refuse it: requests of a class currently shed by
      * the degradation ladder are refused first, then anything hitting
-     * a full queue is dropped. Both outcomes are tallied per class.
+     * a full queue is dropped (sheds_class() tells the two apart).
      * @return true if admitted.
      */
     bool admit(const Request& r);
 
     size_t depth() const { return pending_.size(); }
     bool empty() const { return pending_.empty(); }
-    size_t capacity() const { return capacity_; }
 
     /** Absolute deadlines of the first @p max_n requests in EDF
      * order (for the planner's feasibility check). */
@@ -65,8 +47,7 @@ class AdmissionQueue {
 
     /**
      * Drop every queued request whose deadline is already in the
-     * past at time @p now; returns the shed requests (the runtime
-     * records them as deadline misses).
+     * past at time @p now; returns the shed requests.
      */
     std::vector<Request> shed_expired(double now);
 
@@ -90,16 +71,7 @@ class AdmissionQueue {
         return i < shed_by_class_.size() && shed_by_class_[i];
     }
 
-    const AdmissionStats& stats() const { return stats_; }
-
-    /** Per-class tallies (satellite of the serving.queue.* metrics
-     * split; indices follow the mix's class list). */
-    const AdmissionStats& class_stats(int cls) const;
-
   private:
-    /** Growable per-class tally row for @p cls. */
-    AdmissionStats& cls_stats(int cls);
-
     struct EdfOrder {
         bool
         operator()(const Request& a, const Request& b) const
@@ -112,8 +84,6 @@ class AdmissionQueue {
 
     size_t capacity_;
     std::set<Request, EdfOrder> pending_;
-    AdmissionStats stats_;
-    std::vector<AdmissionStats> per_class_;
     std::vector<bool> shed_by_class_;
 };
 

@@ -1,10 +1,14 @@
 /**
  * @file
- * Request model of the async serving runtime (docs/serving.md).
+ * Request model and ledger records of the async serving runtime
+ * (docs/serving.md).
  *
  * The open-loop load generator emits Requests tagged with a
  * latency/deadline class; the admission queue orders them by absolute
  * deadline (EDF) and the planner forms batches from the EDF prefix.
+ * A run's ledger is its requests, each stamped with its fate, plus
+ * one BatchRecord per dispatch; every tally, metric and calibration
+ * point of the run is a fold over it.
  */
 #pragma once
 
@@ -30,6 +34,15 @@ struct RequestClass {
     bool best_effort = false;
 };
 
+/** How a request left the runtime. */
+enum class Outcome {
+    kPending,         ///< not yet decided
+    kServed,          ///< completed in a batch (possibly late)
+    kDroppedCapacity, ///< refused at a full queue
+    kShedExpired,     ///< left the queue already expired
+    kShedDegraded,    ///< refused by the degradation ladder
+};
+
 /** One inference request of the open-loop stream. */
 struct Request {
     int64_t id = 0;       ///< arrival order, unique per run
@@ -39,6 +52,27 @@ struct Request {
     /// Causal identity, minted deterministically from the mix seed
     /// and the request id; links arrival → batch span in the trace.
     obs::TraceContext trace;
+    /// Left the queue: dispatched or shed as expired (arrival_s for
+    /// a refused request, which never queued).
+    double dequeued_s = 0;
+    /// Left the runtime: its batch's completion when served, else
+    /// dequeued_s.
+    double done_s = 0;
+    Outcome outcome = Outcome::kPending;
+};
+
+/** One dispatched batch, as the runtime measured it. */
+struct BatchRecord {
+    int64_t seq = 0; ///< dispatch order from 0
+    double start_s = 0;
+    double completion_s = 0; ///< start_s + exec_s
+    int64_t size = 0;
+    uint64_t version = 0; ///< live model version at dispatch
+    bool deadline_feasible = true; ///< false = the planner drained
+    double exec_s = 0; ///< device time: interference and faults included
+    double pure_exec_s = 0; ///< exec_s with the co-run slowdown divided out
+    /// Dispatched on a healthy device: a calibration sample.
+    bool healthy = true;
 };
 
 } // namespace insitu::serving

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <limits>
 #include <optional>
+#include <utility>
 
 #include "data/synth.h"
 #include "iot/node.h"
@@ -31,6 +32,9 @@ constexpr double kDeadlineEps = 1e-12;
 
 /// Admission queue bound; arrivals beyond it are dropped_capacity.
 constexpr size_t kQueueCapacity = 512;
+
+/// Period of the planner's online self-calibration refit.
+constexpr double kCalibrationPeriodS = 2.0;
 
 /// Images per co-running diagnosis batch (its outstanding work feeds
 /// the Fig. 16 interference model).
@@ -104,7 +108,7 @@ struct ServingRuntime::Impl {
     InsituNode* node;
     const NetworkDesc net = alexnet_desc();
 
-    obs::MetricsRegistry local; ///< per-run calibration histograms
+    obs::MetricsRegistry local; ///< per-run latency histogram
 
     std::vector<Request> arrivals;
     AdmissionQueue queue;
@@ -133,14 +137,9 @@ struct ServingRuntime::Impl {
     double diag_until_s = -kInf;
     double diag_duration_s = 0;
 
+    /// The batch in flight; its record is rep.batch_records.back().
     struct InFlight {
         std::vector<Request> reqs;
-        double start_s = 0;
-        double completion_s = 0;
-        double pure_exec_s = 0; ///< measured, interference divided out
-        int64_t batch = 0;
-        uint64_t version = 0; ///< live model version at dispatch
-        int64_t seq = 0;
         int64_t span_id = -1;
     };
     std::optional<InFlight> flight;
@@ -151,20 +150,10 @@ struct ServingRuntime::Impl {
     uint64_t next_version = 1;
     uint64_t staged_version = 0; ///< 0 = nothing staged
 
-    // ---- tallies ----
-    struct ClassTally {
-        int64_t arrived = 0;
-        int64_t served = 0;
-        int64_t late = 0;
-        int64_t dropped = 0;
-        int64_t shed = 0;
-        int64_t shed_degraded = 0;
-        std::vector<double> latencies;
-    };
-    std::vector<ClassTally> tally;
-    int64_t batch_seq = 0;
-    int64_t batch_images = 0;
+    // ---- the ledger: `arrivals`, stamped in place and indexed by
+    // id, and rep.batch_records ----
     ServingReport rep;
+    int64_t real_predictions = 0;
     bool ran = false;
 
     // ---- SLO burn-rate engine + flight recorder ----
@@ -178,103 +167,22 @@ struct ServingRuntime::Impl {
     // Synthetic payload pool for real inference on the node.
     Dataset pool;
 
-    // ---- global metric handles (looked up once) ----
-    obs::Counter& m_arrived;
-    obs::Counter& m_admitted;
-    obs::Counter& m_dropped;
-    obs::Counter& m_shed;
-    obs::Counter& m_served;
-    obs::Counter& m_missed;
-    obs::Counter& m_batches;
-    obs::Counter& m_staged;
-    obs::Counter& m_swapped;
-    obs::Counter& m_fits;
-    obs::Counter& m_real_preds;
-    obs::Counter& m_shed_degraded;
-    obs::Counter& m_transitions;
-    obs::Counter& m_diag_skipped;
-    obs::Counter& m_calib_skipped;
-    obs::Counter& m_forced_drain;
-    obs::Histogram& m_batch_size;
-    obs::Histogram& m_latency;
-    obs::Histogram& m_exec;
-    obs::Histogram& m_residual;
-    obs::Gauge& m_time_scale;
-    obs::Gauge& m_overhead;
-    obs::Gauge& m_health;
-    obs::Gauge& m_rung;
-    /// Run-local latency histogram: bench reports derive their
-    /// p50/p90/p99 from its buckets (obs::histogram_quantile).
-    obs::Histogram& l_latency;
-
     Impl(ServingConfig config, InsituNode* n)
         : cfg(std::move(config)), node(n),
-          queue(kQueueCapacity, cfg.mix.classes.size()),
-          host(tx1_spec(), cfg.host),
+          queue(kQueueCapacity),
+          host(tx1_spec(), serving_host(cfg.mix.seed)),
           planner_gpu(tx1_spec()), planner(cfg.planner),
           device_stream(cfg.device_faults.stream()),
-          detector(DetectorConfig{}),
-          m_arrived(obs::MetricsRegistry::global().counter(
-              "serving.requests.arrived")),
-          m_admitted(obs::MetricsRegistry::global().counter(
-              "serving.requests.admitted")),
-          m_dropped(obs::MetricsRegistry::global().counter(
-              "serving.requests.dropped")),
-          m_shed(obs::MetricsRegistry::global().counter(
-              "serving.requests.shed")),
-          m_served(obs::MetricsRegistry::global().counter(
-              "serving.requests.served")),
-          m_missed(obs::MetricsRegistry::global().counter(
-              "serving.requests.missed_deadline")),
-          m_batches(obs::MetricsRegistry::global().counter(
-              "serving.batches")),
-          m_staged(obs::MetricsRegistry::global().counter(
-              "serving.weights.staged")),
-          m_swapped(obs::MetricsRegistry::global().counter(
-              "serving.weights.swapped")),
-          m_fits(obs::MetricsRegistry::global().counter(
-              "serving.calib.fits")),
-          m_real_preds(obs::MetricsRegistry::global().counter(
-              "serving.real.predictions")),
-          m_shed_degraded(obs::MetricsRegistry::global().counter(
-              "serving.requests.shed_degraded")),
-          m_transitions(obs::MetricsRegistry::global().counter(
-              "serving.health.transitions")),
-          m_diag_skipped(obs::MetricsRegistry::global().counter(
-              "serving.degrade.diag_skipped")),
-          m_calib_skipped(obs::MetricsRegistry::global().counter(
-              "serving.degrade.calib_skipped")),
-          m_forced_drain(obs::MetricsRegistry::global().counter(
-              "serving.degrade.forced_drain")),
-          m_batch_size(obs::MetricsRegistry::global().histogram(
-              "serving.batch.size", batch_size_options())),
-          m_latency(obs::MetricsRegistry::global().histogram(
-              "serving.request.latency_s")),
-          m_exec(obs::MetricsRegistry::global().histogram(
-              "serving.exec.time_s")),
-          m_residual(obs::MetricsRegistry::global().histogram(
-              "serving.calib.residual_abs", residual_options())),
-          m_time_scale(obs::MetricsRegistry::global().gauge(
-              "serving.calib.time_scale")),
-          m_overhead(obs::MetricsRegistry::global().gauge(
-              "serving.calib.overhead_s")),
-          m_health(obs::MetricsRegistry::global().gauge(
-              "serving.health.state")),
-          m_rung(obs::MetricsRegistry::global().gauge(
-              "serving.health.rung")),
-          l_latency(local.histogram("serving.request.latency_s",
-                                    latency_options()))
+          detector(DetectorConfig{})
     {
         cfg.device_faults.validated();
         diag_net = diagnosis_desc(net);
         diag_batch_ops =
             diag_net.total_ops() * static_cast<double>(kDiagnosisBatch);
-        tally.resize(cfg.mix.classes.size());
         if (node != nullptr && cfg.real_inference_every > 0) {
             Rng pool_rng(cfg.mix.seed ^ 0x5EBF00D);
             pool = make_dataset(SynthConfig{},
-                                std::max<int64_t>(
-                                    cfg.planner.max_batch, 9),
+                                std::max<int64_t>(kMaxBatch, 9),
                                 Condition{}, pool_rng);
         }
         if (node != nullptr) live_version = node->model_version();
@@ -385,7 +293,6 @@ struct ServingRuntime::Impl {
         }
         ++rep.updates_staged;
         if (flight) ++rep.mid_batch_stages;
-        m_staged.add();
         publish(t);
         // Update lineage: a fresh trace per staged update, anchored
         // at the staged instant and flowed to its commit.
@@ -418,7 +325,6 @@ struct ServingRuntime::Impl {
             live_version = v;
         }
         ++rep.swaps_committed;
-        m_swapped.add();
         const int64_t commit_span =
             obs::TraceRecorder::global().instant(
                 "serving.swap.committed",
@@ -433,27 +339,36 @@ struct ServingRuntime::Impl {
     }
 
     // ---- dispatch / completion -------------------------------------
+    /** Stamp @p r as leaving unserved at @p t, for reason @p why:
+     * a ledger entry, a transcript line and a missed SLO event. */
+    void
+    lose(double t, Request& r, Outcome why)
+    {
+        r.dequeued_s = r.done_s = t;
+        r.outcome = why;
+        line(TranscriptLevel::kFull, "[t=%.6f] %s id=%lld class=%s %s", t,
+             why == Outcome::kDroppedCapacity ? "drop" : "shed",
+             static_cast<long long>(r.id),
+             cfg.mix.classes[static_cast<size_t>(r.cls)].name.c_str(),
+             why == Outcome::kShedExpired    ? "expired"
+             : why == Outcome::kShedDegraded ? "degraded"
+                                             : "queue-full");
+        slo_record(t, r.cls, /*good=*/false);
+    }
+
     void
     try_dispatch(double t)
     {
         if (flight) return;
         // Already-expired requests are dropped at batch formation
         // instead of spending device time on guaranteed misses.
-        for (const auto& r : queue.shed_expired(t)) {
-            auto& c = tally[static_cast<size_t>(r.cls)];
-            ++c.shed;
-            m_shed.add();
-            line(TranscriptLevel::kFull,
-                 "[t=%.6f] shed id=%lld class=%s expired", t,
-                 static_cast<long long>(r.id),
-                 cfg.mix.classes[static_cast<size_t>(r.cls)]
-                     .name.c_str());
-            slo_record(t, r.cls, /*good=*/false);
-        }
+        for (const auto& r : queue.shed_expired(t))
+            lose(t, arrivals[static_cast<size_t>(r.id)],
+                 Outcome::kShedExpired);
         if (queue.empty()) return;
 
-        const auto deadlines = queue.edf_deadlines(
-            static_cast<size_t>(cfg.planner.max_batch));
+        const auto deadlines =
+            queue.edf_deadlines(static_cast<size_t>(kMaxBatch));
         const double dops = current_diag_ops(t);
         // The degradation ladder's per-dispatch adjustments (identity
         // at rung 0, so healthy runs plan exactly as before).
@@ -465,7 +380,6 @@ struct ServingRuntime::Impl {
         if (cur_rung >= kMaxRung) {
             ov.force_drain = true;
             ++rep.degradation.forced_drain;
-            m_forced_drain.add();
             black_box.record(t, "serving.degrade.forced_drain",
                              "rung=" + std::to_string(cur_rung));
             if (drain_dump_armed) {
@@ -476,15 +390,18 @@ struct ServingRuntime::Impl {
         const BatchDecision d = planner.plan(planner_gpu, net, t,
                                              deadlines, dops, ov);
         INSITU_CHECK(d.batch > 0, "planner returned an empty batch");
-        if (!d.deadline_feasible) ++rep.drain_batches;
 
         InFlight f;
         f.reqs = queue.pop_edf(static_cast<size_t>(d.batch));
-        f.batch = d.batch;
-        f.seq = batch_seq++;
-        f.start_s = t;
-        f.version = node != nullptr ? node->model_version()
-                                    : live_version;
+        for (const Request& r : f.reqs)
+            arrivals[static_cast<size_t>(r.id)].dequeued_s = t;
+        BatchRecord b;
+        b.seq = static_cast<int64_t>(rep.batch_records.size());
+        b.start_s = t;
+        b.size = d.batch;
+        b.version =
+            node != nullptr ? node->model_version() : live_version;
+        b.deadline_feasible = d.deadline_feasible;
         // Ground truth: the host executes under the same Fig. 16
         // interference the planner predicted with.
         const double corun =
@@ -493,54 +410,48 @@ struct ServingRuntime::Impl {
                                static_cast<double>(d.batch),
                            dops)
                      : 1.0;
-        double exec = host.run_batch(net, d.batch, corun);
-        exec = apply_device_faults(cfg.device_faults, device_stream,
-                                   rep.degradation, exec, t);
-        f.completion_s = t + exec;
-        f.pure_exec_s = exec / corun;
-
+        b.exec_s = apply_device_faults(
+            cfg.device_faults, device_stream, rep.degradation,
+            host.run_batch(net, d.batch, corun), t);
+        b.completion_s = t + b.exec_s;
         // Measured operating point for the calibration loop: the
         // pure inference time (interference divided back out — the
         // runtime knows the factor it applied). While the device is
         // unhealthy the sample is withheld — a fit must not learn
         // from a gray-failing device (probation refits once the
         // residuals are clean again).
-        if (cur_state == DeviceHealth::kHealthy)
-            local.histogram(exec_histogram_name(d.batch))
-                .observe(f.pure_exec_s);
-        m_exec.observe(exec);
-        m_batch_size.observe(static_cast<double>(d.batch));
-        m_batches.add();
-        batch_images += d.batch;
+        b.pure_exec_s = b.exec_s / corun;
+        b.healthy = cur_state == DeviceHealth::kHealthy;
+        rep.batch_records.push_back(b);
 
         if (node != nullptr && cfg.real_inference_every > 0 &&
-            f.seq % cfg.real_inference_every == 0) {
+            b.seq % cfg.real_inference_every == 0) {
             const int64_t n =
                 std::min<int64_t>(d.batch, pool.size());
             const auto preds =
                 node->inference().predict(pool.images.slice0(0, n));
-            m_real_preds.add(static_cast<int64_t>(preds.size()));
+            real_predictions += static_cast<int64_t>(preds.size());
         }
 
         publish(t);
         f.span_id = obs::TraceRecorder::global().begin_with_attrs(
             "serving.batch",
             {{"size", std::to_string(d.batch)},
-             {"version", std::to_string(f.version)}});
+             {"version", std::to_string(b.version)}});
         // Causal links: every admitted request's arrival instant
         // flows into the batch span that serves it.
         for (const Request& r : f.reqs)
             obs::TraceRecorder::global().flow(r.trace, f.span_id);
         black_box.record(t, "serving.batch.start",
-                         "#" + std::to_string(f.seq) + " size=" +
+                         "#" + std::to_string(b.seq) + " size=" +
                              std::to_string(d.batch) + " v" +
-                             std::to_string(f.version));
+                             std::to_string(b.version));
         line(TranscriptLevel::kSummary,
              "[t=%.6f] batch #%lld start size=%lld version=%llu "
              "pred=%.6f corun=%.3f feasible=%d depth=%lld",
-             t, static_cast<long long>(f.seq),
+             t, static_cast<long long>(b.seq),
              static_cast<long long>(d.batch),
-             static_cast<unsigned long long>(f.version),
+             static_cast<unsigned long long>(b.version),
              d.predicted_s, corun, d.deadline_feasible ? 1 : 0,
              static_cast<long long>(deadlines.size()));
         flight = std::move(f);
@@ -549,31 +460,24 @@ struct ServingRuntime::Impl {
     void
     complete(double t)
     {
-        InFlight f = std::move(*flight);
+        const InFlight f = std::move(*flight);
         flight.reset();
+        const BatchRecord b = rep.batch_records.back();
 
         // No-tear proof: the live version must not have moved while
         // the batch was in flight (commits happen only right here,
         // after this check).
         const uint64_t now_version =
             node != nullptr ? node->model_version() : live_version;
-        if (now_version != f.version) rep.swap_torn = true;
+        if (now_version != b.version) rep.swap_torn = true;
 
         int64_t late = 0;
         for (const auto& r : f.reqs) {
-            auto& c = tally[static_cast<size_t>(r.cls)];
-            const double latency = t - r.arrival_s;
-            ++c.served;
-            c.latencies.push_back(latency);
-            m_served.add();
-            m_latency.observe(latency);
-            l_latency.observe(latency);
+            Request& q = arrivals[static_cast<size_t>(r.id)];
+            q.done_s = t;
+            q.outcome = Outcome::kServed;
             const bool on_time = !(t > r.deadline_s + kDeadlineEps);
-            if (!on_time) {
-                ++c.late;
-                ++late;
-                m_missed.add();
-            }
+            if (!on_time) ++late;
             // SLO outcomes feed here, before observe_health() below
             // can escalate the ladder: alert lines precede the rung
             // transitions they explain.
@@ -582,19 +486,18 @@ struct ServingRuntime::Impl {
         publish(t);
         obs::TraceRecorder::global().end(f.span_id);
         black_box.record(t, "serving.batch.done",
-                         "#" + std::to_string(f.seq) + " late=" +
+                         "#" + std::to_string(b.seq) + " late=" +
                              std::to_string(late));
         line(TranscriptLevel::kSummary,
              "[t=%.6f] batch #%lld done size=%lld late=%lld", t,
-             static_cast<long long>(f.seq),
+             static_cast<long long>(b.seq),
              static_cast<long long>(f.reqs.size()),
              static_cast<long long>(late));
-        rep.makespan_s = t;
 
         // The batch boundary: the only legal swap point, and where
         // the gray-failure detector sees the batch's residual before
         // the next dispatch is planned.
-        observe_health(t, f.batch, f.pure_exec_s);
+        observe_health(t, b.size, b.pure_exec_s);
         commit_staged(t);
         try_dispatch(t);
     }
@@ -617,7 +520,6 @@ struct ServingRuntime::Impl {
         if (v.changed) {
             if (v.state != cur_state) {
                 ++rep.degradation.transitions;
-                m_transitions.add();
                 if (v.state == DeviceHealth::kProbation)
                     ++rep.degradation.probations;
                 if (cur_state == DeviceHealth::kProbation &&
@@ -645,8 +547,6 @@ struct ServingRuntime::Impl {
                 queue.set_degraded_shedding(std::move(mask));
             }
 
-            m_health.set(static_cast<double>(cur_state));
-            m_rung.set(cur_rung);
             publish(t);
             obs::TraceRecorder::global().instant(
                 "serving.health.transition",
@@ -673,45 +573,23 @@ struct ServingRuntime::Impl {
     arrive(double t)
     {
         Request& r = arrivals[next_arrival++];
-        auto& c = tally[static_cast<size_t>(r.cls)];
-        ++c.arrived;
-        m_arrived.add();
+        const std::string& cls =
+            cfg.mix.classes[static_cast<size_t>(r.cls)].name;
         // Entry point of the request's causal trace: the arrival
         // instant becomes the parent the batch span links back to.
         publish(t);
         r.trace.parent_span = obs::TraceRecorder::global().instant(
             "serving.request.arrive",
-            {{"id", std::to_string(r.id)},
-             {"class",
-              cfg.mix.classes[static_cast<size_t>(r.cls)].name}});
-        if (queue.admit(r)) {
-            m_admitted.add();
+            {{"id", std::to_string(r.id)}, {"class", cls}});
+        if (queue.admit(r))
             line(TranscriptLevel::kFull,
                  "[t=%.6f] arrive id=%lld class=%s deadline=%.6f", t,
-                 static_cast<long long>(r.id),
-                 cfg.mix.classes[static_cast<size_t>(r.cls)]
-                     .name.c_str(),
+                 static_cast<long long>(r.id), cls.c_str(),
                  r.deadline_s);
-        } else if (queue.sheds_class(r.cls)) {
-            ++c.shed_degraded;
-            ++rep.degradation.shed_degraded;
-            m_shed_degraded.add();
-            line(TranscriptLevel::kFull,
-                 "[t=%.6f] shed id=%lld class=%s degraded", t,
-                 static_cast<long long>(r.id),
-                 cfg.mix.classes[static_cast<size_t>(r.cls)]
-                     .name.c_str());
-            slo_record(t, r.cls, /*good=*/false);
-        } else {
-            ++c.dropped;
-            m_dropped.add();
-            line(TranscriptLevel::kFull,
-                 "[t=%.6f] drop id=%lld class=%s queue-full", t,
-                 static_cast<long long>(r.id),
-                 cfg.mix.classes[static_cast<size_t>(r.cls)]
-                     .name.c_str());
-            slo_record(t, r.cls, /*good=*/false);
-        }
+        else
+            lose(t, r,
+                 queue.sheds_class(r.cls) ? Outcome::kShedDegraded
+                                          : Outcome::kDroppedCapacity);
         try_dispatch(t);
     }
 
@@ -735,8 +613,7 @@ struct ServingRuntime::Impl {
     void
     calib_tick(double t)
     {
-        const auto obs_points =
-            observations_from_snapshot(local.snapshot());
+        const auto obs_points = calibration_points(rep.batch_records);
         int64_t samples = 0;
         for (const auto& o : obs_points) samples += o.count;
         if (samples < kCalibrationMinSamples) return;
@@ -745,17 +622,17 @@ struct ServingRuntime::Impl {
             fit_calibration(planner_gpu, net, obs_points);
         planner_gpu.set_calibration(calib);
         ++rep.calibration_fits;
-        m_fits.add();
-        m_time_scale.set(calib.time_scale);
-        m_overhead.set(calib.overhead_s);
 
+        obs::Histogram& residual_hist =
+            obs::MetricsRegistry::global().histogram(
+                "serving.calib.residual_abs", residual_options());
         std::vector<double> residuals;
         residuals.reserve(obs_points.size());
         for (const auto& o : obs_points) {
             const double r = std::abs(planner_gpu.residual(
                 net, o.batch, o.mean_seconds));
             residuals.push_back(r);
-            m_residual.observe(r);
+            residual_hist.observe(r);
         }
         std::sort(residuals.begin(), residuals.end());
         publish(t);
@@ -786,8 +663,7 @@ struct ServingRuntime::Impl {
             diag_duration_s =
                 host.mean_batch_seconds(diag_net, kDiagnosisBatch);
         }
-        if (cfg.calibration_period_s > 0)
-            next_calib_s = cfg.calibration_period_s;
+        next_calib_s = kCalibrationPeriodS;
 
         line(TranscriptLevel::kSummary,
              "[serving] mix=%s policy=%s%s requests=%lld "
@@ -805,7 +681,8 @@ struct ServingRuntime::Impl {
         while (flight || next_arrival < arrivals.size()) {
             // Candidate event times; ties resolve by this fixed
             // order: completion < arrival < update < diag < calib.
-            const double tc = flight ? flight->completion_s : kInf;
+            const double tc =
+                flight ? rep.batch_records.back().completion_s : kInf;
             const double ta = next_arrival < arrivals.size()
                                   ? arrivals[next_arrival].arrival_s
                                   : kInf;
@@ -826,7 +703,6 @@ struct ServingRuntime::Impl {
                     // loss on a device already missing predictions.
                     if (cur_rung >= 3) {
                         ++rep.degradation.diag_skipped;
-                        m_diag_skipped.add();
                         line(TranscriptLevel::kSummary,
                              "[t=%.6f] diagnosis skipped (rung %d)",
                              t_tick, cur_rung);
@@ -834,7 +710,7 @@ struct ServingRuntime::Impl {
                         diag_tick(t_tick);
                     }
                 } else {
-                    next_calib_s += cfg.calibration_period_s;
+                    next_calib_s += kCalibrationPeriodS;
                     // Periodic fits are suspended while unhealthy: a
                     // fit would absorb the gray failure into the
                     // model and blind the detector. Probation runs
@@ -842,7 +718,6 @@ struct ServingRuntime::Impl {
                     if (cfg.degrade &&
                         cur_state != DeviceHealth::kHealthy) {
                         ++rep.degradation.calib_skipped;
-                        m_calib_skipped.add();
                     } else {
                         calib_tick(t_tick);
                     }
@@ -863,16 +738,23 @@ struct ServingRuntime::Impl {
     finish()
     {
         rep.duration_s = cfg.mix.duration_s;
-        rep.batches = batch_seq;
+        rep.requests = std::move(arrivals);
+        const auto& batches = rep.batch_records;
+        rep.batches = static_cast<int64_t>(batches.size());
+        int64_t images = 0;
+        for (const BatchRecord& b : batches) {
+            images += b.size;
+            if (!b.deadline_feasible) ++rep.drain_batches;
+        }
         rep.mean_batch_size =
-            batch_seq > 0 ? static_cast<double>(batch_images) /
-                                static_cast<double>(batch_seq)
-                          : 0.0;
+            batches.empty() ? 0.0
+                            : static_cast<double>(images) /
+                                  static_cast<double>(batches.size());
+        if (!batches.empty()) rep.makespan_s = batches.back().completion_s;
         rep.final_calibration = planner_gpu.calibration();
 
         if (rep.calibration_fits > 0) {
-            const auto obs_points =
-                observations_from_snapshot(local.snapshot());
+            const auto obs_points = calibration_points(batches);
             double sum = 0;
             for (const auto& o : obs_points)
                 sum += std::abs(planner_gpu.residual(
@@ -883,63 +765,44 @@ struct ServingRuntime::Impl {
                     : sum / static_cast<double>(obs_points.size());
         }
 
-        ClassReport total;
-        total.name = "total";
-        std::vector<double> all_latencies;
-        for (size_t i = 0; i < tally.size(); ++i) {
-            auto& c = tally[i];
-            ClassReport r;
-            r.name = cfg.mix.classes[i].name;
-            r.arrived = c.arrived;
-            r.served = c.served;
-            r.served_late = c.late;
-            r.dropped_capacity = c.dropped;
-            r.shed_expired = c.shed;
-            r.shed_degraded = c.shed_degraded;
-            std::sort(c.latencies.begin(), c.latencies.end());
-            r.p50_latency_s = quantile(c.latencies, 0.50);
-            r.p99_latency_s = quantile(c.latencies, 0.99);
-            r.miss_rate =
-                c.arrived > 0
-                    ? static_cast<double>(r.missed()) /
-                          static_cast<double>(c.arrived)
-                    : 0.0;
-            total.arrived += r.arrived;
-            total.served += r.served;
-            total.served_late += r.served_late;
-            total.dropped_capacity += r.dropped_capacity;
-            total.shed_expired += r.shed_expired;
-            total.shed_degraded += r.shed_degraded;
-            all_latencies.insert(all_latencies.end(),
-                                 c.latencies.begin(),
-                                 c.latencies.end());
-            rep.classes.push_back(std::move(r));
+        // Per-class rows and the total, folded over the ledger.
+        const size_t nc = cfg.mix.classes.size();
+        std::vector<ClassReport> rows(nc + 1);
+        std::vector<std::vector<double>> latencies(nc + 1);
+        for (const Request& r : rep.requests) {
+            INSITU_CHECK(r.outcome != Outcome::kPending,
+                         "serving run ended with an undecided request");
+            for (const size_t i : {static_cast<size_t>(r.cls), nc}) {
+                ClassReport& c = rows[i];
+                ++c.arrived;
+                switch (r.outcome) {
+                case Outcome::kServed:
+                    ++c.served;
+                    if (r.done_s > r.deadline_s + kDeadlineEps)
+                        ++c.served_late;
+                    latencies[i].push_back(r.done_s - r.arrival_s);
+                    break;
+                case Outcome::kDroppedCapacity: ++c.dropped_capacity; break;
+                case Outcome::kShedExpired: ++c.shed_expired; break;
+                case Outcome::kShedDegraded: ++c.shed_degraded; break;
+                case Outcome::kPending: break;
+                }
+            }
         }
-        std::sort(all_latencies.begin(), all_latencies.end());
-        total.p50_latency_s = quantile(all_latencies, 0.50);
-        total.p99_latency_s = quantile(all_latencies, 0.99);
-        total.miss_rate =
-            total.arrived > 0
-                ? static_cast<double>(total.missed()) /
-                      static_cast<double>(total.arrived)
-                : 0.0;
-        rep.total = total;
-
-        // Satellite: the serving.queue.* counters split by class, so
-        // shed decisions are auditable per RequestClass.
-        auto& reg = obs::MetricsRegistry::global();
-        for (size_t i = 0; i < cfg.mix.classes.size(); ++i) {
-            const AdmissionStats& qs =
-                queue.class_stats(static_cast<int>(i));
-            const std::string pfx =
-                "serving.queue." + cfg.mix.classes[i].name + ".";
-            reg.counter(pfx + "arrived").add(qs.arrived);
-            reg.counter(pfx + "admitted").add(qs.admitted);
-            reg.counter(pfx + "dropped_capacity")
-                .add(qs.dropped_capacity);
-            reg.counter(pfx + "shed_expired").add(qs.shed_expired);
-            reg.counter(pfx + "shed_degraded").add(qs.shed_degraded);
+        for (size_t i = 0; i <= nc; ++i) {
+            ClassReport& c = rows[i];
+            c.name = i < nc ? cfg.mix.classes[i].name : "total";
+            std::sort(latencies[i].begin(), latencies[i].end());
+            c.p50_latency_s = quantile(latencies[i], 0.50);
+            c.p99_latency_s = quantile(latencies[i], 0.99);
+            c.miss_rate = c.arrived > 0
+                              ? static_cast<double>(c.missed()) /
+                                    static_cast<double>(c.arrived)
+                              : 0.0;
         }
+        rep.total = rows.back();
+        rows.pop_back();
+        rep.classes = std::move(rows);
 
         rep.degradation.final_state =
             device_health_name(detector.state());
@@ -962,7 +825,7 @@ struct ServingRuntime::Impl {
         // Emitted only when the ladder actually moved, so fault-free
         // transcripts stay byte-identical to the pre-ladder runtime.
         if (rep.degradation.transitions > 0 ||
-            rep.degradation.shed_degraded > 0)
+            rep.total.shed_degraded > 0)
             line(TranscriptLevel::kSummary,
                  "[serving] degradation: state=%s max_rung=%d "
                  "transitions=%lld shed=%lld diag_skipped=%lld "
@@ -971,8 +834,7 @@ struct ServingRuntime::Impl {
                  rep.degradation.final_state.c_str(),
                  rep.degradation.max_rung,
                  static_cast<long long>(rep.degradation.transitions),
-                 static_cast<long long>(
-                     rep.degradation.shed_degraded),
+                 static_cast<long long>(rep.total.shed_degraded),
                  static_cast<long long>(rep.degradation.diag_skipped),
                  static_cast<long long>(
                      rep.degradation.calib_skipped),
@@ -985,6 +847,84 @@ struct ServingRuntime::Impl {
                  "[serving] slo: alerts=%lld flight_dumps=%lld",
                  static_cast<long long>(rep.slo_alerts),
                  static_cast<long long>(rep.flight_dumps));
+        publish_metrics();
+    }
+
+    /**
+     * Publish the run's `serving.*` metrics (all but the fit-time
+     * `serving.calib.residual_abs`) as folds over the ledger and the
+     * report. Counter sums and histogram quanta are integers, so one
+     * publication at run end exports exactly what per-event updates
+     * would; every metric registers even when its value is zero.
+     */
+    void
+    publish_metrics()
+    {
+        auto& reg = obs::MetricsRegistry::global();
+        const ClassReport& all = rep.total;
+        const DegradationReport& dg = rep.degradation;
+        const std::pair<const char*, int64_t> counters[] = {
+            {"serving.requests.arrived", all.arrived},
+            {"serving.requests.admitted",
+             all.arrived - all.dropped_capacity - all.shed_degraded},
+            {"serving.requests.dropped", all.dropped_capacity},
+            {"serving.requests.shed", all.shed_expired},
+            {"serving.requests.shed_degraded", all.shed_degraded},
+            {"serving.requests.served", all.served},
+            {"serving.requests.missed_deadline", all.served_late},
+            {"serving.batches", rep.batches},
+            {"serving.weights.staged", rep.updates_staged},
+            {"serving.weights.swapped", rep.swaps_committed},
+            {"serving.calib.fits", rep.calibration_fits},
+            {"serving.real.predictions", real_predictions},
+            {"serving.health.transitions", dg.transitions},
+            {"serving.degrade.diag_skipped", dg.diag_skipped},
+            {"serving.degrade.calib_skipped", dg.calib_skipped},
+            {"serving.degrade.forced_drain", dg.forced_drain}};
+        for (const auto& [name, value] : counters)
+            reg.counter(name).add(value);
+        for (const ClassReport& c : rep.classes) {
+            const std::string pfx = "serving.queue." + c.name + ".";
+            reg.counter(pfx + "arrived").add(c.arrived);
+            reg.counter(pfx + "admitted")
+                .add(c.arrived - c.dropped_capacity - c.shed_degraded);
+            reg.counter(pfx + "dropped_capacity").add(c.dropped_capacity);
+            reg.counter(pfx + "shed_expired").add(c.shed_expired);
+            reg.counter(pfx + "shed_degraded").add(c.shed_degraded);
+        }
+
+        obs::Histogram& size =
+            reg.histogram("serving.batch.size", batch_size_options());
+        obs::Histogram& exec = reg.histogram("serving.exec.time_s");
+        for (const BatchRecord& b : rep.batch_records) {
+            size.observe(static_cast<double>(b.size));
+            exec.observe(b.exec_s);
+        }
+        obs::Histogram& latency =
+            reg.histogram("serving.request.latency_s");
+        obs::Histogram& local_latency = local.histogram(
+            "serving.request.latency_s", latency_options());
+        for (const Request& r : rep.requests) {
+            if (r.outcome != Outcome::kServed) continue;
+            latency.observe(r.done_s - r.arrival_s);
+            local_latency.observe(r.done_s - r.arrival_s);
+        }
+        reg.histogram("serving.calib.residual_abs", residual_options());
+
+        // Gauges hold the last value set; a run that never fits or
+        // never moves the ladder leaves them as they were.
+        obs::Gauge& scale = reg.gauge("serving.calib.time_scale");
+        obs::Gauge& overhead = reg.gauge("serving.calib.overhead_s");
+        if (rep.calibration_fits > 0) {
+            scale.set(rep.final_calibration.time_scale);
+            overhead.set(rep.final_calibration.overhead_s);
+        }
+        obs::Gauge& health = reg.gauge("serving.health.state");
+        obs::Gauge& rung = reg.gauge("serving.health.rung");
+        if (dg.transitions > 0 || dg.rung_changes > 0) {
+            health.set(static_cast<double>(cur_state));
+            rung.set(cur_rung);
+        }
     }
 };
 
@@ -1081,6 +1021,14 @@ ServingReport
 ServingRuntime::run()
 {
     return impl_->run();
+}
+
+DeviceTruthConfig
+serving_host(uint64_t seed)
+{
+    DeviceTruthConfig host;
+    host.seed = seed ^ 0x105E41;
+    return host;
 }
 
 const obs::MetricsRegistry&

@@ -19,10 +19,17 @@
  *   double-buffer (InsituNode::stage_deployment); the runtime commits
  *   them only at batch boundaries, so an in-flight batch is never
  *   torn and the stream never stalls.
- * - **Calibration ticks**: the fit of serving/calibrate.h re-runs
- *   periodically over the measured `serving.exec.time_s.b*` span
- *   histograms, updating the planner's GpuModel constants in place —
- *   the planner self-tunes to the host it is actually running on.
+ * - **Calibration ticks**: every 2 simulated seconds the fit of
+ *   serving/calibrate.h re-runs over the healthy batches of the run's
+ *   batch ledger, updating the planner's GpuModel constants in place
+ *   — the planner self-tunes to the host it is actually running on.
+ *
+ * The run keeps one ledger: every Request stamped with when it left
+ * the queue, when it left the runtime and how, plus one BatchRecord
+ * per dispatch. The report's per-class rows, the `serving.*` metrics
+ * (published once, at run end) and the calibration points are folds
+ * over it, and tests replay it (tests/test_serving_replay.cc).
+ * Transcript lines, trace spans and SLO feeds stay at their events.
  *
  * Determinism contract: the event loop is serial, every random draw
  * comes from seeded streams owned by the scenario, timestamps come
@@ -147,13 +154,6 @@ struct ServingConfig {
     TrafficMix mix;
     PlannerConfig planner;
     CorunConfig corun;
-    /// Period of the planner's online self-calibration refit (0 =
-    /// never calibrate; the planner then runs on the raw analytical
-    /// model).
-    double calibration_period_s = 0;
-    /// The device's hidden constants: the truth the planner's
-    /// calibration loop has to recover.
-    DeviceTruthConfig host;
     TranscriptLevel transcript = TranscriptLevel::kOff;
     /// With a node attached: actually run InsituNode inference on
     /// every Nth dispatched batch (0 = never). Timing always comes
@@ -205,7 +205,6 @@ struct DegradationReport {
     int64_t rung_changes = 0;     ///< ladder rung moves (both ways)
     int max_rung = 0;             ///< deepest rung reached
     int64_t safety_batches = 0;   ///< dispatches planned at rung >= 1
-    int64_t shed_degraded = 0;    ///< requests refused at admission
     int64_t diag_skipped = 0;     ///< co-run windows skipped (rung >= 3)
     int64_t calib_skipped = 0;    ///< periodic fits suspended while sick
     int64_t forced_drain = 0;     ///< dispatches forced to drain (rung 4)
@@ -221,6 +220,11 @@ struct DegradationReport {
 struct ServingReport {
     std::vector<ClassReport> classes; ///< one per mix class
     ClassReport total;                ///< aggregated, name "total"
+
+    /// The ledger: every arrival, stamped with its fate, in id order.
+    std::vector<Request> requests;
+    /// The ledger: every dispatched batch, in dispatch order.
+    std::vector<BatchRecord> batch_records;
 
     int64_t batches = 0;
     double mean_batch_size = 0;
@@ -252,6 +256,13 @@ struct ServingReport {
     double makespan_s = 0; ///< last batch completion
     std::string transcript;
 };
+
+/**
+ * The serving host's hidden constants for a mix seeded @p seed: the
+ * DeviceTruthConfig defaults, jitter seeded seed ^ 0x105E41. The
+ * truth the planner's calibration loop has to recover.
+ */
+DeviceTruthConfig serving_host(uint64_t seed);
 
 /**
  * The device-fault seam: @p seconds, a batch time the device truth
@@ -287,8 +298,8 @@ class ServingRuntime {
     /** Execute the scenario. Call exactly once per runtime. */
     ServingReport run();
 
-    /** The run's private metrics (the `serving.exec.time_s.b*`
-     * calibration histograms live here, isolated per run). */
+    /** The run's private metrics: its `serving.request.latency_s`
+     * histogram, isolated per run, after run(). */
     const obs::MetricsRegistry& local_metrics() const;
 
   private:

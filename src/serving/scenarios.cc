@@ -19,18 +19,14 @@ make_scenario(const std::string& name, double duration_s,
     cfg.mix.duration_s = duration_s;
     cfg.mix.seed = seed;
     cfg.planner.mode = PlannerMode::kOnline;
-    cfg.calibration_period_s = 2.0;
-    cfg.host.seed = seed ^ 0x105E41;
 
     // Capacity anchors of the (jitter-free) device: the service time
     // of a single image and the best sustainable rate at the batch cap.
     const NetworkDesc net = alexnet_desc();
-    const DeviceTruth probe(tx1_spec(), cfg.host);
+    const DeviceTruth probe(tx1_spec(), serving_host(seed));
     const double l1 = probe.mean_batch_seconds(net, 1);
-    const double lmax =
-        probe.mean_batch_seconds(net, cfg.planner.max_batch);
-    const double cap_rate =
-        static_cast<double>(cfg.planner.max_batch) / lmax;
+    const double lmax = probe.mean_batch_seconds(net, kMaxBatch);
+    const double cap_rate = static_cast<double>(kMaxBatch) / lmax;
 
     // Interactive traffic is the guaranteed class; standard and bulk
     // are best-effort — the degradation ladder may shed them at

@@ -8,6 +8,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "cloud/update_service.h"
@@ -150,10 +152,8 @@ TEST(AdmissionQueue, DropsAtCapacity)
     EXPECT_TRUE(q.admit(make_request(0, 0.0, 1.0)));
     EXPECT_TRUE(q.admit(make_request(1, 0.0, 2.0)));
     EXPECT_FALSE(q.admit(make_request(2, 0.0, 0.5)));
+    EXPECT_FALSE(q.sheds_class(0)); // a capacity drop, not a shed
     EXPECT_EQ(q.depth(), 2u);
-    EXPECT_EQ(q.stats().arrived, 3);
-    EXPECT_EQ(q.stats().admitted, 2);
-    EXPECT_EQ(q.stats().dropped_capacity, 1);
 }
 
 TEST(AdmissionQueue, ShedsOnlyExpired)
@@ -167,7 +167,6 @@ TEST(AdmissionQueue, ShedsOnlyExpired)
     EXPECT_EQ(shed[0].id, 0);
     EXPECT_EQ(shed[1].id, 1);
     EXPECT_EQ(q.depth(), 1u);
-    EXPECT_EQ(q.stats().shed_expired, 2);
     // Deadline exactly now is not yet expired.
     EXPECT_TRUE(q.shed_expired(0.8).empty());
 }
@@ -281,9 +280,7 @@ TEST(Planner, StaticModeIgnoresDeadlines)
 
 TEST(Planner, PicksLargestDeadlineFeasiblePrefix)
 {
-    PlannerConfig cfg;
-    cfg.max_batch = 8;
-    const BatchPlanner planner(cfg);
+    const BatchPlanner planner(PlannerConfig{});
     const GpuModel gpu(tx1_spec());
     const NetworkDesc net = alexnet_desc();
 
@@ -310,25 +307,25 @@ TEST(Planner, PicksLargestDeadlineFeasiblePrefix)
 
 TEST(Planner, DrainModeMaximizesThroughput)
 {
-    PlannerConfig cfg;
-    cfg.max_batch = 8;
-    const BatchPlanner planner(cfg);
+    const BatchPlanner planner(PlannerConfig{});
     const GpuModel gpu(tx1_spec());
     const NetworkDesc net = alexnet_desc();
 
     // Every deadline hopeless: drain at max throughput. For the Eq 5
-    // model, images/s grows with batch, so the cap wins.
-    const std::vector<double> hopeless(12, -1.0);
+    // model, images/s grows with batch up to 8, so the whole queue
+    // goes.
+    const std::vector<double> hopeless(8, -1.0);
     const BatchDecision d = planner.plan(gpu, net, 0.0, hopeless, 0.0);
     EXPECT_FALSE(d.deadline_feasible);
     EXPECT_EQ(d.batch, 8);
+    // A deeper queue drains at most kMaxBatch.
+    const std::vector<double> deep(kMaxBatch + 8, -1.0);
+    EXPECT_LE(planner.plan(gpu, net, 0.0, deep, 0.0).batch, kMaxBatch);
 }
 
 TEST(Planner, CorunInterferenceShrinksTheBatch)
 {
-    PlannerConfig cfg;
-    cfg.max_batch = 16;
-    const BatchPlanner planner(cfg);
+    const BatchPlanner planner(PlannerConfig{});
     const GpuModel gpu(tx1_spec());
     const NetworkDesc net = alexnet_desc();
 
@@ -353,58 +350,64 @@ TEST(Planner, CorunInterferenceShrinksTheBatch)
 
 // ---- calibration bridge -------------------------------------------
 
-TEST(Calibrate, HistogramNamesRoundTrip)
+BatchRecord
+measured(int64_t size, double pure_exec_s, bool healthy = true)
 {
-    EXPECT_EQ(exec_histogram_name(8), "serving.exec.time_s.b008");
-    EXPECT_EQ(exec_histogram_name(32), "serving.exec.time_s.b032");
-    EXPECT_EQ(parse_exec_histogram_name("serving.exec.time_s.b008"),
-              8);
-    EXPECT_EQ(parse_exec_histogram_name("serving.exec.time_s"), -1);
-    EXPECT_EQ(parse_exec_histogram_name("nn.forward.time_s"), -1);
+    BatchRecord b;
+    b.size = size;
+    b.pure_exec_s = pure_exec_s;
+    b.exec_s = pure_exec_s;
+    b.healthy = healthy;
+    return b;
 }
 
-TEST(Calibrate, ObservationsAggregateTheHistograms)
+TEST(Calibrate, PointsAggregateHealthyBatches)
 {
-    obs::MetricsRegistry reg;
-    reg.histogram(exec_histogram_name(4)).observe(0.040);
-    reg.histogram(exec_histogram_name(4)).observe(0.060);
-    reg.histogram(exec_histogram_name(1)).observe(0.020);
-    reg.histogram("serving.exec.time_s").observe(9.0); // not b*
-    reg.histogram(exec_histogram_name(16)); // empty: skipped
+    std::vector<BatchRecord> ledger = {
+        measured(4, 0.040), measured(16, 9.0, /*healthy=*/false),
+        measured(1, 0.020), measured(4, 0.060)};
 
-    const auto obs_points =
-        observations_from_snapshot(reg.snapshot());
-    ASSERT_EQ(obs_points.size(), 2u);
-    EXPECT_EQ(obs_points[0].batch, 1); // ascending by batch
-    EXPECT_EQ(obs_points[0].count, 1);
-    EXPECT_NEAR(obs_points[0].mean_seconds, 0.020, 1e-6);
-    EXPECT_EQ(obs_points[1].batch, 4);
-    EXPECT_EQ(obs_points[1].count, 2);
-    EXPECT_NEAR(obs_points[1].mean_seconds, 0.050, 1e-6);
+    const auto points = calibration_points(ledger);
+    ASSERT_EQ(points.size(), 2u); // the unhealthy size is skipped
+    EXPECT_EQ(points[0].batch, 1); // ascending by batch
+    EXPECT_EQ(points[0].count, 1);
+    EXPECT_NEAR(points[0].mean_seconds, 0.020, 1e-6);
+    EXPECT_EQ(points[1].batch, 4);
+    EXPECT_EQ(points[1].count, 2);
+    // Integer nanosecond quanta, de-quantized then divided: the
+    // mean a quantized histogram sum gives, bit for bit.
+    EXPECT_EQ(points[1].mean_seconds,
+              static_cast<double>(40000000 + 60000000) * 1e-9 / 2.0);
+
+    // Integer sums: the fold order cannot move a bit.
+    std::reverse(ledger.begin(), ledger.end());
+    const auto again = calibration_points(ledger);
+    ASSERT_EQ(again.size(), points.size());
+    for (size_t i = 0; i < points.size(); ++i)
+        EXPECT_EQ(again[i].mean_seconds, points[i].mean_seconds);
 }
 
-TEST(Calibrate, RegistryFitRecoversHostConstants)
+TEST(Calibrate, LedgerFitRecoversHostConstants)
 {
     const GpuModel gpu(tx1_spec());
     const NetworkDesc net = alexnet_desc();
     const double scale = 1.6, overhead = 0.004;
 
-    obs::MetricsRegistry reg;
+    std::vector<BatchRecord> ledger;
     for (int64_t b : {1, 2, 4, 8, 16}) {
         const double t = scale * gpu.network_latency(net, b) + overhead;
-        reg.histogram(exec_histogram_name(b)).observe(t);
-        reg.histogram(exec_histogram_name(b)).observe(t);
+        ledger.push_back(measured(b, t));
+        ledger.push_back(measured(b, t));
     }
     const GpuCalibration fit =
-        calibrate_from_registry(reg, gpu, net);
+        fit_calibration(gpu, net, calibration_points(ledger));
     EXPECT_EQ(fit.samples, 10);
     EXPECT_NEAR(fit.time_scale, scale, 1e-3);
     EXPECT_NEAR(fit.overhead_s, overhead, 1e-4);
 
-    // An empty registry yields the identity.
-    obs::MetricsRegistry empty;
-    EXPECT_TRUE(
-        calibrate_from_registry(empty, gpu, net).is_identity());
+    // An empty ledger yields the identity.
+    EXPECT_TRUE(fit_calibration(gpu, net, calibration_points({}))
+                    .is_identity());
 }
 
 // ---- device truth and the device-fault seam ----------------------
@@ -582,9 +585,9 @@ TEST(Runtime, CalibrationConvergesOnTheHostConstants)
     // The host profile is scale 1.6 / overhead 4 ms with 5% jitter;
     // the fitted constants must land near them and the residuals of
     // the measured operating points must be small.
-    EXPECT_NEAR(rep.final_calibration.time_scale,
-                cfg.host.time_scale, 0.1);
-    EXPECT_NEAR(rep.final_calibration.overhead_s, cfg.host.overhead_s,
+    const DeviceTruthConfig host = serving_host(cfg.mix.seed);
+    EXPECT_NEAR(rep.final_calibration.time_scale, host.time_scale, 0.1);
+    EXPECT_NEAR(rep.final_calibration.overhead_s, host.overhead_s,
                 0.002);
     EXPECT_LT(rep.mean_abs_residual, 0.1);
 }
@@ -632,10 +635,8 @@ TEST(Runtime, RealInferenceGroundsTheStream)
     const ServingReport rep = runtime.run();
     EXPECT_GT(rep.total.served, 0);
 
-    // The run's local registry holds the calibration histograms.
-    const auto obs_points = observations_from_snapshot(
-        runtime.local_metrics().snapshot());
-    EXPECT_FALSE(obs_points.empty());
+    // The batch ledger holds the calibration points.
+    EXPECT_FALSE(calibration_points(rep.batch_records).empty());
 }
 
 TEST(Runtime, PlannerBeatsStaticBaselines)
@@ -670,9 +671,7 @@ TEST(Planner, EmptyQueueYieldsTheExplicitEmptyDecision)
 
 TEST(Planner, OverridesInflateSafetyAndForceDrain)
 {
-    PlannerConfig cfg;
-    cfg.max_batch = 8;
-    const BatchPlanner planner(cfg);
+    const BatchPlanner planner(PlannerConfig{});
     const GpuModel gpu(tx1_spec());
     const NetworkDesc net = alexnet_desc();
 
@@ -706,9 +705,39 @@ TEST(Planner, OverridesInflateSafetyAndForceDrain)
 
 // ---- per-class admission accounting + degraded shedding ------------
 
+/** One class's row, counted straight off the run's request ledger. */
+ClassReport
+ledger_row(const ServingReport& rep, int cls)
+{
+    ClassReport c;
+    for (const Request& r : rep.requests) {
+        if (r.cls != cls) continue;
+        ++c.arrived;
+        switch (r.outcome) {
+        case Outcome::kServed: ++c.served; break;
+        case Outcome::kDroppedCapacity: ++c.dropped_capacity; break;
+        case Outcome::kShedExpired: ++c.shed_expired; break;
+        case Outcome::kShedDegraded: ++c.shed_degraded; break;
+        case Outcome::kPending: ADD_FAILURE() << "undecided " << r.id;
+        }
+    }
+    return c;
+}
+
+void
+expect_rows_match(const ClassReport& got, const ClassReport& want)
+{
+    EXPECT_EQ(got.arrived, want.arrived) << got.name;
+    EXPECT_EQ(got.served, want.served) << got.name;
+    EXPECT_EQ(got.dropped_capacity, want.dropped_capacity) << got.name;
+    EXPECT_EQ(got.shed_expired, want.shed_expired) << got.name;
+    EXPECT_EQ(got.shed_degraded, want.shed_degraded) << got.name;
+}
+
 TEST(AdmissionQueue, SplitsStatsByClass)
 {
-    AdmissionQueue q(2, 2);
+    // The queue refuses and sheds whatever class a request carries.
+    AdmissionQueue q(2);
     Request r0 = make_request(0, 0.0, 0.5);
     Request r1 = make_request(1, 0.0, 0.2);
     r1.cls = 1;
@@ -717,28 +746,54 @@ TEST(AdmissionQueue, SplitsStatsByClass)
     EXPECT_TRUE(q.admit(r0));
     EXPECT_TRUE(q.admit(r1));
     EXPECT_FALSE(q.admit(r2)); // capacity 2: class-1 drop
-
-    EXPECT_EQ(q.class_stats(0).arrived, 1);
-    EXPECT_EQ(q.class_stats(0).admitted, 1);
-    EXPECT_EQ(q.class_stats(1).arrived, 2);
-    EXPECT_EQ(q.class_stats(1).admitted, 1);
-    EXPECT_EQ(q.class_stats(1).dropped_capacity, 1);
-
-    // Formation-time sheds land on the expiring request's class.
     const auto shed = q.shed_expired(0.3);
     ASSERT_EQ(shed.size(), 1u);
     EXPECT_EQ(shed[0].cls, 1);
-    EXPECT_EQ(q.class_stats(1).shed_expired, 1);
-    EXPECT_EQ(q.class_stats(0).shed_expired, 0);
-    // Aggregate stays the sum of the per-class rows.
-    EXPECT_EQ(q.stats().arrived, 3);
-    EXPECT_EQ(q.stats().dropped_capacity, 1);
-    EXPECT_EQ(q.stats().shed_expired, 1);
+
+    // The per-class split is the run's ledger. Static batch 1 on
+    // bulk_heavy, with deadlines long enough that nothing expires
+    // first, overflows the queue; each class row, and each
+    // serving.queue.<class>.* counter, is that class's outcomes.
+    ServingConfig cfg = make_scenario("bulk_heavy", 15.0, 3);
+    cfg.planner.mode = PlannerMode::kStatic;
+    cfg.planner.static_batch = 1;
+    for (RequestClass& c : cfg.mix.classes) c.deadline_s *= 50.0;
+    auto& reg = obs::MetricsRegistry::global();
+    auto queue_counter = [&reg](const RequestClass& c, const char* n) {
+        return reg.counter("serving.queue." + c.name + "." + n).value();
+    };
+    std::vector<std::array<int64_t, 3>> before;
+    for (const RequestClass& c : cfg.mix.classes)
+        before.push_back({queue_counter(c, "arrived"),
+                          queue_counter(c, "admitted"),
+                          queue_counter(c, "dropped_capacity")});
+    const ServingReport rep = ServingRuntime(cfg).run();
+    ASSERT_GT(rep.total.dropped_capacity, 0);
+
+    ClassReport sum;
+    for (size_t i = 0; i < rep.classes.size(); ++i) {
+        const ClassReport& c = rep.classes[i];
+        const ClassReport want = ledger_row(rep, static_cast<int>(i));
+        expect_rows_match(c, want);
+        const RequestClass& rc = cfg.mix.classes[i];
+        EXPECT_EQ(queue_counter(rc, "arrived") - before[i][0], c.arrived);
+        EXPECT_EQ(queue_counter(rc, "admitted") - before[i][1],
+                  c.arrived - c.dropped_capacity - c.shed_degraded);
+        EXPECT_EQ(queue_counter(rc, "dropped_capacity") - before[i][2],
+                  c.dropped_capacity);
+        sum.arrived += c.arrived;
+        sum.served += c.served;
+        sum.dropped_capacity += c.dropped_capacity;
+        sum.shed_expired += c.shed_expired;
+        sum.shed_degraded += c.shed_degraded;
+    }
+    sum.name = "total";
+    expect_rows_match(rep.total, sum);
 }
 
 TEST(AdmissionQueue, DegradedSheddingRefusesMaskedClasses)
 {
-    AdmissionQueue q(8, 2);
+    AdmissionQueue q(8);
     q.set_degraded_shedding({false, true});
     EXPECT_TRUE(q.sheds_class(1));
     EXPECT_FALSE(q.sheds_class(0));
@@ -749,14 +804,28 @@ TEST(AdmissionQueue, DegradedSheddingRefusesMaskedClasses)
     EXPECT_TRUE(q.admit(keep));
     EXPECT_FALSE(q.admit(shed));
     EXPECT_EQ(q.depth(), 1u);
-    EXPECT_EQ(q.class_stats(1).shed_degraded, 1);
-    EXPECT_EQ(q.class_stats(1).dropped_capacity, 0);
-    EXPECT_EQ(q.stats().shed_degraded, 1);
 
     // Clearing the mask restores admission (the ladder's reversal).
     q.set_degraded_shedding({});
     EXPECT_TRUE(q.admit(shed));
-    EXPECT_EQ(q.class_stats(1).admitted, 1);
+    EXPECT_EQ(q.depth(), 2u);
+
+    // In a run, the ledger marks every refusal at its arrival, only
+    // ever on a best_effort class, and the class rows count them.
+    const ServingConfig cfg = make_device_chaos(12.0, 17);
+    const ServingReport rep = ServingRuntime(cfg).run();
+    ASSERT_GT(rep.total.shed_degraded, 0);
+    for (const Request& r : rep.requests) {
+        if (r.outcome != Outcome::kShedDegraded) continue;
+        EXPECT_TRUE(cfg.mix.classes[static_cast<size_t>(r.cls)]
+                        .best_effort)
+            << r.id;
+        EXPECT_EQ(r.dequeued_s, r.arrival_s) << r.id;
+        EXPECT_EQ(r.done_s, r.arrival_s) << r.id;
+    }
+    for (size_t i = 0; i < rep.classes.size(); ++i)
+        expect_rows_match(rep.classes[i],
+                          ledger_row(rep, static_cast<int>(i)));
 }
 
 // ---- gray-failure detector -----------------------------------------
@@ -842,7 +911,7 @@ TEST(Chaos, FaultFreeRunNeverTripsTheDetector)
     const ServingReport unguarded = once(false);
     EXPECT_EQ(guarded.degradation.transitions, 0);
     EXPECT_EQ(guarded.degradation.max_rung, 0);
-    EXPECT_EQ(guarded.degradation.shed_degraded, 0);
+    EXPECT_EQ(guarded.total.shed_degraded, 0);
     EXPECT_EQ(guarded.degradation.final_state, "healthy");
     EXPECT_EQ(guarded.transcript, unguarded.transcript);
     EXPECT_DOUBLE_EQ(guarded.total.miss_rate,
@@ -862,8 +931,8 @@ TEST(Chaos, RunsAreByteDeterministic)
     EXPECT_EQ(a.transcript, b.transcript);
     EXPECT_EQ(a.degradation.transitions, b.degradation.transitions);
     EXPECT_EQ(a.degradation.max_rung, b.degradation.max_rung);
-    EXPECT_EQ(a.degradation.shed_degraded,
-              b.degradation.shed_degraded);
+    EXPECT_EQ(a.total.shed_degraded,
+              b.total.shed_degraded);
     EXPECT_DOUBLE_EQ(a.degradation.final_ewma,
                      b.degradation.final_ewma);
     // The device faults actually fired.
@@ -881,7 +950,7 @@ TEST(Chaos, LadderEngagesShedsAndRecovers)
     // were skipped, sick-era calibration was suspended, and at least
     // one probation ended in a recalibrate-then-recover.
     EXPECT_GE(rep.degradation.max_rung, 2);
-    EXPECT_GT(rep.degradation.shed_degraded, 0);
+    EXPECT_GT(rep.total.shed_degraded, 0);
     EXPECT_GT(rep.degradation.diag_skipped, 0);
     EXPECT_GT(rep.degradation.calib_skipped, 0);
     EXPECT_GE(rep.degradation.probations, 1);
