@@ -136,22 +136,6 @@ BM_JigsawBatch(benchmark::State& state)
 BENCHMARK(BM_JigsawBatch);
 
 void
-BM_ConvDirect(benchmark::State& state)
-{
-    Rng rng(7);
-    Conv2d conv("c", 16, 32, 3, 1, 1, rng);
-    conv.set_backend(ConvBackend::kDirect);
-    Tensor x({8, 16, 12, 12});
-    x.fill_uniform(rng, -1.0f, 1.0f);
-    for (auto _ : state) {
-        Tensor y = conv.forward(x, false);
-        benchmark::DoNotOptimize(y.data());
-    }
-    state.SetItemsProcessed(state.iterations() * 8);
-}
-BENCHMARK(BM_ConvDirect);
-
-void
 BM_RelativeBatch(benchmark::State& state)
 {
     Rng rng(9);

@@ -22,6 +22,11 @@
 # 8. Every backticked `Suite.TestName` in README, DESIGN, EXPERIMENTS,
 #    docs/ and results/ names a TEST, TEST_F or TEST_P in tests/.
 #    ROADMAP and CHANGES are exempt, as in rule 7.
+# 9. Every bench (bench/bench_*.cc) that calls verdict( is gated by
+#    the paper_<stem> loop in tests/CMakeLists.txt, or is on the
+#    not-yet-gated list below with the ROADMAP item that will gate
+#    it. A listed stem that is also gated, or that no longer calls
+#    verdict(, fails too, so the list can only shrink.
 set -u
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -252,8 +257,47 @@ for doc in "$root"/README.md "$root"/DESIGN.md "$root"/EXPERIMENTS.md \
              tr -d '`' | sort -u)
 done
 
+# --- 9. verdict benches are gated, or listed as not yet -----------
+# <stem> <ROADMAP item that lands its gate>
+not_yet_gated='
+fig5_pretrain_transfer 1
+fig6_layer_locking 1
+fig7_valuable_data 1
+fleet_scaling 1
+ablation_diagnosis_policy 2
+'
+gated=$(perl -0777 -ne '
+    if (/foreach\(stem IN ITEMS([^)]*)\)\s*add_test\(NAME paper_\$\{stem\}/) {
+        print "$_\n" for split " ", $1 }' "$root/tests/CMakeLists.txt")
+if [ -z "$gated" ]; then
+    note "tests/CMakeLists.txt: no paper_<stem> loop found"
+    fail=1
+fi
+listed=$(printf '%s' "$not_yet_gated" | awk 'NF { print $1 }')
+verdicts=0
+for src in "$root"/bench/bench_*.cc; do
+    grep -q 'verdict(' "$src" || continue
+    stem="$(basename "$src" .cc)"
+    stem="${stem#bench_}"
+    verdicts=$((verdicts + 1))
+    if ! printf '%s\n' $gated $listed | grep -qx "$stem"; then
+        note "rule 9: bench_$stem has a verdict but no paper_$stem test and is not listed"
+        fail=1
+    fi
+done
+for stem in $listed; do
+    if printf '%s\n' $gated | grep -qx "$stem"; then
+        note "rule 9: $stem is gated; drop it from the not-yet-gated list"
+        fail=1
+    fi
+    if ! grep -qs 'verdict(' "$root/bench/bench_$stem.cc"; then
+        note "rule 9: bench_$stem calls no verdict(; drop it from the list"
+        fail=1
+    fi
+done
+
 if [ "$fail" -ne 0 ]; then
     note "check_docs: FAILED"
     exit 1
 fi
-note "check_docs: OK ($checked links, $refs Type::member references, $paths repo paths, $tests test names, bench + telemetry docs complete)"
+note "check_docs: OK ($checked links, $refs Type::member references, $paths repo paths, $tests test names, $verdicts verdict benches gated or listed, bench + telemetry docs complete)"

@@ -13,7 +13,7 @@
 
 namespace insitu {
 
-// The conv lowerings below call the raw `gemm()` entry point (outputs
+// The forward and backward below call the raw `gemm()` entry point (outputs
 // go straight into layer tensors / workspace scratch, skipping the
 // Tensor-level wrappers), so they tally the `tensor.matmul*` counters
 // themselves — the totals stay exactly what the wrappers would have
@@ -66,11 +66,6 @@ Conv2d::forward(const Tensor& input, bool training)
     // Only backward reads the cached input; an eval forward keeps
     // none, so a backward after it fails the before-forward check.
     cached_input_ = training ? input : Tensor();
-
-    if (backend_ == ConvBackend::kDirect) {
-        return conv2d_direct(input, weight_->value(), bias_->value(),
-                             g);
-    }
 
     const int64_t ckk = in_channels_ * kernel_ * kernel_;
     const int64_t ohw = oh * ow;

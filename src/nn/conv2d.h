@@ -4,7 +4,9 @@
  *
  * Forward/backward are implemented with the im2col + GEMM lowering of
  * the paper's Fig. 8: the forward runs one GEMM per group of images
- * (see `kGroupCols`), the backward one per image.
+ * (see `kGroupCols`), the backward one per image. The Fig. 9 direct
+ * loop nest is `conv2d_direct`, the reference the forward is tested
+ * against.
  */
 #pragma once
 
@@ -14,13 +16,6 @@
 namespace insitu {
 
 class Rng;
-
-/**
- * Forward-pass implementation strategy. The paper contrasts exactly
- * these two lowerings: GPUs use im2col + GEMM at the cost of data
- * duplication (Fig. 8); FPGAs run the direct loop nest (Fig. 9).
- */
-enum class ConvBackend { kIm2col, kDirect };
 
 /** Convolution layer with weight (M,N,K,K) and bias (M). */
 class Conv2d : public Layer {
@@ -54,15 +49,10 @@ class Conv2d : public Layer {
     const ParameterPtr& weight() const { return weight_; }
     const ParameterPtr& bias() const { return bias_; }
 
-    /** Select the forward lowering (backward always uses im2col). */
-    void set_backend(ConvBackend backend) { backend_ = backend; }
-    ConvBackend backend() const { return backend_; }
-
   private:
     ConvGeometry geometry(const Tensor& input) const;
 
     int64_t in_channels_, out_channels_, kernel_, stride_, pad_;
-    ConvBackend backend_ = ConvBackend::kIm2col;
     ParameterPtr weight_;
     ParameterPtr bias_;
     Tensor cached_input_;

@@ -5,7 +5,6 @@
 #include "obs/metrics.h"
 #include "tensor/gemm.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 
 namespace insitu {
 
@@ -145,23 +144,14 @@ conv2d_direct(const Tensor& input, const Tensor& weight,
                      weight.dim(3) == g.kernel && bias.dim(0) == m,
                  "conv2d_direct geometry mismatch");
     const int64_t oh = g.out_h(), ow = g.out_w();
-    static auto& calls = kernel_counter("tensor.conv2d_direct.calls");
-    static auto& flops = kernel_counter("tensor.conv2d_direct.flops");
-    tally_kernel(calls, flops,
-                 2 * batch * m * g.in_channels * oh * ow * g.kernel *
-                     g.kernel);
     Tensor out = Tensor::uninitialized({batch, m, oh, ow});
     const float* in = input.data();
     const float* w = weight.data();
     const float* pb = bias.data();
     float* po = out.data();
     // The Fig. 9 loop nest: output maps, input maps, spatial, kernel.
-    // Parallel over (batch, filter) output planes — each plane is
-    // written by exactly one chunk, so any thread count is
-    // bit-identical.
-    parallel_for(0, batch * m, 1, [&](int64_t p0, int64_t p1) {
-        for (int64_t p = p0; p < p1; ++p) {
-            const int64_t b = p / m, f = p % m;
+    for (int64_t b = 0; b < batch; ++b) {
+        for (int64_t f = 0; f < m; ++f) {
             float* plane = po + (b * m + f) * oh * ow;
             for (int64_t i = 0; i < oh * ow; ++i) plane[i] = pb[f];
             for (int64_t c = 0; c < g.in_channels; ++c) {
@@ -190,7 +180,7 @@ conv2d_direct(const Tensor& input, const Tensor& weight,
                 }
             }
         }
-    });
+    }
     return out;
 }
 

@@ -83,8 +83,10 @@ void col2im_accumulate(const float* cols, Tensor& grad_input,
 
 /**
  * Direct convolution forward (no im2col, no data duplication) — the
- * FPGA-style loop nest of the paper's Fig. 9. Bit-identical up to
- * float rounding with the im2col/GEMM path.
+ * FPGA-style loop nest of the paper's Fig. 9, run serially. It is the
+ * independent reference `Conv2d::forward` is tested against: the two
+ * agree within float rounding, not bitwise, because they sum the
+ * products in a different order, so the tests compare them at 1e-4.
  *
  * @param input (B, N, H, W) activations.
  * @param weight (M, N, K, K) filters.

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the extension features: the direct conv backend vs the
- * im2col lowering, the uplink queue, the periodic environment
+ * Tests for the extension features: the conv layer against the direct
+ * loop-nest reference, the uplink queue, the periodic environment
  * schedule, and labeling-cost accounting.
  */
 #include <gtest/gtest.h>
@@ -11,60 +11,69 @@
 #include "data/schedule.h"
 #include "iot/system.h"
 #include "iot/uplink.h"
-#include "nn/activations.h"
 #include "nn/conv2d.h"
-#include "nn/grad_check.h"
-#include "nn/linear.h"
-#include "nn/loss.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
 namespace insitu {
 namespace {
 
-TEST(ConvBackend, DirectMatchesIm2colExactly)
+/** Conv2d::forward matches conv2d_direct within 1e-4, element by
+ * element, on one layer and input. */
+void
+expect_matches_reference(Conv2d& conv, const Tensor& x)
 {
+    ConvGeometry g;
+    g.in_channels = conv.in_channels();
+    g.in_h = x.dim(2);
+    g.in_w = x.dim(3);
+    g.kernel = conv.kernel();
+    g.stride = conv.stride();
+    g.pad = conv.pad();
+    const Tensor a = conv.forward(x, false);
+    const Tensor b = conv2d_direct(x, conv.weight()->value(),
+                                   conv.bias()->value(), g);
+    ASSERT_EQ(a.shape(), b.shape());
+    for (int64_t i = 0; i < a.numel(); ++i)
+        ASSERT_NEAR(a.at(i), b.at(i), 1e-4f) << "at float " << i;
+}
+
+TEST(ConvReference, LayerMatchesDirectLoopNest)
+{
+    // Every layer gets random biases: a new layer's are zero, which
+    // would hide a wrong bias add.
     Rng rng(1);
     for (int64_t stride : {1, 2}) {
         for (int64_t pad : {0, 1, 2}) {
+            SCOPED_TRACE(testing::Message()
+                         << "stride " << stride << " pad " << pad);
             Conv2d conv("c", 3, 5, 3, stride, pad, rng);
+            conv.bias()->value().fill_uniform(rng, -1.0f, 1.0f);
             Tensor x({2, 3, 9, 9});
             x.fill_uniform(rng, -1.0f, 1.0f);
-            conv.set_backend(ConvBackend::kIm2col);
-            const Tensor a = conv.forward(x, false);
-            conv.set_backend(ConvBackend::kDirect);
-            const Tensor b = conv.forward(x, false);
-            ASSERT_EQ(a.shape(), b.shape());
-            for (int64_t i = 0; i < a.numel(); ++i)
-                EXPECT_NEAR(a.at(i), b.at(i), 1e-4f)
-                    << "stride " << stride << " pad " << pad;
+            expect_matches_reference(conv, x);
         }
     }
-}
-
-TEST(ConvBackend, DirectForwardWithIm2colBackwardIsConsistent)
-{
-    // Training with the direct forward must produce the same
-    // gradients (backward path is im2col either way).
-    Rng rng(2);
-    Network net("direct");
-    auto conv = std::make_unique<Conv2d>("c", 2, 3, 3, 1, 1, rng);
-    conv->set_backend(ConvBackend::kDirect);
-    net.add(std::move(conv));
-    net.emplace<Flatten>();
-    net.emplace<Linear>("fc", 3 * 6 * 6, 2, rng);
-    Tensor x({1, 2, 6, 6});
-    x.fill_uniform(rng, -1.0f, 1.0f);
-    SoftmaxCrossEntropy loss;
-    const std::vector<int64_t> labels{1};
-    auto loss_fn = [&] {
-        return loss.forward(net.forward(x, false), labels);
+    // Channels, kernels and maps of the old lowering ablation, each
+    // with a batch of G + 1 images so the grouped forward crosses a
+    // group boundary (G = ceil(kGroupCols / (OH * OW))).
+    struct Shape {
+        int64_t n, m, k, size;
     };
-    auto backward_fn = [&] {
-        loss.forward(net.forward(x, true), labels);
-        net.backward(loss.backward());
-    };
-    EXPECT_TRUE(check_gradients(net, loss_fn, backward_fn).ok());
+    for (const Shape& s : {Shape{16, 16, 1, 24}, Shape{16, 32, 3, 12},
+                           Shape{32, 32, 3, 24}, Shape{8, 16, 5, 24},
+                           Shape{4, 8, 7, 24}}) {
+        SCOPED_TRACE(testing::Message()
+                     << "K " << s.k << " map " << s.size);
+        Conv2d conv("c", s.n, s.m, s.k, 1, s.k / 2, rng);
+        conv.bias()->value().fill_uniform(rng, -1.0f, 1.0f);
+        const int64_t ohw = s.size * s.size;
+        const int64_t group = (kGroupCols + ohw - 1) / ohw;
+        Tensor x({group + 1, s.n, s.size, s.size});
+        x.fill_uniform(rng, -1.0f, 1.0f);
+        expect_matches_reference(conv, x);
+    }
 }
 
 TEST(UplinkQueue, DrainsFifoWithBandwidthLimit)

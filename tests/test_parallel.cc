@@ -161,11 +161,10 @@ TEST(DeriveStream, DistinctAndStable)
 /** Forward+backward through one conv layer; returns every float that
  * the pass produced (output, grad_input, weight grad, bias grad). */
 std::vector<float>
-conv_pass(ConvBackend backend)
+conv_pass()
 {
     Rng rng(7);
     Conv2d conv("c", 3, 8, 3, 1, 1, rng);
-    conv.set_backend(backend);
     Tensor x({6, 3, 12, 12});
     x.fill_uniform(rng, -1.0f, 1.0f);
     Tensor y = conv.forward(x, true);
@@ -183,18 +182,33 @@ conv_pass(ConvBackend backend)
     return all;
 }
 
+/** The direct loop-nest reference on the same layer and input. */
+std::vector<float>
+direct_pass()
+{
+    Rng rng(7);
+    Conv2d conv("c", 3, 8, 3, 1, 1, rng);
+    Tensor x({6, 3, 12, 12});
+    x.fill_uniform(rng, -1.0f, 1.0f);
+    ConvGeometry g;
+    g.in_channels = 3;
+    g.in_h = g.in_w = 12;
+    g.kernel = 3;
+    g.pad = 1;
+    const Tensor y = conv2d_direct(x, conv.weight()->value(),
+                                   conv.bias()->value(), g);
+    return std::vector<float>(y.data(), y.data() + y.numel());
+}
+
 TEST(Determinism, ConvForwardBackwardBitIdentical)
 {
-    for (ConvBackend backend :
-         {ConvBackend::kIm2col, ConvBackend::kDirect}) {
-        const auto serial =
-            with_threads(1, [&] { return conv_pass(backend); });
-        const auto threaded =
-            with_threads(4, [&] { return conv_pass(backend); });
+    for (auto pass : {conv_pass, direct_pass}) {
+        const auto serial = with_threads(1, pass);
+        const auto threaded = with_threads(4, pass);
         ASSERT_EQ(serial.size(), threaded.size());
         for (size_t i = 0; i < serial.size(); ++i)
             ASSERT_EQ(serial[i], threaded[i])
-                << "backend " << static_cast<int>(backend)
+                << (pass == conv_pass ? "layer" : "conv2d_direct")
                 << " diverges at float " << i;
     }
 }
