@@ -4,6 +4,9 @@
  */
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "nn/layer.h"
 
 namespace insitu {
@@ -18,7 +21,9 @@ class ReLU : public Layer {
     std::string kind() const override { return "relu"; }
 
   private:
-    Tensor mask_;
+    // Train-mode backward state: one byte per element, 1 where x > 0.
+    std::vector<int64_t> mask_shape_;
+    std::vector<uint8_t> mask_;
 };
 
 /** Collapse all non-batch dimensions: (B, ...) -> (B, F). */

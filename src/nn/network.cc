@@ -40,13 +40,16 @@ Tensor
 Network::forward(const Tensor& input, bool training)
 {
     obs::ScopedSpan span("nn.forward", "network", name_);
-    Tensor x = input;
-    for (auto& layer : layers_) {
+    if (layers_.empty()) return input;
+    // The first layer reads the caller's tensor; no copy is made.
+    Tensor x;
+    for (size_t i = 0; i < layers_.size(); ++i) {
+        Layer& layer = *layers_[i];
         obs::ScopedSpan layer_span("nn.forward.layer", "layer",
-                                   layer->name());
+                                   layer.name());
         const double t0 = obs::now_s();
-        x = layer->forward(x, training);
-        layer_time_histogram("forward", layer->kind())
+        x = layer.forward(i == 0 ? input : x, training);
+        layer_time_histogram("forward", layer.kind())
             .observe(obs::now_s() - t0);
     }
     return x;

@@ -1,8 +1,13 @@
 #include "nn/pooling.h"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include <limits>
 #include <sstream>
 #include <type_traits>
+#include <vector>
 
 #include "tensor/gemm.h"
 #include "util/logging.h"
@@ -57,36 +62,80 @@ MaxPool2d::forward(const Tensor& input, bool training)
     const float* in = input.data();
     float* po = out.data();
     int32_t* am = argmax_.data();
+    // Plane offset of each output's window origin, shared by all planes.
+    const int64_t per_plane = oh * ow;
+    std::vector<int32_t> origin(static_cast<size_t>(per_plane));
+    for (int64_t q = 0; q < per_plane; ++q)
+        origin[static_cast<size_t>(q)] = static_cast<int32_t>(
+            (q / ow) * stride_ * iw + (q % ow) * stride_);
+    const int32_t* org = origin.data();
     // Plane-parallel: each (batch, channel) plane owns its output and
     // argmax slice. Chunks carry several planes when planes are small.
+    // Every window is scanned with selects, not branches: the strict >
+    // keeps the first maximum and never picks NaN, and a window with
+    // nothing above -inf keeps index 0. maxps and cmpgtps apply that
+    // select to four windows at once; the last few go one by one.
     auto pool_planes = [&](auto with_argmax) {
         parallel_for(0, batch * ch,
-                     flops_grain(kernel_ * kernel_ * oh * ow),
+                     flops_grain(kernel_ * kernel_ * per_plane),
                      [&](int64_t p0, int64_t p1) {
             for (int64_t p = p0; p < p1; ++p) {
                 const float* plane = in + p * ih * iw;
-                int64_t oi = p * oh * ow;
-                for (int64_t y = 0; y < oh; ++y) {
-                    for (int64_t x = 0; x < ow; ++x, ++oi) {
-                        float best =
-                            -std::numeric_limits<float>::infinity();
-                        [[maybe_unused]] int64_t best_idx = 0;
-                        for (int64_t ky = 0; ky < kernel_; ++ky) {
-                            for (int64_t kx = 0; kx < kernel_; ++kx) {
-                                const int64_t idx =
-                                    (y * stride_ + ky) * iw +
-                                    x * stride_ + kx;
-                                if (plane[idx] > best) {
-                                    best = plane[idx];
-                                    if constexpr (with_argmax)
-                                        best_idx = idx;
-                                }
+                float* pout = po + p * per_plane;
+                [[maybe_unused]] int32_t* pam =
+                    with_argmax ? am + p * per_plane : nullptr;
+                int64_t q = 0;
+#if defined(__SSE2__)
+                for (; q + 4 <= per_plane; q += 4) {
+                    const int32_t* o = org + q;
+                    __m128 best = _mm_set1_ps(
+                        -std::numeric_limits<float>::infinity());
+                    [[maybe_unused]] __m128i best_idx =
+                        _mm_setzero_si128();
+                    for (int64_t ky = 0; ky < kernel_; ++ky) {
+                        for (int64_t kx = 0; kx < kernel_; ++kx) {
+                            const int64_t off = ky * iw + kx;
+                            const __m128 v = _mm_setr_ps(
+                                plane[o[0] + off], plane[o[1] + off],
+                                plane[o[2] + off], plane[o[3] + off]);
+                            if constexpr (with_argmax) {
+                                const __m128i gt = _mm_castps_si128(
+                                    _mm_cmpgt_ps(v, best));
+                                const __m128i idx = _mm_add_epi32(
+                                    _mm_loadu_si128(
+                                        reinterpret_cast<const __m128i*>(
+                                            o)),
+                                    _mm_set1_epi32(
+                                        static_cast<int32_t>(off)));
+                                best_idx = _mm_or_si128(
+                                    _mm_and_si128(gt, idx),
+                                    _mm_andnot_si128(gt, best_idx));
                             }
+                            best = _mm_max_ps(v, best);
                         }
-                        po[oi] = best;
-                        if constexpr (with_argmax)
-                            am[oi] = static_cast<int32_t>(best_idx);
                     }
+                    _mm_storeu_ps(pout + q, best);
+                    if constexpr (with_argmax)
+                        _mm_storeu_si128(
+                            reinterpret_cast<__m128i*>(pam + q),
+                            best_idx);
+                }
+#endif
+                for (; q < per_plane; ++q) {
+                    float best = -std::numeric_limits<float>::infinity();
+                    [[maybe_unused]] int64_t best_idx = 0;
+                    for (int64_t ky = 0; ky < kernel_; ++ky) {
+                        for (int64_t kx = 0; kx < kernel_; ++kx) {
+                            const int64_t idx = org[q] + ky * iw + kx;
+                            const float v = plane[idx];
+                            if constexpr (with_argmax)
+                                best_idx = v > best ? idx : best_idx;
+                            best = v > best ? v : best;
+                        }
+                    }
+                    pout[q] = best;
+                    if constexpr (with_argmax)
+                        pam[q] = static_cast<int32_t>(best_idx);
                 }
             }
         });

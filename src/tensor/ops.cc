@@ -1,6 +1,7 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "tensor/gemm.h"
@@ -26,6 +27,32 @@ obs::Counter&
 kernel_counter(const char* name)
 {
     return obs::MetricsRegistry::global().counter(name);
+}
+
+/** Output positions [lo, hi) along one axis that read inside the map. */
+struct InBounds {
+    int64_t lo, hi;
+};
+
+/**
+ * Per kernel tap k, the outputs o in [0, out) whose input coordinate
+ * o * stride + k - pad lies in [0, in). Computed once per call, so the
+ * lowering loops never test a coordinate.
+ */
+std::vector<InBounds>
+in_bounds(int64_t in, int64_t out, const ConvGeometry& g)
+{
+    std::vector<InBounds> spans(static_cast<size_t>(g.kernel));
+    for (int64_t k = 0; k < g.kernel; ++k) {
+        const int64_t off = k - g.pad;
+        const int64_t lo =
+            off >= 0 ? 0 : (g.stride - 1 - off) / g.stride;
+        const int64_t hi =
+            in - off <= 0 ? 0 : (in - off + g.stride - 1) / g.stride;
+        const int64_t end = std::min(hi, out);
+        spans[static_cast<size_t>(k)] = {std::min(lo, end), end};
+    }
+    return spans;
 }
 
 } // namespace
@@ -106,22 +133,33 @@ im2col_into(const Tensor& input, int64_t batch_index,
                       batch_index * g.in_channels * g.in_h * g.in_w;
     INSITU_CHECK(col0 >= 0 && ld >= col0 + oh * ow,
                  "im2col column window outside the row stride");
+    // Per tap (c, ky, kx), outputs outside the in-bounds rectangle
+    // read padding: a tap that has any gets its block zeroed first,
+    // then the rectangle is copied row by row.
+    const std::vector<InBounds> yspans = in_bounds(g.in_h, oh, g);
+    const std::vector<InBounds> xspans = in_bounds(g.in_w, ow, g);
     for (int64_t c = 0; c < g.in_channels; ++c) {
+        const float* plane = in + c * g.in_h * g.in_w;
         for (int64_t ky = 0; ky < g.kernel; ++ky) {
+            const InBounds ys = yspans[static_cast<size_t>(ky)];
             for (int64_t kx = 0; kx < g.kernel; ++kx) {
+                const InBounds xs = xspans[static_cast<size_t>(kx)];
+                const int64_t xoff = kx - g.pad;
                 const int64_t row =
                     (c * g.kernel + ky) * g.kernel + kx;
                 float* dst = out + row * ld + col0;
-                for (int64_t y = 0; y < oh; ++y) {
-                    const int64_t iy = y * g.stride + ky - g.pad;
-                    for (int64_t x = 0; x < ow; ++x) {
-                        const int64_t ix = x * g.stride + kx - g.pad;
-                        float v = 0.0f;
-                        if (iy >= 0 && iy < g.in_h && ix >= 0 &&
-                            ix < g.in_w) {
-                            v = in[(c * g.in_h + iy) * g.in_w + ix];
-                        }
-                        dst[y * ow + x] = v;
+                if (ys.hi - ys.lo < oh || xs.hi - xs.lo < ow)
+                    for (int64_t i = 0; i < oh * ow; ++i) dst[i] = 0.0f;
+                for (int64_t y = ys.lo; y < ys.hi; ++y) {
+                    const float* src =
+                        plane + (y * g.stride + ky - g.pad) * g.in_w;
+                    float* d = dst + y * ow;
+                    if (g.stride == 1) {
+                        for (int64_t x = xs.lo; x < xs.hi; ++x)
+                            d[x] = src[x + xoff];
+                    } else {
+                        for (int64_t x = xs.lo; x < xs.hi; ++x)
+                            d[x] = src[x * g.stride + xoff];
                     }
                 }
             }
@@ -201,25 +239,41 @@ col2im_accumulate(const float* cols, Tensor& grad_input,
                   int64_t batch_index, const ConvGeometry& g)
 {
     INSITU_CHECK(grad_input.rank() == 4, "col2im expects NCHW grad");
+    INSITU_CHECK(grad_input.dim(1) == g.in_channels &&
+                     grad_input.dim(2) == g.in_h &&
+                     grad_input.dim(3) == g.in_w,
+                 "col2im geometry mismatch");
+    INSITU_CHECK(batch_index >= 0 && batch_index < grad_input.dim(0),
+                 "col2im batch index");
     const int64_t oh = g.out_h(), ow = g.out_w();
+    INSITU_CHECK(oh > 0 && ow > 0, "conv output would be empty");
     float* out = grad_input.data() +
                  batch_index * g.in_channels * g.in_h * g.in_w;
-    const float* in = cols;
-    const int64_t ncols = oh * ow;
+    // The in-bounds rectangles of im2col_into; padding is skipped.
+    // The (c, ky, kx, y, x) order is ascending, so every grad_input
+    // element sums its terms in one fixed order.
+    const std::vector<InBounds> yspans = in_bounds(g.in_h, oh, g);
+    const std::vector<InBounds> xspans = in_bounds(g.in_w, ow, g);
     for (int64_t c = 0; c < g.in_channels; ++c) {
+        float* plane = out + c * g.in_h * g.in_w;
         for (int64_t ky = 0; ky < g.kernel; ++ky) {
+            const InBounds ys = yspans[static_cast<size_t>(ky)];
             for (int64_t kx = 0; kx < g.kernel; ++kx) {
+                const InBounds xs = xspans[static_cast<size_t>(kx)];
+                const int64_t xoff = kx - g.pad;
                 const int64_t row =
                     (c * g.kernel + ky) * g.kernel + kx;
-                const float* src = in + row * ncols;
-                for (int64_t y = 0; y < oh; ++y) {
-                    const int64_t iy = y * g.stride + ky - g.pad;
-                    if (iy < 0 || iy >= g.in_h) continue;
-                    for (int64_t x = 0; x < ow; ++x) {
-                        const int64_t ix = x * g.stride + kx - g.pad;
-                        if (ix < 0 || ix >= g.in_w) continue;
-                        out[(c * g.in_h + iy) * g.in_w + ix] +=
-                            src[y * ow + x];
+                const float* src = cols + row * oh * ow;
+                for (int64_t y = ys.lo; y < ys.hi; ++y) {
+                    float* d =
+                        plane + (y * g.stride + ky - g.pad) * g.in_w;
+                    const float* s = src + y * ow;
+                    if (g.stride == 1) {
+                        for (int64_t x = xs.lo; x < xs.hi; ++x)
+                            d[x + xoff] += s[x];
+                    } else {
+                        for (int64_t x = xs.lo; x < xs.hi; ++x)
+                            d[x * g.stride + xoff] += s[x];
                     }
                 }
             }

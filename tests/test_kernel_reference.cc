@@ -1,0 +1,354 @@
+/**
+ * @file
+ * Bitwise oracles for the layer kernels around every conv GEMM: ReLU,
+ * max-pool, im2col_into and col2im_accumulate. The kernels use
+ * selects and per-tap index ranges instead of per-element branches;
+ * the naive loops here branch on every element, as the kernels once
+ * did, and live nowhere else. Each kernel must match its loop bit for
+ * bit (memcmp) on NaN, ±0, ±Inf and denormal inputs, all-NaN windows,
+ * tied windows, and planes that are wholly negative or wholly
+ * positive.
+ */
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "nn/activations.h"
+#include "nn/pooling.h"
+#include "tensor/ops.h"
+#include "util/rng.h"
+
+namespace insitu {
+namespace {
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+
+/// Values each select must treat exactly as the naive branch does.
+const std::vector<float> kSpecials = {
+    kNaN,     -kNaN,    0.0f,  -0.0f, kInf,  -kInf,
+    kDenorm,  -kDenorm, 3e-39f, -3e-39f, 1.0f, -1.0f,
+    std::numeric_limits<float>::max(),
+    -std::numeric_limits<float>::max()};
+
+/// How one plane (or one flat tensor) is filled.
+enum class Fill {
+    kMixed,       ///< uniform(-1, 1), a quarter replaced by specials
+    kTies,        ///< few levels, ±0 among them: every window ties
+    kAllNegative, ///< strictly negative, -0 and -Inf included
+    kAllPositive, ///< strictly positive, denormals and +Inf included
+    kAllNaN,
+};
+constexpr Fill kFills[] = {Fill::kMixed, Fill::kTies, Fill::kAllNegative,
+                           Fill::kAllPositive, Fill::kAllNaN};
+
+float
+draw(Fill fill, Rng& rng)
+{
+    switch (fill) {
+    case Fill::kMixed:
+        return rng.next_below(4) == 0
+                   ? kSpecials[rng.next_below(kSpecials.size())]
+                   : rng.uniform_f(-1.0f, 1.0f);
+    case Fill::kTies: {
+        static const float levels[] = {-1.0f, -0.0f, 0.0f, 0.5f, 0.5f};
+        return levels[rng.next_below(5)];
+    }
+    case Fill::kAllNegative: {
+        static const float tail[] = {-0.0f, -kInf, -kDenorm};
+        return rng.next_below(8) == 0 ? tail[rng.next_below(3)]
+                                      : rng.uniform_f(-2.0f, -1e-3f);
+    }
+    case Fill::kAllPositive: {
+        static const float tail[] = {kInf, kDenorm, 3e-39f};
+        return rng.next_below(8) == 0 ? tail[rng.next_below(3)]
+                                      : rng.uniform_f(1e-3f, 2.0f);
+    }
+    case Fill::kAllNaN:
+        return rng.next_below(2) == 0 ? kNaN : -kNaN;
+    }
+    return 0.0f;
+}
+
+/// Fills each plane of `plane_size` elements with the next Fill.
+Tensor
+make_input(std::vector<int64_t> shape, int64_t plane_size, Rng& rng)
+{
+    Tensor t = Tensor::uninitialized(std::move(shape));
+    for (int64_t i = 0; i < t.numel(); ++i)
+        t.data()[i] = draw(kFills[(i / plane_size) % 5], rng);
+    return t;
+}
+
+void
+expect_same_bits(const Tensor& got, const Tensor& want,
+                 const std::string& what)
+{
+    ASSERT_EQ(got.shape(), want.shape()) << what;
+    for (int64_t i = 0; i < got.numel(); ++i) {
+        if (std::memcmp(got.data() + i, want.data() + i,
+                        sizeof(float)) != 0) {
+            ADD_FAILURE() << what << ": element " << i << " is "
+                          << got.data()[i] << ", naive loop gives "
+                          << want.data()[i];
+            return;
+        }
+    }
+}
+
+// --- ReLU ----------------------------------------------------------
+
+TEST(KernelReference, ReluForwardAndBackward)
+{
+    Rng rng(25);
+    for (int64_t n : {1, 3, 4, 5, 16, 17, 63, 1027}) {
+        for (Fill fill : kFills) {
+            Tensor x = Tensor::uninitialized({n});
+            for (int64_t i = 0; i < n; ++i) x.data()[i] = draw(fill, rng);
+            Tensor want(x.shape()), mask(x.shape());
+            for (int64_t i = 0; i < n; ++i) {
+                const float v = x.data()[i];
+                if (v > 0.0f) {
+                    want.data()[i] = v;
+                    mask.data()[i] = 1.0f;
+                } else {
+                    want.data()[i] = 0.0f;
+                    mask.data()[i] = 0.0f;
+                }
+            }
+            const std::string what =
+                "n=" + std::to_string(n) + " fill=" +
+                std::to_string(static_cast<int>(fill));
+            ReLU relu;
+            expect_same_bits(relu.forward(x, false), want, "eval " + what);
+            expect_same_bits(relu.forward(x, true), want, "train " + what);
+
+            // Negative, NaN and Inf gradients: a masked one must become
+            // g * 0 (-0, NaN), not a stored +0.
+            Tensor g = make_input({n}, n, rng);
+            for (int64_t i = 0; i < n; i += 3)
+                g.data()[i] = kSpecials[rng.next_below(kSpecials.size())];
+            Tensor want_g = g;
+            for (int64_t i = 0; i < n; ++i)
+                want_g.data()[i] *= mask.data()[i];
+            expect_same_bits(relu.backward(g), want_g, "backward " + what);
+        }
+    }
+}
+
+// --- max-pool ------------------------------------------------------
+
+/// The naive scan: first strict maximum wins, index 0 if none.
+Tensor
+pool_reference(const Tensor& x, int64_t k, int64_t s,
+               std::vector<int64_t>& argmax)
+{
+    const int64_t planes = x.dim(0) * x.dim(1);
+    const int64_t ih = x.dim(2), iw = x.dim(3);
+    const int64_t oh = (ih - k) / s + 1, ow = (iw - k) / s + 1;
+    Tensor out({x.dim(0), x.dim(1), oh, ow});
+    argmax.assign(static_cast<size_t>(out.numel()), 0);
+    int64_t oi = 0;
+    for (int64_t p = 0; p < planes; ++p) {
+        const float* plane = x.data() + p * ih * iw;
+        for (int64_t y = 0; y < oh; ++y) {
+            for (int64_t xx = 0; xx < ow; ++xx, ++oi) {
+                float best = -kInf;
+                int64_t best_idx = 0;
+                for (int64_t ky = 0; ky < k; ++ky) {
+                    for (int64_t kx = 0; kx < k; ++kx) {
+                        const int64_t idx =
+                            (y * s + ky) * iw + xx * s + kx;
+                        if (plane[idx] > best) {
+                            best = plane[idx];
+                            best_idx = idx;
+                        }
+                    }
+                }
+                out.data()[oi] = best;
+                argmax[static_cast<size_t>(oi)] = best_idx;
+            }
+        }
+    }
+    return out;
+}
+
+TEST(KernelReference, MaxPoolForwardArgmaxAndBackward)
+{
+    Rng rng(7);
+    const int64_t shapes[][2] = {{9, 13}, {15, 7}};
+    for (int64_t k : {1, 2, 3, 5, 7}) {
+        for (int64_t s : {1, 2, 3}) {
+            for (const auto& hw : shapes) {
+                const int64_t ih = hw[0], iw = hw[1];
+                // Two images of five planes: one plane of each Fill.
+                const Tensor x = make_input({2, 5, ih, iw}, ih * iw, rng);
+                std::vector<int64_t> argmax;
+                const Tensor want = pool_reference(x, k, s, argmax);
+                const std::string what =
+                    "k=" + std::to_string(k) + " s=" + std::to_string(s) +
+                    " map=" + std::to_string(ih) + "x" + std::to_string(iw);
+                MaxPool2d pool("p", k, s);
+                expect_same_bits(pool.forward(x, false), want,
+                                 "eval " + what);
+                expect_same_bits(pool.forward(x, true), want,
+                                 "train " + what);
+
+                // Distinct gradients route through the argmax; where
+                // windows overlap, terms add in ascending output order.
+                Tensor g(want.shape());
+                g.fill_uniform(rng, -1.0f, 1.0f);
+                Tensor want_g(x.shape());
+                const int64_t per_plane = want.dim(2) * want.dim(3);
+                for (int64_t oi = 0; oi < g.numel(); ++oi)
+                    want_g.data()[(oi / per_plane) * ih * iw +
+                                  argmax[static_cast<size_t>(oi)]] +=
+                        g.data()[oi];
+                expect_same_bits(pool.backward(g), want_g,
+                                 "backward " + what);
+            }
+        }
+    }
+}
+
+// --- im2col / col2im -----------------------------------------------
+
+/// The naive gather: one bounds test per element.
+void
+im2col_reference(const Tensor& input, int64_t b, const ConvGeometry& g,
+                 float* out, int64_t ld, int64_t col0)
+{
+    const int64_t oh = g.out_h(), ow = g.out_w();
+    const float* in = input.data() + b * g.in_channels * g.in_h * g.in_w;
+    for (int64_t c = 0; c < g.in_channels; ++c)
+        for (int64_t ky = 0; ky < g.kernel; ++ky)
+            for (int64_t kx = 0; kx < g.kernel; ++kx) {
+                const int64_t row = (c * g.kernel + ky) * g.kernel + kx;
+                for (int64_t y = 0; y < oh; ++y)
+                    for (int64_t x = 0; x < ow; ++x) {
+                        const int64_t iy = y * g.stride + ky - g.pad;
+                        const int64_t ix = x * g.stride + kx - g.pad;
+                        float v = 0.0f;
+                        if (iy >= 0 && iy < g.in_h && ix >= 0 &&
+                            ix < g.in_w)
+                            v = in[(c * g.in_h + iy) * g.in_w + ix];
+                        out[row * ld + col0 + y * ow + x] = v;
+                    }
+            }
+}
+
+/// The naive scatter-add, in ascending (c, ky, kx, y, x) order.
+void
+col2im_reference(const float* cols, Tensor& grad, int64_t b,
+                 const ConvGeometry& g)
+{
+    const int64_t oh = g.out_h(), ow = g.out_w();
+    float* out = grad.data() + b * g.in_channels * g.in_h * g.in_w;
+    for (int64_t c = 0; c < g.in_channels; ++c)
+        for (int64_t ky = 0; ky < g.kernel; ++ky)
+            for (int64_t kx = 0; kx < g.kernel; ++kx) {
+                const int64_t row = (c * g.kernel + ky) * g.kernel + kx;
+                for (int64_t y = 0; y < oh; ++y)
+                    for (int64_t x = 0; x < ow; ++x) {
+                        const int64_t iy = y * g.stride + ky - g.pad;
+                        const int64_t ix = x * g.stride + kx - g.pad;
+                        if (iy < 0 || iy >= g.in_h || ix < 0 ||
+                            ix >= g.in_w)
+                            continue;
+                        out[(c * g.in_h + iy) * g.in_w + ix] +=
+                            cols[row * oh * ow + y * ow + x];
+                    }
+            }
+}
+
+/// Every K x stride x pad on non-square, odd-sized maps, three
+/// channels, whose output is not empty.
+std::vector<ConvGeometry>
+geometry_sweep()
+{
+    std::vector<ConvGeometry> out;
+    const int64_t maps[][2] = {{7, 9}, {11, 5}};
+    for (int64_t k : {1, 2, 3, 5, 7})
+        for (int64_t s : {1, 2, 3})
+            for (int64_t p : {0, 1, 2})
+                for (const auto& hw : maps) {
+                    ConvGeometry g;
+                    g.in_channels = 3;
+                    g.in_h = hw[0];
+                    g.in_w = hw[1];
+                    g.kernel = k;
+                    g.stride = s;
+                    g.pad = p;
+                    if (g.out_h() > 0 && g.out_w() > 0) out.push_back(g);
+                }
+    return out;
+}
+
+std::string
+describe(const ConvGeometry& g)
+{
+    char buf[96];
+    std::snprintf(buf, sizeof buf, "k=%lld s=%lld p=%lld map=%lldx%lld",
+                  static_cast<long long>(g.kernel),
+                  static_cast<long long>(g.stride),
+                  static_cast<long long>(g.pad),
+                  static_cast<long long>(g.in_h),
+                  static_cast<long long>(g.in_w));
+    return buf;
+}
+
+TEST(KernelReference, Im2colIntoMatchesNaiveGather)
+{
+    Rng rng(11);
+    const std::vector<ConvGeometry> sweep = geometry_sweep();
+    // 90 combinations less K=7 at pad 0 on the 5-wide map, strides 1
+    // and 2, whose output is empty.
+    ASSERT_EQ(sweep.size(), 88u);
+    for (const ConvGeometry& g : sweep) {
+        const Tensor x =
+            make_input({3, g.in_channels, g.in_h, g.in_w},
+                       g.in_h * g.in_w, rng);
+        // Image 2 lands at column 5 of rows wider than its window; the
+        // sentinel around it must survive.
+        const int64_t ohw = g.out_h() * g.out_w();
+        const int64_t col0 = 5, ld = col0 + ohw + 3;
+        const int64_t rows = g.in_channels * g.kernel * g.kernel;
+        Tensor got({rows, ld}, -7.25f), want({rows, ld}, -7.25f);
+        im2col_into(x, 2, g, got.data(), ld, col0);
+        im2col_reference(x, 2, g, want.data(), ld, col0);
+        expect_same_bits(got, want, describe(g));
+    }
+}
+
+TEST(KernelReference, Col2imAccumulateMatchesNaiveScatter)
+{
+    Rng rng(13);
+    for (const ConvGeometry& g : geometry_sweep()) {
+        const int64_t rows = g.in_channels * g.kernel * g.kernel;
+        // One NaN payload and no -Inf, so no sum depends on which NaN
+        // an add propagates; random terms make the order visible.
+        Tensor cols({rows, g.out_h() * g.out_w()});
+        for (int64_t i = 0; i < cols.numel(); ++i) {
+            static const float specials[] = {kNaN, kInf, 0.0f, -0.0f,
+                                             kDenorm, -kDenorm};
+            cols.data()[i] = rng.next_below(16) == 0
+                                 ? specials[rng.next_below(6)]
+                                 : rng.uniform_f(-1.0f, 1.0f);
+        }
+        Tensor got({3, g.in_channels, g.in_h, g.in_w});
+        got.fill_uniform(rng, -1.0f, 1.0f);
+        Tensor want = got;
+        col2im_accumulate(cols.data(), got, 1, g);
+        col2im_reference(cols.data(), want, 1, g);
+        expect_same_bits(got, want, describe(g));
+    }
+}
+
+} // namespace
+} // namespace insitu

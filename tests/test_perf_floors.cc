@@ -5,10 +5,11 @@
  * instrument for measuring gains.
  *
  * ctest runs this binary under two names, each with a
- * --gtest_filter (tests/CMakeLists.txt): `check_perf` runs GemmFloor.*
- * in every build, and `check_perf_fleet` runs FleetFloor.* only
- * without sanitizers. The binary is not gtest-discovered, so the
- * width-4, TSan and ASan reruns never time it.
+ * --gtest_filter (tests/CMakeLists.txt): `check_perf` runs
+ * GemmFloor.* and KernelFloor.* in every build, and `check_perf_fleet`
+ * runs FleetFloor.* only without sanitizers. The binary is not
+ * gtest-discovered, so the width-4, TSan and ASan reruns never time
+ * it.
  */
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include <limits>
 
 #include "iot/fleet_engine.h"
+#include "nn/activations.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "util/parallel.h"
@@ -87,6 +89,51 @@ TEST(GemmFloor, BlockedNotSlowerThanNaiveAt64)
 TEST(GemmFloor, BlockedThreeTimesNaiveAt256)
 {
     expect_speedup_at_least(256, 3.0);
+}
+
+/**
+ * random-sign / all-positive time for one ReLU forward over 2^18
+ * floats at width 1, each side the best of 9 alternating samples. A
+ * kernel that branches on the sign mispredicts half the time on random
+ * signs (a per-element `comiss; ja` read 5.5-7.6x in eval and
+ * 2.2-2.6x in train on a 4-core Xeon VM); a select costs the same on
+ * both.
+ */
+double
+relu_sign_ratio(bool training)
+{
+    set_num_threads(1);
+    constexpr int64_t n = int64_t{1} << 18;
+    Rng rng(1);
+    Tensor mixed({n}), positive({n});
+    mixed.fill_uniform(rng, -1.0f, 1.0f);
+    positive.fill_uniform(rng, 1e-3f, 1.0f);
+    ReLU relu;
+    auto sample = [&](const Tensor& x) {
+        const auto t0 = std::chrono::steady_clock::now();
+        for (int c = 0; c < 8; ++c) (void)relu.forward(x, training);
+        return seconds_since(t0);
+    };
+    sample(mixed); // warm the allocator and the caches
+    double random = std::numeric_limits<double>::infinity();
+    double steady = random;
+    for (int s = 0; s < 9; ++s) {
+        random = std::min(random, sample(mixed));
+        steady = std::min(steady, sample(positive));
+    }
+    set_num_threads(0);
+    return random / steady;
+}
+
+TEST(KernelFloor, ReluForwardCostIndependentOfSign)
+{
+    for (bool training : {false, true}) {
+        const double ratio = relu_sign_ratio(training);
+        std::printf("relu %s forward: random-sign / all-positive = "
+                    "%.2fx (ceiling 1.5x)\n",
+                    training ? "train" : "eval", ratio);
+        EXPECT_LE(ratio, 1.5);
+    }
 }
 
 /// A 4-core Xeon VM sustains ~16M events/s, ~80× this, so only a

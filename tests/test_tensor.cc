@@ -236,6 +236,37 @@ TEST(Col2im, IsAdjointOfIm2col)
     EXPECT_NEAR(lhs, rhs, 1e-4);
 }
 
+/// A 2-channel 4x4 map, K=3, pad 1: 18 column rows of 16.
+ConvGeometry
+col2im_geometry()
+{
+    ConvGeometry g;
+    g.in_channels = 2;
+    g.in_h = g.in_w = 4;
+    g.kernel = 3;
+    g.pad = 1;
+    return g;
+}
+
+TEST(Col2imDeathTest, BatchIndexOutOfRangeDies)
+{
+    const ConvGeometry g = col2im_geometry();
+    const Tensor cols({18, 16}, 1.0f);
+    Tensor grad({1, 2, 4, 4});
+    EXPECT_DEATH(col2im_accumulate(cols, grad, 1, g), "col2im batch index");
+    EXPECT_DEATH(col2im_accumulate(cols.data(), grad, -1, g),
+                 "col2im batch index");
+}
+
+TEST(Col2imDeathTest, ChannelMismatchDies)
+{
+    const ConvGeometry g = col2im_geometry();
+    const Tensor cols({18, 16}, 1.0f);
+    Tensor grad({2, 1, 4, 4});
+    EXPECT_DEATH(col2im_accumulate(cols.data(), grad, 1, g),
+                 "col2im geometry mismatch");
+}
+
 TEST(Tensor, FillUniformRespectsRange)
 {
     Rng rng(3);
