@@ -74,15 +74,20 @@ ModelUpdateService::update(const Dataset& data,
     report.images = data.size();
     images_received_ += data.size();
 
-    inference_.unfreeze_all();
-    inference_.freeze_first_convs(policy.frozen_convs);
+    const size_t first = freeze_prefix(policy);
 
     const auto t0 = std::chrono::steady_clock::now();
     Sgd opt({.lr = policy.lr, .momentum = policy.momentum});
     Rng epoch_rng = rng_.split();
+    // The frozen prefix runs once, in eval mode, over the whole
+    // upload; every epoch trains the layers above it on its output.
+    const Tensor prefix = first > 0 ? prefix_activations(
+                                          inference_, data.images, first)
+                                    : Tensor();
+    const Tensor& feats = first > 0 ? prefix : data.images;
     const auto stats =
-        train_epochs(inference_, opt, data.images, data.labels,
-                     kUpdateBatch, policy.epochs, epoch_rng);
+        train_epochs(inference_, opt, feats, data.labels, kUpdateBatch,
+                     policy.epochs, epoch_rng, first);
     const auto t1 = std::chrono::steady_clock::now();
     inference_.unfreeze_all();
 
@@ -123,12 +128,22 @@ ModelUpdateService::validated_update(const Dataset& data,
     // still gets a causal identity linking it to its rollback.
     const obs::TraceContext update_ctx = obs::mint_trace_context(
         trace_seed_ ^ 0xC10DULL, ++update_seq_);
-    report.holdout_before = evaluate(holdout);
+    // The update leaves its frozen prefix untouched, so the holdout's
+    // prefix activations are computed once and score both holdout
+    // evaluations.
+    const size_t first = freeze_prefix(policy);
+    const Tensor prefix = first > 0 ? prefix_activations(
+                                          inference_, holdout.images, first)
+                                    : Tensor();
+    const Tensor& held = first > 0 ? prefix : holdout.images;
+    report.holdout_before =
+        evaluate_accuracy(inference_, held, holdout.labels, first);
     report.baseline_version =
         registry_.commit(inference_, "pre-update",
                          report.holdout_before, images_received_);
     report.update = update(data, policy);
-    const double after = evaluate(holdout);
+    const double after =
+        evaluate_accuracy(inference_, held, holdout.labels, first);
     report.holdout_trained = after;
     if (after + tolerance < report.holdout_before) {
         // The update regressed: restore the snapshot so the bad
@@ -151,6 +166,14 @@ ModelUpdateService::validated_update(const Dataset& data,
             inference_, "accepted", after, images_received_);
     }
     return report;
+}
+
+size_t
+ModelUpdateService::freeze_prefix(const UpdatePolicy& policy)
+{
+    inference_.unfreeze_all();
+    inference_.freeze_first_convs(policy.frozen_convs);
+    return inference_.first_trainable();
 }
 
 bool

@@ -150,6 +150,10 @@ class ModelUpdateService {
     int64_t images_received() const { return images_received_; }
 
   private:
+    /** Freeze @p policy's conv prefix of the inference network (and
+     *  nothing else); returns the first layer an update trains. */
+    size_t freeze_prefix(const UpdatePolicy& policy);
+
     TinyConfig config_;
     TrainingCostModel cost_;
     Rng rng_;

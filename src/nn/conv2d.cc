@@ -13,12 +13,12 @@
 
 namespace insitu {
 
-// The forward and backward below call the raw `gemm()` entry point (outputs
-// go straight into layer tensors / workspace scratch, skipping the
-// Tensor-level wrappers), so they tally the `tensor.matmul*` counters
-// themselves — the totals stay exactly what the wrappers would have
-// recorded, and `tensor.matmul.flops` remains the analytic 2·m·k·n
-// per product.
+// The forward and backward below call the raw `gemm()`/`gemm_acc()`
+// entry points (outputs go straight into layer tensors / workspace
+// scratch, skipping the Tensor-level wrappers), so they tally the
+// `tensor.matmul*` counters themselves — the totals stay exactly what
+// the wrappers would have recorded, and `tensor.matmul.flops` remains
+// the analytic 2·m·k·n per product.
 
 Conv2d::Conv2d(std::string name, int64_t in_channels,
                int64_t out_channels, int64_t kernel, int64_t stride,
@@ -129,6 +129,20 @@ Conv2d::forward(const Tensor& input, bool training)
 Tensor
 Conv2d::backward(const Tensor& grad_output)
 {
+    Tensor grad_input;
+    accumulate_grads(grad_output, &grad_input);
+    return grad_input;
+}
+
+void
+Conv2d::backward_params(const Tensor& grad_output)
+{
+    accumulate_grads(grad_output, nullptr);
+}
+
+void
+Conv2d::accumulate_grads(const Tensor& grad_output, Tensor* grad_input)
+{
     INSITU_CHECK(!cached_input_.empty(),
                  "conv backward before forward");
     const ConvGeometry g = geometry(cached_input_);
@@ -143,8 +157,10 @@ Conv2d::backward(const Tensor& grad_output)
 
     const int64_t ckk = in_channels_ * kernel_ * kernel_;
     const int64_t ohw = oh * ow;
+    const int64_t ld = batch * ohw;
     const float* fm = weight_->value().data(); // Fm: (M, N*K*K) flat
-    Tensor grad_input({batch, in_channels_, g.in_h, g.in_w});
+    const float* go = grad_output.data();
+    float* gw = weight_->grad().data(); // (M, N*K*K) flat, like Fm
     float* gb = bias_->grad().data();
     const GemmBackend be = gemm_backend();
     auto& reg = obs::MetricsRegistry::global();
@@ -152,62 +168,73 @@ Conv2d::backward(const Tensor& grad_output)
     static auto& ta_flops = reg.counter("tensor.matmul_ta.flops");
     static auto& tb_calls = reg.counter("tensor.matmul_tb.calls");
     static auto& tb_flops = reg.counter("tensor.matmul_tb.flops");
+    if (grad_input != nullptr)
+        *grad_input = Tensor({batch, in_channels_, g.in_h, g.in_w});
 
-    // Batch-parallel with ordered reduction: each image writes its
-    // grad_input slice directly (disjoint) and its weight/bias
-    // contributions into a per-image partial; the partials are then
-    // combined serially in batch order — the same summation order as
-    // a serial loop, so results are bit-identical at any thread count.
-    // Column/column-gradient scratch lives in the executing thread's
-    // workspace arena; the per-image gOm is read in place from
-    // grad_output (its row slice is already the (M, R*C) matrix).
-    std::vector<Tensor> gfm_part(static_cast<size_t>(batch));
-    Tensor gbias_part = Tensor::uninitialized({batch, out_channels_});
-    parallel_for(0, batch, 1, [&](int64_t b0, int64_t b1) {
-        for (int64_t b = b0; b < b1; ++b) {
-            Workspace::Scope scope;
-            const float* gom =
-                grad_output.data() + b * out_channels_ * ohw;
-            float* cols = Workspace::local().alloc(ckk * ohw);
-            im2col_into(cached_input_, b, g, cols, ohw, 0);
-
-            // dL/dFm contribution: dL/dOm * Dm^T.
-            tb_calls.add(1);
-            tb_flops.add(2 * out_channels_ * ohw * ckk);
-            Tensor& part = gfm_part[static_cast<size_t>(b)];
-            part = Tensor::uninitialized({out_channels_, ckk});
-            gemm(out_channels_, ckk, ohw, gom, ohw, 1, cols, 1, ohw,
-                 part.data(), be);
-
-            // dL/dDm = Fm^T * dL/dOm, scattered back with col2im.
-            ta_calls.add(1);
-            ta_flops.add(2 * ckk * out_channels_ * ohw);
-            float* gcols = Workspace::local().alloc(ckk * ohw);
-            gemm(ckk, ohw, out_channels_, fm, 1, ckk, gom, ohw, 1,
-                 gcols, be);
-            col2im_accumulate(gcols, grad_input, b, g);
-
-            // dL/dbias contribution: sum over spatial positions.
-            float* brow = gbias_part.data() + b * out_channels_;
-            for (int64_t m = 0; m < out_channels_; ++m) {
-                float acc = 0.0f;
-                const float* row = gom + m * ohw;
-                for (int64_t i = 0; i < ohw; ++i) acc += row[i];
-                brow[m] = acc;
+    // Pass 1, parallel over the forward's image groups: lower every
+    // image into its columns of one (N*K*K, B*R*C) matrix Dm, and,
+    // when dX is wanted, form the group's column gradients
+    // dL/dDm = Fm^T * dL/dOm with one GEMM over the group's images
+    // side by side (each column keeps its k-sum order, so this is the
+    // per-image product) and scatter them back with col2im. Each
+    // group owns its Dm columns and grad_input slices.
+    Workspace::Scope scope;
+    float* cols = Workspace::local().alloc(ckk * ld);
+    const int64_t group = std::max<int64_t>(
+        1, std::min(batch, (kGroupCols + ohw - 1) / ohw));
+    const int64_t ngroups = (batch + group - 1) / group;
+    parallel_for(0, ngroups, 1, [&](int64_t g0, int64_t g1) {
+        for (int64_t gi = g0; gi < g1; ++gi) {
+            const int64_t b0 = gi * group;
+            const int64_t nimg = std::min(group, batch - b0);
+            for (int64_t i = 0; i < nimg; ++i)
+                im2col_into(cached_input_, b0 + i, g, cols, ld,
+                            (b0 + i) * ohw);
+            if (grad_input == nullptr) continue;
+            const int64_t ncols = nimg * ohw;
+            Workspace::Scope group_scope;
+            // A lone image's (M, R*C) gradient is already its row
+            // slice of grad_output; a group's is gathered side by side.
+            const float* gom = go + b0 * out_channels_ * ohw;
+            if (nimg > 1) {
+                float* gathered =
+                    Workspace::local().alloc(out_channels_ * ncols);
+                for (int64_t i = 0; i < nimg; ++i)
+                    for (int64_t m = 0; m < out_channels_; ++m)
+                        std::copy_n(gom + (i * out_channels_ + m) * ohw,
+                                    ohw, gathered + m * ncols + i * ohw);
+                gom = gathered;
             }
+            ta_calls.add(1);
+            ta_flops.add(2 * ckk * out_channels_ * ncols);
+            float* gcols = Workspace::local().alloc(ckk * ncols);
+            gemm(ckk, ncols, out_channels_, fm, 1, ckk, gom, ncols, 1,
+                 gcols, be);
+            for (int64_t i = 0; i < nimg; ++i)
+                col2im_accumulate(gcols, *grad_input, b0 + i, g, ncols,
+                                  i * ohw);
         }
     });
-    // Serial fold in batch order; (M, N*K*K) partials accumulate
-    // straight into the (M, N, K, K) grad — same flat layout.
-    float* gw = weight_->grad().data();
-    for (int64_t b = 0; b < batch; ++b) {
-        const float* src = gfm_part[static_cast<size_t>(b)].data();
-        for (int64_t i = 0; i < out_channels_ * ckk; ++i)
-            gw[i] += src[i];
-        const float* brow = gbias_part.data() + b * out_channels_;
-        for (int64_t m = 0; m < out_channels_; ++m) gb[m] += brow[m];
-    }
-    return grad_input;
+
+    // Pass 2: each image's dL/dFm = dL/dOm * Dm^T product is added
+    // straight into the weight grad, image by image in batch order —
+    // the per-image partials folded in batch order, without holding
+    // them. The bias grads (each image's spatial sums) follow in the
+    // same order, parallel over filters.
+    tb_calls.add(batch);
+    tb_flops.add(2 * out_channels_ * ohw * ckk * batch);
+    gemm_acc(batch, out_channels_, ckk, ohw, go, ohw, 1,
+             out_channels_ * ohw, cols, 1, ld, ohw, gw, ckk, be);
+    parallel_for(0, out_channels_, flops_grain(batch * ohw),
+                 [&](int64_t m0, int64_t m1) {
+        for (int64_t m = m0; m < m1; ++m)
+            for (int64_t b = 0; b < batch; ++b) {
+                const float* row = go + (b * out_channels_ + m) * ohw;
+                float acc = 0.0f;
+                for (int64_t i = 0; i < ohw; ++i) acc += row[i];
+                gb[m] += acc;
+            }
+    });
 }
 
 std::vector<ParameterPtr>

@@ -3,10 +3,14 @@
  * 2-D convolution layer (square kernels, NCHW).
  *
  * Forward/backward are implemented with the im2col + GEMM lowering of
- * the paper's Fig. 8: the forward runs one GEMM per group of images
- * (see `kGroupCols`), the backward one per image. The Fig. 9 direct
- * loop nest is `conv2d_direct`, the reference the forward is tested
- * against.
+ * the paper's Fig. 8. The forward runs one GEMM per group of images
+ * (see `kGroupCols`). The backward lowers dX per group the same way
+ * (one Fm^T * dL/dOm GEMM, then col2im) and adds each image's weight
+ * gradient straight into the parameter's grad in batch order
+ * (`gemm_acc`), so it is bit-identical to a per-image loop at any
+ * thread width. `backward_params` skips dX, for the lowest layer a
+ * backward runs. The Fig. 9 direct loop nest is `conv2d_direct`, the
+ * reference the forward is tested against.
  */
 #pragma once
 
@@ -34,6 +38,7 @@ class Conv2d : public Layer {
 
     Tensor forward(const Tensor& input, bool training) override;
     Tensor backward(const Tensor& grad_output) override;
+    void backward_params(const Tensor& grad_output) override;
     std::vector<ParameterPtr> params() override;
     void set_param(size_t i, ParameterPtr p) override;
     std::string kind() const override { return "conv"; }
@@ -51,6 +56,8 @@ class Conv2d : public Layer {
 
   private:
     ConvGeometry geometry(const Tensor& input) const;
+    /** Accumulate dW and db; fill @p grad_input with dX unless null. */
+    void accumulate_grads(const Tensor& grad_output, Tensor* grad_input);
 
     int64_t in_channels_, out_channels_, kernel_, stride_, pad_;
     ParameterPtr weight_;

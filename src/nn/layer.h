@@ -49,6 +49,18 @@ class Layer {
      */
     virtual Tensor backward(const Tensor& grad_output) = 0;
 
+    /**
+     * Back-propagate for the parameter gradients only: the same
+     * accumulation as backward(), without dLoss/dInput. This is what
+     * Network::backward asks of the lowest layer it runs, whose input
+     * gradient nobody reads. Layers with parameters override it to
+     * skip that work; the default runs backward() and drops dX.
+     */
+    virtual void backward_params(const Tensor& grad_output)
+    {
+        (void)backward(grad_output);
+    }
+
     /** Parameters owned by this layer (possibly shared with others). */
     virtual std::vector<ParameterPtr> params() { return {}; }
 

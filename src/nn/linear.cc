@@ -56,6 +56,14 @@ Linear::forward(const Tensor& input, bool training)
 Tensor
 Linear::backward(const Tensor& grad_output)
 {
+    backward_params(grad_output);
+    // dX = gY * W.
+    return matmul(grad_output, weight_->value());
+}
+
+void
+Linear::backward_params(const Tensor& grad_output)
+{
     INSITU_CHECK(!cached_input_.empty(),
                  "linear backward before forward");
     INSITU_CHECK(grad_output.rank() == 2 &&
@@ -76,8 +84,6 @@ Linear::backward(const Tensor& grad_output)
             for (int64_t b = 0; b < batch; ++b)
                 gb[j] += gy[b * out_features_ + j];
     });
-    // dX = gY * W.
-    return matmul(grad_output, weight_->value());
 }
 
 std::vector<ParameterPtr>

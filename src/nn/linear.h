@@ -23,6 +23,7 @@ class Linear : public Layer {
 
     Tensor forward(const Tensor& input, bool training) override;
     Tensor backward(const Tensor& grad_output) override;
+    void backward_params(const Tensor& grad_output) override;
     std::vector<ParameterPtr> params() override;
     void set_param(size_t i, ParameterPtr p) override;
     std::string kind() const override { return "linear"; }

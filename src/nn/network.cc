@@ -17,13 +17,18 @@ namespace {
  * In simulated-clock runs every observation is 0 s — the counts still
  * tell how often each layer kind ran, deterministically; wall-clock
  * runs yield the real per-kind runtime breakdown (a bench run with
- * INSITU_TELEMETRY_JSONL set exports it).
+ * INSITU_TELEMETRY_JSONL set exports it). @p slot caches the handle:
+ * it is looked up on the layer's first call in that direction, so a
+ * histogram is registered only once it is observed.
  */
 obs::Histogram&
-layer_time_histogram(const char* dir, const std::string& kind)
+layer_time_histogram(obs::Histogram*& slot, const char* dir,
+                     const Layer& layer)
 {
-    return obs::MetricsRegistry::global().histogram(
-        std::string("nn.") + dir + "." + kind + ".time_s");
+    if (slot == nullptr)
+        slot = &obs::MetricsRegistry::global().histogram(
+            std::string("nn.") + dir + "." + layer.kind() + ".time_s");
+    return *slot;
 }
 
 } // namespace
@@ -32,6 +37,7 @@ Network&
 Network::add(LayerPtr layer)
 {
     INSITU_CHECK(layer != nullptr, "cannot add null layer");
+    timers_.push_back({});
     layers_.push_back(std::move(layer));
     return *this;
 }
@@ -39,50 +45,77 @@ Network::add(LayerPtr layer)
 Tensor
 Network::forward(const Tensor& input, bool training)
 {
+    return forward_layers(input, training, 0, layers_.size());
+}
+
+Tensor
+Network::forward_layers(const Tensor& input, bool training,
+                        size_t begin, size_t end)
+{
+    INSITU_CHECK(begin <= end && end <= layers_.size(),
+                 "forward_layers range out of bounds");
     obs::ScopedSpan span("nn.forward", "network", name_);
-    if (layers_.empty()) return input;
+    if (begin == end) return input;
     // The first layer reads the caller's tensor; no copy is made.
     Tensor x;
-    for (size_t i = 0; i < layers_.size(); ++i) {
+    for (size_t i = begin; i < end; ++i) {
         Layer& layer = *layers_[i];
         obs::ScopedSpan layer_span("nn.forward.layer", "layer",
                                    layer.name());
+        obs::Histogram& time =
+            layer_time_histogram(timers_[i].forward, "forward", layer);
         const double t0 = obs::now_s();
-        x = layer.forward(i == 0 ? input : x, training);
-        layer_time_histogram("forward", layer.kind())
-            .observe(obs::now_s() - t0);
+        x = layer.forward(i == begin ? input : x, training);
+        time.observe(obs::now_s() - t0);
     }
     return x;
 }
 
-Tensor
+size_t
+Network::first_trainable() const
+{
+    for (size_t i = 0; i < layers_.size(); ++i)
+        for (auto& p : layers_[i]->params())
+            if (!p->frozen()) return i;
+    return layers_.size();
+}
+
+void
 Network::backward(const Tensor& grad_output)
 {
-    // Early-stop optimization: when every parameter at or below some
-    // depth is frozen, no gradient below that depth is ever consumed
-    // — neither by the optimizer (frozen) nor by earlier layers
-    // (there are none that train). Stopping there is what makes
-    // CONV-n weight sharing genuinely cheaper to fine-tune (Fig. 6's
-    // 1.7x speedup), not just fewer optimizer updates.
-    size_t stop = 0; // backward down to and including this index
-    for (size_t i = 0; i < layers_.size(); ++i) {
-        bool has_trainable = false;
-        for (auto& p : layers_[i]->params())
-            if (!p->frozen()) has_trainable = true;
-        if (has_trainable) {
-            stop = i;
-            break;
-        }
-    }
+    // Early stop: when every parameter below some depth is frozen, no
+    // gradient below that depth is ever consumed — neither by the
+    // optimizer (frozen) nor by earlier layers (there are none that
+    // train). Stopping there is what makes CONV-n weight sharing
+    // genuinely cheaper to fine-tune (Fig. 6's 1.7x speedup), not just
+    // fewer optimizer updates; the lowest layer run skips its dX.
+    backward_from_top(grad_output, first_trainable(), false);
+}
+
+Tensor
+Network::backward_input(const Tensor& grad_output)
+{
+    return backward_from_top(grad_output, 0, true);
+}
+
+Tensor
+Network::backward_from_top(const Tensor& grad_output, size_t stop,
+                           bool input_grad)
+{
     obs::ScopedSpan span("nn.backward", "network", name_);
     Tensor g = grad_output;
     for (size_t i = layers_.size(); i-- > stop;) {
+        Layer& layer = *layers_[i];
         obs::ScopedSpan layer_span("nn.backward.layer", "layer",
-                                   layers_[i]->name());
+                                   layer.name());
+        obs::Histogram& time =
+            layer_time_histogram(timers_[i].backward, "backward", layer);
         const double t0 = obs::now_s();
-        g = layers_[i]->backward(g);
-        layer_time_histogram("backward", layers_[i]->kind())
-            .observe(obs::now_s() - t0);
+        if (i == stop && !input_grad)
+            layer.backward_params(g);
+        else
+            g = layer.backward(g);
+        time.observe(obs::now_s() - t0);
     }
     return g;
 }

@@ -14,6 +14,10 @@
 
 namespace insitu {
 
+namespace obs {
+class Histogram;
+}
+
 /**
  * A stack of layers executed in order.
  *
@@ -48,15 +52,35 @@ class Network {
     Tensor forward(const Tensor& input, bool training = false);
 
     /**
-     * Back-propagate (after a forward pass). Backward stops at the
-     * shallowest layer that still has a trainable parameter: a fully
-     * frozen prefix neither computes nor receives gradients, which is
-     * what makes weight-shared fine-tuning cheaper (Fig. 6). The
-     * returned tensor is therefore the gradient at the input of that
-     * shallowest trainable layer, NOT the network input, whenever a
-     * frozen prefix exists.
+     * Run layers [begin, end) on @p input, the activation entering
+     * layer @p begin. Each image's activations depend only on that
+     * image, and eval and training forwards agree, so running a frozen
+     * prefix once in eval mode and training layers [begin, size()) on
+     * its output gives the same bits as full training forwards.
      */
-    Tensor backward(const Tensor& grad_output);
+    Tensor forward_layers(const Tensor& input, bool training,
+                          size_t begin, size_t end);
+
+    /** Index of the shallowest layer holding an unfrozen parameter;
+     *  size() when every parameter is frozen. */
+    size_t first_trainable() const;
+
+    /**
+     * Back-propagate (after a training forward) for the parameter
+     * gradients. Backward stops at first_trainable(): a fully frozen
+     * prefix neither computes nor receives gradients, which is what
+     * makes weight-shared fine-tuning cheaper (Fig. 6), and that
+     * lowest layer computes no input gradient either
+     * (Layer::backward_params), since nothing reads it.
+     */
+    void backward(const Tensor& grad_output);
+
+    /**
+     * Back-propagate through every layer and return dLoss/dInput of
+     * the network: for a network whose input gradient feeds another
+     * network (a jigsaw or relative-position head feeds its trunk).
+     */
+    Tensor backward_input(const Tensor& grad_output);
 
     /** Number of layers. */
     size_t size() const { return layers_.size(); }
@@ -118,8 +142,20 @@ class Network {
     std::string summary() const;
 
   private:
+    /** Layers [stop, size()) backward from @p grad_output, timed. */
+    Tensor backward_from_top(const Tensor& grad_output, size_t stop,
+                             bool input_grad);
+
+    /** A layer's per-kind timing histograms, each resolved on the
+     *  layer's first call in that direction; null until then. */
+    struct LayerTimers {
+        obs::Histogram* forward = nullptr;
+        obs::Histogram* backward = nullptr;
+    };
+
     std::string name_;
     std::vector<LayerPtr> layers_;
+    std::vector<LayerTimers> timers_; ///< parallel to layers_
 };
 
 /**

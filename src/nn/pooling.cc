@@ -73,7 +73,9 @@ MaxPool2d::forward(const Tensor& input, bool training)
     // argmax slice. Chunks carry several planes when planes are small.
     // Every window is scanned with selects, not branches: the strict >
     // keeps the first maximum and never picks NaN, and a window with
-    // nothing above -inf keeps index 0. maxps and cmpgtps apply that
+    // nothing above -inf (all NaN or all -Inf) keeps its own first
+    // element, so backward routes its gradient inside the window.
+    // maxps and cmpgtps apply that
     // select to four windows at once; the last few go one by one.
     auto pool_planes = [&](auto with_argmax) {
         parallel_for(0, batch * ch,
@@ -91,7 +93,8 @@ MaxPool2d::forward(const Tensor& input, bool training)
                     __m128 best = _mm_set1_ps(
                         -std::numeric_limits<float>::infinity());
                     [[maybe_unused]] __m128i best_idx =
-                        _mm_setzero_si128();
+                        _mm_loadu_si128(
+                            reinterpret_cast<const __m128i*>(o));
                     for (int64_t ky = 0; ky < kernel_; ++ky) {
                         for (int64_t kx = 0; kx < kernel_; ++kx) {
                             const int64_t off = ky * iw + kx;
@@ -123,7 +126,7 @@ MaxPool2d::forward(const Tensor& input, bool training)
 #endif
                 for (; q < per_plane; ++q) {
                     float best = -std::numeric_limits<float>::infinity();
-                    [[maybe_unused]] int64_t best_idx = 0;
+                    [[maybe_unused]] int64_t best_idx = org[q];
                     for (int64_t ky = 0; ky < kernel_; ++ky) {
                         for (int64_t kx = 0; kx < kernel_; ++kx) {
                             const int64_t idx = org[q] + ky * iw + kx;

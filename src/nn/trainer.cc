@@ -1,5 +1,6 @@
 #include "nn/trainer.h"
 
+#include <algorithm>
 #include <chrono>
 #include <numeric>
 
@@ -10,10 +11,11 @@ namespace insitu {
 
 double
 train_batch(Network& net, Sgd& opt, const Tensor& inputs,
-            const std::vector<int64_t>& labels)
+            const std::vector<int64_t>& labels, size_t first_layer)
 {
     net.zero_grad();
-    const Tensor logits = net.forward(inputs, /*training=*/true);
+    const Tensor logits = net.forward_layers(inputs, /*training=*/true,
+                                             first_layer, net.size());
     SoftmaxCrossEntropy loss;
     const double value = loss.forward(logits, labels);
     net.backward(loss.backward());
@@ -24,7 +26,7 @@ train_batch(Network& net, Sgd& opt, const Tensor& inputs,
 double
 evaluate_accuracy(Network& net, const Tensor& inputs,
                   const std::vector<int64_t>& labels,
-                  int64_t batch_size)
+                  size_t first_layer, int64_t batch_size)
 {
     const int64_t n = inputs.dim(0);
     INSITU_CHECK(static_cast<int64_t>(labels.size()) == n,
@@ -34,7 +36,8 @@ evaluate_accuracy(Network& net, const Tensor& inputs,
     for (int64_t begin = 0; begin < n; begin += batch_size) {
         const int64_t end = std::min(n, begin + batch_size);
         const Tensor chunk = inputs.slice0(begin, end);
-        const Tensor logits = net.forward(chunk, /*training=*/false);
+        const Tensor logits = net.forward_layers(
+            chunk, /*training=*/false, first_layer, net.size());
         const auto preds = logits.argmax_rows();
         for (int64_t i = 0; i < end - begin; ++i)
             if (preds[static_cast<size_t>(i)] ==
@@ -42,6 +45,29 @@ evaluate_accuracy(Network& net, const Tensor& inputs,
                 ++correct;
     }
     return static_cast<double>(correct) / static_cast<double>(n);
+}
+
+Tensor
+prefix_activations(Network& net, const Tensor& inputs, size_t end,
+                   int64_t batch_size)
+{
+    INSITU_CHECK(end > 0, "prefix_activations needs a non-empty prefix");
+    const int64_t n = inputs.dim(0);
+    if (n == 0) return inputs;
+    Tensor out;
+    for (int64_t begin = 0; begin < n; begin += batch_size) {
+        const int64_t stop = std::min(n, begin + batch_size);
+        const Tensor chunk = net.forward_layers(
+            inputs.slice0(begin, stop), /*training=*/false, 0, end);
+        if (begin == 0) {
+            std::vector<int64_t> shape = chunk.shape();
+            shape[0] = n;
+            out = Tensor::uninitialized(shape);
+        }
+        std::copy(chunk.data(), chunk.data() + chunk.numel(),
+                  out.data() + begin * (out.numel() / n));
+    }
+    return out;
 }
 
 Tensor
@@ -97,7 +123,7 @@ gather_dataset(const Dataset& data, const int64_t* indices,
 std::vector<EpochStats>
 train_epochs(Network& net, Sgd& opt, const Tensor& inputs,
              const std::vector<int64_t>& labels, int64_t batch_size,
-             int epochs, Rng& rng)
+             int epochs, Rng& rng, size_t first_layer)
 {
     const int64_t n = inputs.dim(0);
     INSITU_CHECK(static_cast<int64_t>(labels.size()) == n,
@@ -121,7 +147,7 @@ train_epochs(Network& net, Sgd& opt, const Tensor& inputs,
             std::vector<int64_t> y(idx.size());
             for (size_t i = 0; i < idx.size(); ++i)
                 y[i] = labels[static_cast<size_t>(idx[i])];
-            loss_acc += train_batch(net, opt, x, y);
+            loss_acc += train_batch(net, opt, x, y, first_layer);
             ++batches;
         }
         const auto t1 = std::chrono::steady_clock::now();

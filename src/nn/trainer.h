@@ -15,15 +15,35 @@ namespace insitu {
 
 class Rng;
 
-/** One optimizer step on a single batch; returns the batch loss. */
+/**
+ * One optimizer step on a single batch; returns the batch loss.
+ * @p inputs enter layer @p first_layer (see Network::forward_layers):
+ * the activations of a frozen prefix computed once by the caller.
+ */
 double train_batch(Network& net, Sgd& opt, const Tensor& inputs,
-                   const std::vector<int64_t>& labels);
+                   const std::vector<int64_t>& labels,
+                   size_t first_layer = 0);
+
+/** Images per eval forward of evaluate_accuracy and
+ *  prefix_activations: bounds their activation memory. */
+constexpr int64_t kEvalBatch = 64;
 
 /** Top-1 accuracy of @p net on (inputs, labels), evaluated in chunks
- *  of @p batch_size to bound memory. */
+ *  of @p batch_size to bound memory; @p inputs enter layer
+ *  @p first_layer. */
 double evaluate_accuracy(Network& net, const Tensor& inputs,
                          const std::vector<int64_t>& labels,
-                         int64_t batch_size = 64);
+                         size_t first_layer = 0,
+                         int64_t batch_size = kEvalBatch);
+
+/**
+ * Eval-mode activations entering layer @p end (> 0) of @p net for
+ * every image of @p inputs, computed in chunks of @p batch_size.
+ * While layers [0, end) stay frozen, this is what train_batch and
+ * evaluate_accuracy read from @p end on.
+ */
+Tensor prefix_activations(Network& net, const Tensor& inputs, size_t end,
+                          int64_t batch_size = kEvalBatch);
 
 /** Epoch-level report from train_epochs. */
 struct EpochStats {
@@ -32,14 +52,15 @@ struct EpochStats {
 };
 
 /**
- * Train for @p epochs over (inputs, labels) with reshuffled batches.
+ * Train for @p epochs over (inputs, labels) with reshuffled batches;
+ * @p inputs enter layer @p first_layer, as in train_batch.
  * @return per-epoch statistics (loss, wall time).
  */
 std::vector<EpochStats> train_epochs(Network& net, Sgd& opt,
                                      const Tensor& inputs,
                                      const std::vector<int64_t>& labels,
                                      int64_t batch_size, int epochs,
-                                     Rng& rng);
+                                     Rng& rng, size_t first_layer = 0);
 
 /** Gather rows of @p inputs (dim 0) given index list. */
 Tensor gather_rows(const Tensor& inputs,

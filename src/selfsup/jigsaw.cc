@@ -124,7 +124,7 @@ void
 JigsawNetwork::backward(const Tensor& grad_logits)
 {
     INSITU_CHECK(last_batch_ > 0, "jigsaw backward before forward");
-    const Tensor grad_concat = head_.backward(grad_logits);
+    const Tensor grad_concat = head_.backward_input(grad_logits);
     const Tensor grad_feats = grad_concat.reshape(
         {last_batch_ * PermutationSet::kTiles, -1});
     trunk_.backward(grad_feats);

@@ -73,7 +73,7 @@ void
 RelativePositionNetwork::backward(const Tensor& grad_logits)
 {
     INSITU_CHECK(last_batch_ > 0, "relative backward before forward");
-    const Tensor grad_concat = head_.backward(grad_logits);
+    const Tensor grad_concat = head_.backward_input(grad_logits);
     trunk_.backward(grad_concat.reshape({last_batch_ * 2, -1}));
 }
 

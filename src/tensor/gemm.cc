@@ -37,6 +37,11 @@ constexpr int64_t MC = 64;
 constexpr int64_t KC = 256;
 constexpr int64_t NC = 1024;
 
+/// gemm_acc's decomposition, from the shape alone: parallel items of
+/// NR columns of C (one register tile, so a narrow C still spreads),
+/// and packed B panels per span of products.
+constexpr int64_t kAccPackFloats = int64_t{1} << 16;
+
 static_assert(MC % MR == 0 && NC % NR == 0,
               "cache blocks must tile evenly into register tiles");
 static_assert(NR * sizeof(float) % 64 == 0,
@@ -48,9 +53,6 @@ static_assert(NR * sizeof(float) % 64 == 0,
  * (bpan[kk*NR + j]); both are packed, unit-stride, zero-padded.
  * Every tile element accumulates in ascending-k order.
  */
-using MicroFn = void (*)(int64_t kc, const float* apan,
-                         const float* bpan, float* tile);
-
 void
 micro_portable(int64_t kc, const float* apan, const float* bpan,
                float* tile)
@@ -69,18 +71,53 @@ micro_portable(int64_t kc, const float* apan, const float* bpan,
     }
 }
 
+/**
+ * The microkernel as dispatched: it writes the MR×NR tile into c at
+ * row stride ldc — c(i,j) = tile(i,j), or with accumulation
+ * c(i,j) += tile(i,j). Edge tiles go to a stack tile (ldc = NR).
+ */
+using MicroCFn = void (*)(int64_t kc, const float* apan,
+                          const float* bpan, float* c, int64_t ldc);
+
+template <bool kAccumulate>
+void
+micro_c_portable(int64_t kc, const float* apan, const float* bpan,
+                 float* c, int64_t ldc)
+{
+    alignas(64) float tile[MR * NR];
+    micro_portable(kc, apan, bpan, tile);
+    for (int64_t i = 0; i < MR; ++i)
+        for (int64_t j = 0; j < NR; ++j) {
+            if constexpr (kAccumulate)
+                c[i * ldc + j] += tile[i * NR + j];
+            else
+                c[i * ldc + j] = tile[i * NR + j];
+        }
+}
+
 #ifdef INSITU_GEMM_X86
+/** Store (or add) 8 lanes of a tile row at @p dst. */
+template <bool kAccumulate>
+__attribute__((target("avx2,fma"), always_inline)) inline void
+put8(float* dst, __m256 v)
+{
+    if constexpr (kAccumulate) v = _mm256_add_ps(_mm256_loadu_ps(dst), v);
+    _mm256_storeu_ps(dst, v);
+}
+
 /**
  * Same tile, same ascending-k accumulation order, 8-wide FMA. Built
  * for AVX2+FMA via the target attribute so the translation unit
  * itself stays portable; picked at runtime iff the CPU has both.
  * (FMA rounds once per multiply-add, so tiles differ in low-order
  * bits from micro_portable — a per-host constant, never a per-width
- * one: the dispatch decision depends only on the CPU.)
+ * one: the dispatch decision depends only on the CPU.) The tile is
+ * stored to, or with @p kAccumulate added into, c at row stride ldc.
  */
+template <bool kAccumulate>
 __attribute__((target("avx2,fma"))) void
-micro_avx2(int64_t kc, const float* apan, const float* bpan,
-           float* tile)
+micro_c_avx2(int64_t kc, const float* apan, const float* bpan, float* c,
+             int64_t ldc)
 {
     __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
     __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
@@ -103,29 +140,29 @@ micro_avx2(int64_t kc, const float* apan, const float* bpan,
         c30 = _mm256_fmadd_ps(av, b0, c30);
         c31 = _mm256_fmadd_ps(av, b1, c31);
     }
-    _mm256_store_ps(tile + 0 * NR, c00);
-    _mm256_store_ps(tile + 0 * NR + 8, c01);
-    _mm256_store_ps(tile + 1 * NR, c10);
-    _mm256_store_ps(tile + 1 * NR + 8, c11);
-    _mm256_store_ps(tile + 2 * NR, c20);
-    _mm256_store_ps(tile + 2 * NR + 8, c21);
-    _mm256_store_ps(tile + 3 * NR, c30);
-    _mm256_store_ps(tile + 3 * NR + 8, c31);
+    put8<kAccumulate>(c + 0 * ldc, c00);
+    put8<kAccumulate>(c + 0 * ldc + 8, c01);
+    put8<kAccumulate>(c + 1 * ldc, c10);
+    put8<kAccumulate>(c + 1 * ldc + 8, c11);
+    put8<kAccumulate>(c + 2 * ldc, c20);
+    put8<kAccumulate>(c + 2 * ldc + 8, c21);
+    put8<kAccumulate>(c + 3 * ldc, c30);
+    put8<kAccumulate>(c + 3 * ldc + 8, c31);
 }
 #endif
 
-MicroFn
-micro_kernel()
+/** The MicroCFn of this CPU that stores (false) or adds (true): the
+ *  AVX2+FMA kernel iff the CPU has both. */
+template <bool kAccumulate>
+MicroCFn
+micro_c_kernel()
 {
-    static const MicroFn fn = [] {
 #ifdef INSITU_GEMM_X86
-        if (__builtin_cpu_supports("avx2") &&
-            __builtin_cpu_supports("fma"))
-            return static_cast<MicroFn>(micro_avx2);
+    static const bool avx2 = __builtin_cpu_supports("avx2") &&
+                             __builtin_cpu_supports("fma");
+    if (avx2) return micro_c_avx2<kAccumulate>;
 #endif
-        return static_cast<MicroFn>(micro_portable);
-    }();
-    return fn;
+    return micro_c_portable<kAccumulate>;
 }
 
 /** Pack the A block rows [i0, i0+mc) x cols [p0, p0+kc) into MR-tall
@@ -134,9 +171,22 @@ void
 pack_a(const float* a, int64_t a_rs, int64_t a_cs, int64_t i0,
        int64_t p0, int64_t mc, int64_t kc, float* ap)
 {
+    static_assert(MR == 4, "the full-slab path copies four rows");
     for (int64_t ir = 0; ir < mc; ir += MR) {
         float* panel = ap + (ir / MR) * kc * MR;
         const int64_t mr = std::min(MR, mc - ir);
+        if (mr == MR) {
+            const float* src = a + (i0 + ir) * a_rs + p0 * a_cs;
+            for (int64_t kk = 0; kk < kc; ++kk) {
+                const float* s = src + kk * a_cs;
+                float* dst = panel + kk * MR;
+                dst[0] = s[0];
+                dst[1] = s[a_rs];
+                dst[2] = s[2 * a_rs];
+                dst[3] = s[3 * a_rs];
+            }
+            continue;
+        }
         for (int64_t kk = 0; kk < kc; ++kk) {
             const float* src = a + (i0 + ir) * a_rs + (p0 + kk) * a_cs;
             float* dst = panel + kk * MR;
@@ -147,7 +197,8 @@ pack_a(const float* a, int64_t a_rs, int64_t a_cs, int64_t i0,
 }
 
 /** Pack the B panel rows [p0, p0+kc) x cols [j0, j0+nc) into NR-wide
- * slabs, zero-padded to a multiple of NR columns. */
+ * slabs, zero-padded to a multiple of NR columns. op(B)'s rows
+ * (b_cs == 1) or its columns (b_rs == 1) are contiguous. */
 void
 pack_b(const float* b, int64_t b_rs, int64_t b_cs, int64_t p0,
        int64_t j0, int64_t kc, int64_t nc, float* bp)
@@ -155,14 +206,27 @@ pack_b(const float* b, int64_t b_rs, int64_t b_cs, int64_t p0,
     for (int64_t jr = 0; jr < nc; jr += NR) {
         float* panel = bp + (jr / NR) * kc * NR;
         const int64_t nr = std::min(NR, nc - jr);
+        if (b_cs != 1) {
+            // Transposed B: each column of op(B) is contiguous in k, so
+            // read it in order and scatter it down the panel, which
+            // stays in L1, instead of gathering NR strided rows per k.
+            for (int64_t j = 0; j < nr; ++j) {
+                const float* src = b + p0 + (j0 + jr + j) * b_cs;
+                for (int64_t kk = 0; kk < kc; ++kk)
+                    panel[kk * NR + j] = src[kk];
+            }
+            for (int64_t kk = 0; kk < kc; ++kk)
+                for (int64_t j = nr; j < NR; ++j) panel[kk * NR + j] = 0.0f;
+            continue;
+        }
         for (int64_t kk = 0; kk < kc; ++kk) {
             const float* src = b + (p0 + kk) * b_rs + (j0 + jr) * b_cs;
             float* dst = panel + kk * NR;
-            if (b_cs == 1) {
-                for (int64_t j = 0; j < nr; ++j) dst[j] = src[j];
-            } else {
-                for (int64_t j = 0; j < nr; ++j) dst[j] = src[j * b_cs];
+            if (nr == NR) {
+                std::memcpy(dst, src, NR * sizeof(float));
+                continue;
             }
+            for (int64_t j = 0; j < nr; ++j) dst[j] = src[j];
             for (int64_t j = nr; j < NR; ++j) dst[j] = 0.0f;
         }
     }
@@ -173,7 +237,8 @@ gemm_blocked(int64_t m, int64_t n, int64_t k, const float* a,
              int64_t a_rs, int64_t a_cs, const float* b, int64_t b_rs,
              int64_t b_cs, float* c)
 {
-    const MicroFn micro = micro_kernel();
+    const MicroCFn store_c = micro_c_kernel<false>();
+    const MicroCFn add_c = micro_c_kernel<true>();
     for (int64_t jc = 0; jc < n; jc += NC) {
         const int64_t nc = std::min(NC, n - jc);
         const int64_t bpanels = (nc + NR - 1) / NR;
@@ -208,9 +273,14 @@ gemm_blocked(int64_t m, int64_t n, int64_t k, const float* a,
                             const float* apan =
                                 ap + (ir / MR) * kc * MR;
                             const int64_t mr = std::min(MR, mc - ir);
-                            micro(kc, apan, bpan, tile);
                             float* cdst =
                                 c + (ic + ir) * n + jc + jr;
+                            if (mr == MR && nr == NR) {
+                                (first_panel ? store_c : add_c)(
+                                    kc, apan, bpan, cdst, n);
+                                continue;
+                            }
+                            store_c(kc, apan, bpan, tile, NR);
                             if (first_panel) {
                                 for (int64_t i = 0; i < mr; ++i)
                                     for (int64_t j = 0; j < nr; ++j)
@@ -321,6 +391,8 @@ gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t a_rs,
      int64_t a_cs, const float* b, int64_t b_rs, int64_t b_cs,
      float* c, GemmBackend backend)
 {
+    INSITU_CHECK(b_rs == 1 || b_cs == 1,
+                 "gemm: op(B) needs contiguous rows or columns");
     if (m <= 0 || n <= 0) return;
     if (k <= 0) {
         std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(float));
@@ -330,6 +402,88 @@ gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t a_rs,
         gemm_blocked(m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c);
     else
         gemm_naive(m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c);
+}
+
+void
+gemm_acc(int64_t count, int64_t m, int64_t n, int64_t k, const float* a,
+         int64_t a_rs, int64_t a_cs, int64_t a_step, const float* b,
+         int64_t b_rs, int64_t b_cs, int64_t b_step, float* c,
+         int64_t ldc, GemmBackend backend)
+{
+    INSITU_CHECK(b_rs == 1 || b_cs == 1,
+                 "gemm_acc: op(B) needs contiguous rows or columns");
+    if (count <= 0 || m <= 0 || n <= 0 || k <= 0) return;
+    if (backend != GemmBackend::kBlocked || k > KC) {
+        // Several KC panels (or the naive loops) round the product
+        // through C itself, so it is formed in scratch and added once.
+        // Blocks of C's columns are the parallel items; each adds every
+        // product into its block in ascending t.
+        const int64_t nblocks = (n + NR - 1) / NR;
+        parallel_for(0, nblocks, 1, [&](int64_t q0, int64_t q1) {
+            for (int64_t q = q0; q < q1; ++q) {
+                const int64_t j0 = q * NR;
+                const int64_t nj = std::min(NR, n - j0);
+                Workspace::Scope scope;
+                float* prod = Workspace::local().alloc(m * nj);
+                for (int64_t t = 0; t < count; ++t) {
+                    gemm(m, nj, k, a + t * a_step, a_rs, a_cs,
+                         b + t * b_step + j0 * b_cs, b_rs, b_cs, prod,
+                         backend);
+                    for (int64_t i = 0; i < m; ++i)
+                        for (int64_t j = 0; j < nj; ++j)
+                            c[i * ldc + j0 + j] += prod[i * nj + j];
+                }
+            }
+        });
+        return;
+    }
+    // One KC panel: a tile is its elements' whole rounded product, as
+    // in gemm_blocked, and is added to C once. Every A_t is packed
+    // once, up front, and shared by all parallel items. An item is one
+    // NR-wide panel of C's columns that adds every product in
+    // ascending t. Within it the products run innermost, `span` at a
+    // time with their B panels packed side by side, so each C tile
+    // stays in L1 while a span of products is added to it.
+    const int64_t mp = (m + MR - 1) / MR * MR;
+    Workspace::Scope scope;
+    float* ap = Workspace::local().alloc(count * mp * k);
+    for (int64_t t = 0; t < count; ++t)
+        pack_a(a + t * a_step, a_rs, a_cs, 0, 0, m, k, ap + t * mp * k);
+    const int64_t nblocks = (n + NR - 1) / NR;
+    const int64_t span = std::max<int64_t>(1, kAccPackFloats / (NR * k));
+    const MicroCFn store_c = micro_c_kernel<false>();
+    const MicroCFn add_c = micro_c_kernel<true>();
+    parallel_for(0, nblocks, 1, [&](int64_t q0, int64_t q1) {
+        for (int64_t q = q0; q < q1; ++q) {
+            const int64_t j0 = q * NR;
+            const int64_t nr = std::min(NR, n - j0);
+            Workspace::Scope block_scope;
+            float* bp = Workspace::local().alloc(span * NR * k);
+            alignas(64) float tile[MR * NR];
+            for (int64_t t0 = 0; t0 < count; t0 += span) {
+                const int64_t nt = std::min(span, count - t0);
+                for (int64_t t = 0; t < nt; ++t)
+                    pack_b(b + (t0 + t) * b_step, b_rs, b_cs, 0, j0, k,
+                           nr, bp + t * NR * k);
+                for (int64_t ir = 0; ir < m; ir += MR) {
+                    const int64_t mr = std::min(MR, m - ir);
+                    float* cdst = c + ir * ldc + j0;
+                    for (int64_t t = 0; t < nt; ++t) {
+                        const float* apan = ap + (t0 + t) * mp * k + ir * k;
+                        const float* bpan = bp + t * NR * k;
+                        if (mr == MR && nr == NR) {
+                            add_c(k, apan, bpan, cdst, ldc);
+                            continue;
+                        }
+                        store_c(k, apan, bpan, tile, NR);
+                        for (int64_t i = 0; i < mr; ++i)
+                            for (int64_t j = 0; j < nr; ++j)
+                                cdst[i * ldc + j] += tile[i * NR + j];
+                    }
+                }
+            }
+        }
+    });
 }
 
 } // namespace insitu

@@ -67,7 +67,9 @@ void set_gemm_backend(GemmBackend backend);
  *   matmul_ta A^T(k,m): a_rs=1, a_cs=m  B(k,n):  b_rs=n, b_cs=1
  *   matmul_tb A(m,k):  a_rs=k, a_cs=1   B^T(n,k): b_rs=1, b_cs=k
  *
- * C must not alias A or B. Dispatches on @p backend; callers that
+ * op(B) must have contiguous rows (b_cs == 1) or columns (b_rs == 1);
+ * any other stride is a fatal error. C must not alias A or B.
+ * Dispatches on @p backend; callers that
  * don't care pass `gemm_backend()`. `k == 0` zero-fills C.
  *
  * FLOP accounting is the caller's job (the Tensor-level wrappers and
@@ -77,6 +79,21 @@ void set_gemm_backend(GemmBackend backend);
 void gemm(int64_t m, int64_t n, int64_t k, const float* a,
           int64_t a_rs, int64_t a_cs, const float* b, int64_t b_rs,
           int64_t b_cs, float* c, GemmBackend backend);
+
+/**
+ * C(m,n) += Σ_{t < count} op(A_t)·op(B_t), t ascending, where A_t is
+ * a + t·a_step and B_t is b + t·b_step (each given as for gemm()),
+ * and C(i,j) lives at c[i·ldc + j]. Each product is rounded exactly
+ * as gemm() rounds it and added to C once, in t order: the same bits
+ * as adding `count` gemm() results to C one after another, without
+ * holding any of them. The conv backward folds its per-image weight
+ * gradients this way. Parallel over fixed blocks of C's columns, so
+ * bit-identical at any width. FLOPs are the caller's to tally.
+ */
+void gemm_acc(int64_t count, int64_t m, int64_t n, int64_t k,
+              const float* a, int64_t a_rs, int64_t a_cs, int64_t a_step,
+              const float* b, int64_t b_rs, int64_t b_cs, int64_t b_step,
+              float* c, int64_t ldc, GemmBackend backend);
 
 /**
  * Target GEMM width, in columns, for lowered convolutions: the conv

@@ -128,7 +128,6 @@ im2col_into(const Tensor& input, int64_t batch_index,
     INSITU_CHECK(batch_index >= 0 && batch_index < input.dim(0),
                  "im2col batch index");
     const int64_t oh = g.out_h(), ow = g.out_w();
-    INSITU_CHECK(oh > 0 && ow > 0, "conv output would be empty");
     const float* in = input.data() +
                       batch_index * g.in_channels * g.in_h * g.in_w;
     INSITU_CHECK(col0 >= 0 && ld >= col0 + oh * ow,
@@ -231,12 +230,14 @@ col2im_accumulate(const Tensor& cols, Tensor& grad_input,
                      cols.dim(0) == g.in_channels * g.kernel * g.kernel &&
                      cols.dim(1) == oh * ow,
                  "col2im cols shape mismatch");
-    col2im_accumulate(cols.data(), grad_input, batch_index, g);
+    col2im_accumulate(cols.data(), grad_input, batch_index, g,
+                      oh * ow, 0);
 }
 
 void
 col2im_accumulate(const float* cols, Tensor& grad_input,
-                  int64_t batch_index, const ConvGeometry& g)
+                  int64_t batch_index, const ConvGeometry& g, int64_t ld,
+                  int64_t col0)
 {
     INSITU_CHECK(grad_input.rank() == 4, "col2im expects NCHW grad");
     INSITU_CHECK(grad_input.dim(1) == g.in_channels &&
@@ -246,7 +247,8 @@ col2im_accumulate(const float* cols, Tensor& grad_input,
     INSITU_CHECK(batch_index >= 0 && batch_index < grad_input.dim(0),
                  "col2im batch index");
     const int64_t oh = g.out_h(), ow = g.out_w();
-    INSITU_CHECK(oh > 0 && ow > 0, "conv output would be empty");
+    INSITU_CHECK(col0 >= 0 && ld >= col0 + oh * ow,
+                 "col2im column window outside the row stride");
     float* out = grad_input.data() +
                  batch_index * g.in_channels * g.in_h * g.in_w;
     // The in-bounds rectangles of im2col_into; padding is skipped.
@@ -263,7 +265,7 @@ col2im_accumulate(const float* cols, Tensor& grad_input,
                 const int64_t xoff = kx - g.pad;
                 const int64_t row =
                     (c * g.kernel + ky) * g.kernel + kx;
-                const float* src = cols + row * oh * ow;
+                const float* src = cols + row * ld + col0;
                 for (int64_t y = ys.lo; y < ys.hi; ++y) {
                     float* d =
                         plane + (y * g.stride + ky - g.pad) * g.in_w;

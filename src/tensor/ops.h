@@ -14,6 +14,7 @@
 #pragma once
 
 #include "tensor/tensor.h"
+#include "util/logging.h"
 
 namespace insitu {
 
@@ -35,14 +36,19 @@ struct ConvGeometry {
     int64_t stride = 1;
     int64_t pad = 0;
 
-    /** Output rows R. */
+    /** Output rows R. A window taller than the padded map is fatal:
+     *  the truncating division would otherwise report one row. */
     int64_t out_h() const
     {
+        INSITU_CHECK(in_h + 2 * pad >= kernel,
+                     "conv window wider than the padded map");
         return (in_h + 2 * pad - kernel) / stride + 1;
     }
-    /** Output cols C. */
+    /** Output cols C; a window wider than the padded map is fatal. */
     int64_t out_w() const
     {
+        INSITU_CHECK(in_w + 2 * pad >= kernel,
+                     "conv window wider than the padded map");
         return (in_w + 2 * pad - kernel) / stride + 1;
     }
 };
@@ -77,9 +83,15 @@ void im2col_into(const Tensor& input, int64_t batch_index,
 void col2im_accumulate(const Tensor& cols, Tensor& grad_input,
                        int64_t batch_index, const ConvGeometry& geom);
 
-/** col2im from caller-owned column storage (layout as im2col_into). */
+/**
+ * col2im from caller-owned column storage, laid out as im2col_into
+ * writes it: the image's row r is `cols[r * ld + col0 ..]`, so the
+ * conv backward scatters each image of a group straight from the
+ * group's (C*K*K, G*R*C) column-gradient matrix.
+ */
 void col2im_accumulate(const float* cols, Tensor& grad_input,
-                       int64_t batch_index, const ConvGeometry& geom);
+                       int64_t batch_index, const ConvGeometry& geom,
+                       int64_t ld, int64_t col0);
 
 /**
  * Direct convolution forward (no im2col, no data duplication) — the

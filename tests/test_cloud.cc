@@ -6,11 +6,25 @@
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cloud/cost_model.h"
 #include "cloud/update_service.h"
+#include "nn/trainer.h"
 
 namespace insitu {
 namespace {
+
+/** Every parameter value of @p net, in order, for exact comparison. */
+std::vector<float>
+weights_of(const Network& net)
+{
+    std::vector<float> out;
+    for (const auto& p : net.params())
+        out.insert(out.end(), p->value().data(),
+                   p->value().data() + p->numel());
+    return out;
+}
 
 TEST(CostModel, EpochOpsScaleWithImages)
 {
@@ -134,6 +148,70 @@ TEST(UpdateService, FrozenUpdateKeepsPrefixIntact)
     // The freeze is transient: params are unfrozen after the job.
     EXPECT_EQ(service.inference().trainable_param_count(),
               service.inference().param_count());
+}
+
+TEST(UpdateService, PrefixReuseMatchesFullForwardValidatedUpdate)
+{
+    // validated_update runs its frozen conv prefix once per update (over
+    // the upload and over the holdout). The reference below runs the
+    // same job with full forwards: every training batch and both
+    // holdout evaluations go through every layer. It mirrors the
+    // service's construction from the seed, and the one rng split each
+    // update draws. Between rounds the prefix changes
+    // (transfer_from_pretext), so activations kept from an earlier
+    // update would be stale.
+    const TinyConfig config;
+    constexpr uint64_t kSeed = 31;
+    ModelUpdateService service(config, titan_x_spec(), kSeed);
+    Rng mirror(kSeed);
+    const PermutationSet perms(config.num_permutations, mirror);
+    JigsawNetwork jigsaw = make_tiny_jigsaw(config, mirror);
+    Network ref = make_tiny_inference(config, mirror);
+    Rng spare(1);
+    Network backup = make_tiny_inference(config, spare);
+    ASSERT_EQ(weights_of(ref), weights_of(service.inference()));
+
+    Rng rng(32);
+    const SynthConfig synth;
+    const Dataset holdout =
+        make_dataset(synth, 80, Condition::in_situ(0.4), rng);
+    UpdatePolicy policy;
+    policy.frozen_convs = 3;
+    policy.epochs = 2;
+    for (int round = 0; round < 3; ++round) {
+        const Dataset data =
+            make_dataset(synth, 40, Condition::in_situ(0.3), rng);
+        const ValidatedUpdateReport got =
+            service.validated_update(data, policy, holdout);
+
+        const double before =
+            evaluate_accuracy(ref, holdout.images, holdout.labels);
+        copy_parameters(backup, ref);
+        ref.freeze_first_convs(policy.frozen_convs);
+        Sgd opt({.lr = policy.lr, .momentum = policy.momentum});
+        Rng epoch_rng = mirror.split();
+        const auto stats = train_epochs(ref, opt, data.images,
+                                        data.labels, 32, policy.epochs,
+                                        epoch_rng);
+        ref.unfreeze_all();
+        const double trained =
+            evaluate_accuracy(ref, holdout.images, holdout.labels);
+        const bool rolled_back = trained + 0.02 < before;
+        if (rolled_back) copy_parameters(ref, backup);
+
+        EXPECT_EQ(got.holdout_before, before) << "round " << round;
+        EXPECT_EQ(got.holdout_trained, trained) << "round " << round;
+        EXPECT_EQ(got.rolled_back, rolled_back) << "round " << round;
+        EXPECT_EQ(got.update.mean_loss, stats.back().mean_loss)
+            << "round " << round;
+        EXPECT_TRUE(weights_of(service.inference()) == weights_of(ref))
+            << "round " << round;
+
+        // A new prefix for the next round: the pretext trunk's convs.
+        const size_t convs = static_cast<size_t>(round) + 1;
+        service.transfer_from_pretext(convs);
+        ref.copy_convs_from(jigsaw.trunk(), convs);
+    }
 }
 
 TEST(UpdateService, FrozenUpdateModeledCheaper)

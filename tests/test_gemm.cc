@@ -102,6 +102,19 @@ TEST(GemmSweep, KZeroZeroFillsC)
     for (float v : c) EXPECT_EQ(v, 0.0f);
 }
 
+/// Packing reads op(B) along contiguous rows or columns; an operand
+/// with neither is refused rather than packed wrongly.
+TEST(GemmDeathTest, StridedOperandDies)
+{
+    std::vector<float> a(4, 1.0f), b(16, 1.0f), c(4, 0.0f);
+    EXPECT_DEATH(gemm(2, 2, 2, a.data(), 2, 1, b.data(), 4, 2, c.data(),
+                      GemmBackend::kBlocked),
+                 "contiguous rows or columns");
+    EXPECT_DEATH(gemm_acc(1, 2, 2, 2, a.data(), 2, 1, 0, b.data(), 4, 2,
+                          0, c.data(), 2, GemmBackend::kBlocked),
+                 "contiguous rows or columns");
+}
+
 /// Shapes that cross every block boundary (m > MC=64, k > KC=256,
 /// n > NC=1024 in the widest case) must be byte-identical at widths
 /// 1 and 4 — the determinism contract of docs/performance.md.

@@ -8,6 +8,11 @@
  * bit (memcmp) on NaN, ±0, ±Inf and denormal inputs, all-NaN windows,
  * tied windows, and planes that are wholly negative or wholly
  * positive.
+ *
+ * The conv backward, which lowers dX per image group and folds each
+ * image's weight gradient straight into the grad, is checked the same
+ * way against the per-image loop it replaced: one pair of GEMMs and
+ * one dW partial per image, the partials added in batch order.
  */
 #include <gtest/gtest.h>
 
@@ -19,8 +24,11 @@
 #include <vector>
 
 #include "nn/activations.h"
+#include "nn/conv2d.h"
 #include "nn/pooling.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace insitu {
@@ -144,7 +152,8 @@ TEST(KernelReference, ReluForwardAndBackward)
 
 // --- max-pool ------------------------------------------------------
 
-/// The naive scan: first strict maximum wins, index 0 if none.
+/// The naive scan: first strict maximum wins, the window's first
+/// element if none.
 Tensor
 pool_reference(const Tensor& x, int64_t k, int64_t s,
                std::vector<int64_t>& argmax)
@@ -160,7 +169,7 @@ pool_reference(const Tensor& x, int64_t k, int64_t s,
         for (int64_t y = 0; y < oh; ++y) {
             for (int64_t xx = 0; xx < ow; ++xx, ++oi) {
                 float best = -kInf;
-                int64_t best_idx = 0;
+                int64_t best_idx = (y * s) * iw + xx * s;
                 for (int64_t ky = 0; ky < k; ++ky) {
                     for (int64_t kx = 0; kx < k; ++kx) {
                         const int64_t idx =
@@ -246,7 +255,7 @@ im2col_reference(const Tensor& input, int64_t b, const ConvGeometry& g,
 /// The naive scatter-add, in ascending (c, ky, kx, y, x) order.
 void
 col2im_reference(const float* cols, Tensor& grad, int64_t b,
-                 const ConvGeometry& g)
+                 const ConvGeometry& g, int64_t ld, int64_t col0)
 {
     const int64_t oh = g.out_h(), ow = g.out_w();
     float* out = grad.data() + b * g.in_channels * g.in_h * g.in_w;
@@ -262,13 +271,13 @@ col2im_reference(const float* cols, Tensor& grad, int64_t b,
                             ix >= g.in_w)
                             continue;
                         out[(c * g.in_h + iy) * g.in_w + ix] +=
-                            cols[row * oh * ow + y * ow + x];
+                            cols[row * ld + col0 + y * ow + x];
                     }
             }
 }
 
 /// Every K x stride x pad on non-square, odd-sized maps, three
-/// channels, whose output is not empty.
+/// channels, whose window fits the padded map.
 std::vector<ConvGeometry>
 geometry_sweep()
 {
@@ -285,7 +294,8 @@ geometry_sweep()
                     g.kernel = k;
                     g.stride = s;
                     g.pad = p;
-                    if (g.out_h() > 0 && g.out_w() > 0) out.push_back(g);
+                    if (g.in_h + 2 * p >= k && g.in_w + 2 * p >= k)
+                        out.push_back(g);
                 }
     return out;
 }
@@ -307,9 +317,9 @@ TEST(KernelReference, Im2colIntoMatchesNaiveGather)
 {
     Rng rng(11);
     const std::vector<ConvGeometry> sweep = geometry_sweep();
-    // 90 combinations less K=7 at pad 0 on the 5-wide map, strides 1
-    // and 2, whose output is empty.
-    ASSERT_EQ(sweep.size(), 88u);
+    // 90 combinations less K=7 at pad 0 on the 5-wide map (strides 1,
+    // 2 and 3), whose window is wider than the map.
+    ASSERT_EQ(sweep.size(), 87u);
     for (const ConvGeometry& g : sweep) {
         const Tensor x =
             make_input({3, g.in_channels, g.in_h, g.in_w},
@@ -333,7 +343,11 @@ TEST(KernelReference, Col2imAccumulateMatchesNaiveScatter)
         const int64_t rows = g.in_channels * g.kernel * g.kernel;
         // One NaN payload and no -Inf, so no sum depends on which NaN
         // an add propagates; random terms make the order visible.
-        Tensor cols({rows, g.out_h() * g.out_w()});
+        // Image 1's columns start at column 5 of wider rows, as in a
+        // group's column-gradient matrix.
+        const int64_t ohw = g.out_h() * g.out_w();
+        const int64_t col0 = 5, ld = col0 + ohw + 3;
+        Tensor cols({rows, ld});
         for (int64_t i = 0; i < cols.numel(); ++i) {
             static const float specials[] = {kNaN, kInf, 0.0f, -0.0f,
                                              kDenorm, -kDenorm};
@@ -344,10 +358,160 @@ TEST(KernelReference, Col2imAccumulateMatchesNaiveScatter)
         Tensor got({3, g.in_channels, g.in_h, g.in_w});
         got.fill_uniform(rng, -1.0f, 1.0f);
         Tensor want = got;
-        col2im_accumulate(cols.data(), got, 1, g);
-        col2im_reference(cols.data(), want, 1, g);
+        col2im_accumulate(cols.data(), got, 1, g, ld, col0);
+        col2im_reference(cols.data(), want, 1, g, ld, col0);
         expect_same_bits(got, want, describe(g));
     }
+}
+
+TEST(KernelReferenceDeathTest, WindowWiderThanPaddedMapDies)
+{
+    // K = 7 on a 5-wide map at pad 0: (5 - 7) / 3 + 1 truncates to one
+    // output column, which would read only padding.
+    ConvGeometry g;
+    g.in_channels = 1;
+    g.in_h = 11;
+    g.in_w = 5;
+    g.kernel = 7;
+    g.stride = 3;
+    EXPECT_EQ(g.out_h(), 2);
+    EXPECT_DEATH((void)g.out_w(), "conv window wider than the padded map");
+    g.in_h = 5;
+    g.in_w = 11;
+    EXPECT_DEATH((void)g.out_h(), "conv window wider than the padded map");
+    g.pad = 1; // 5 + 2 = 7: the window just fits
+    EXPECT_EQ(g.out_h(), 1);
+}
+
+// --- conv backward --------------------------------------------------
+
+/// Gradients of one conv backward: dX, dW, db.
+struct ConvGrads {
+    Tensor dx, dw, db;
+};
+
+/// The per-image loop: for each image its own im2col, the dW partial
+/// gOm * Dm^T and the dX column gradient Fm^T * gOm as two GEMMs, the
+/// bias partial as spatial sums; the partials then fold into the
+/// starting grads serially in batch order.
+ConvGrads
+conv_backward_reference(const Conv2d& conv, const Tensor& x,
+                        const Tensor& gy, const ConvGrads& start)
+{
+    ConvGeometry g;
+    g.in_channels = conv.in_channels();
+    g.in_h = x.dim(2);
+    g.in_w = x.dim(3);
+    g.kernel = conv.kernel();
+    g.stride = conv.stride();
+    g.pad = conv.pad();
+    const int64_t m = conv.out_channels();
+    const int64_t ckk = g.in_channels * g.kernel * g.kernel;
+    const int64_t ohw = g.out_h() * g.out_w();
+    const float* fm = conv.weight()->value().data();
+    const GemmBackend be = gemm_backend();
+    ConvGrads out{Tensor(x.shape()), start.dw, start.db};
+    std::vector<Tensor> parts;
+    Tensor bias_parts({x.dim(0), m});
+    for (int64_t b = 0; b < x.dim(0); ++b) {
+        const float* gom = gy.data() + b * m * ohw;
+        const Tensor cols = im2col(x, b, g);
+        Tensor part({m, ckk});
+        gemm(m, ckk, ohw, gom, ohw, 1, cols.data(), 1, ohw, part.data(),
+             be);
+        parts.push_back(part);
+        Tensor gcols({ckk, ohw});
+        gemm(ckk, ohw, m, fm, 1, ckk, gom, ohw, 1, gcols.data(), be);
+        col2im_accumulate(gcols, out.dx, b, g);
+        for (int64_t f = 0; f < m; ++f) {
+            float acc = 0.0f;
+            for (int64_t i = 0; i < ohw; ++i) acc += gom[f * ohw + i];
+            bias_parts.data()[b * m + f] = acc;
+        }
+    }
+    for (int64_t b = 0; b < x.dim(0); ++b) {
+        const Tensor& part = parts[static_cast<size_t>(b)];
+        for (int64_t i = 0; i < part.numel(); ++i)
+            out.dw.data()[i] += part.data()[i];
+        for (int64_t f = 0; f < m; ++f)
+            out.db.data()[f] += bias_parts.data()[b * m + f];
+    }
+    return out;
+}
+
+TEST(ConvBackwardReference, MatchesPerImagePartialLoop)
+{
+    Rng rng(17);
+    const GemmBackend prev = gemm_backend();
+    // Every K x stride x pad on a 9x7 map; then 3x3/s1/p1 on a 20x20
+    // map, whose 400 output positions are a dW GEMM deeper than one
+    // 256-deep k panel.
+    struct Shape {
+        int64_t k, s, p, h, w;
+    };
+    std::vector<Shape> shapes;
+    for (int64_t k : {1, 3, 5})
+        for (int64_t st : {1, 2, 3})
+            for (int64_t p : {0, 1, 2}) shapes.push_back({k, st, p, 9, 7});
+    shapes.push_back({3, 1, 1, 20, 20});
+    for (const Shape& sh : shapes) {
+        // 3 input channels x K^2 spans one to three 32-column dW
+        // chunks; 5 filters leave a partial register tile.
+        Conv2d conv("c", 3, 5, sh.k, sh.s, sh.p, rng);
+        ConvGeometry g;
+        g.in_channels = 3;
+        g.in_h = sh.h;
+        g.in_w = sh.w;
+        g.kernel = sh.k;
+        g.stride = sh.s;
+        g.pad = sh.p;
+        const int64_t ohw = g.out_h() * g.out_w();
+        // One full image group plus one image: two GEMM groups.
+        const int64_t batch = (kGroupCols + ohw - 1) / ohw + 1;
+        Tensor x({batch, 3, sh.h, sh.w});
+        x.fill_uniform(rng, -1.0f, 1.0f);
+        Tensor gy({batch, 5, g.out_h(), g.out_w()});
+        gy.fill_uniform(rng, -1.0f, 1.0f);
+        ConvGrads start{Tensor(), conv.weight()->value(),
+                        conv.bias()->value()};
+        start.dw.fill_uniform(rng, -1.0f, 1.0f);
+        start.db.fill_uniform(rng, -1.0f, 1.0f);
+        for (const GemmBackend be :
+             {GemmBackend::kBlocked, GemmBackend::kNaive}) {
+            set_gemm_backend(be);
+            const ConvGrads want =
+                conv_backward_reference(conv, x, gy, start);
+            for (const int width : {1, 4}) {
+                set_num_threads(width);
+                const std::string what =
+                    "k=" + std::to_string(sh.k) +
+                    " s=" + std::to_string(sh.s) +
+                    " p=" + std::to_string(sh.p) + " map=" +
+                    std::to_string(sh.h) + "x" + std::to_string(sh.w) +
+                    " " + gemm_backend_name() + " width " +
+                    std::to_string(width);
+                conv.weight()->grad() = start.dw;
+                conv.bias()->grad() = start.db;
+                (void)conv.forward(x, true);
+                const Tensor dx = conv.backward(gy);
+                expect_same_bits(dx, want.dx, "dX " + what);
+                expect_same_bits(conv.weight()->grad(), want.dw,
+                                 "dW " + what);
+                expect_same_bits(conv.bias()->grad(), want.db,
+                                 "db " + what);
+                // Without dX the parameter grads are the same bits.
+                conv.weight()->grad() = start.dw;
+                conv.bias()->grad() = start.db;
+                conv.backward_params(gy);
+                expect_same_bits(conv.weight()->grad(), want.dw,
+                                 "params-only dW " + what);
+                expect_same_bits(conv.bias()->grad(), want.db,
+                                 "params-only db " + what);
+            }
+        }
+    }
+    set_num_threads(0);
+    set_gemm_backend(prev);
 }
 
 } // namespace

@@ -224,6 +224,115 @@ TEST(EvalForward, OutputMatchesTrainingForward)
               0);
 }
 
+TEST(NetworkBackward, LowestLayerSkipsInputGradientOnly)
+{
+    // conv1 is frozen, so backward() stops at conv2 and asks it for
+    // parameter gradients only; backward_input() runs every layer.
+    // The trainable grads must be the same bits, and backward() must
+    // skip exactly conv1's dW and dX and conv2's dX: three GEMMs the
+    // size of a conv forward.
+    Rng rng(18);
+    Network net("n");
+    net.emplace<Conv2d>("c1", 2, 4, 3, 1, 1, rng);
+    net.emplace<ReLU>();
+    net.emplace<Conv2d>("c2", 4, 5, 3, 1, 1, rng);
+    net.emplace<ReLU>();
+    net.emplace<Flatten>();
+    net.emplace<Linear>("fc", 5 * 6 * 6, 3, rng);
+    net.freeze_first_convs(1);
+    EXPECT_EQ(net.first_trainable(), 2u);
+    Tensor x({3, 2, 6, 6});
+    x.fill_uniform(rng, -1.0f, 1.0f);
+    Tensor top({3, 3});
+    top.fill_uniform(rng, -1.0f, 1.0f);
+    auto& reg = obs::MetricsRegistry::global();
+    auto flops = [&] {
+        return reg.counter("tensor.matmul.flops").value() +
+               reg.counter("tensor.matmul_ta.flops").value() +
+               reg.counter("tensor.matmul_tb.flops").value();
+    };
+    auto trainable_grads = [&] {
+        std::vector<Tensor> out;
+        for (auto& p : net.params())
+            if (!p->frozen()) out.push_back(p->grad());
+        return out;
+    };
+
+    net.zero_grad();
+    (void)net.forward(x, true);
+    int64_t f0 = flops();
+    net.backward(top);
+    const int64_t params_only = flops() - f0;
+    const std::vector<Tensor> want = trainable_grads();
+
+    net.zero_grad();
+    (void)net.forward(x, true);
+    f0 = flops();
+    const Tensor dx = net.backward_input(top);
+    const int64_t full = flops() - f0;
+    EXPECT_EQ(dx.shape(), x.shape());
+    const std::vector<Tensor> got = trainable_grads();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(std::memcmp(got[i].data(), want[i].data(),
+                              sizeof(float) *
+                                  static_cast<size_t>(got[i].numel())),
+                  0)
+            << "param " << i;
+    const int64_t conv1_fwd = 2 * 3 * 4 * (2 * 9) * 36;
+    const int64_t conv2_fwd = 2 * 3 * 5 * (4 * 9) * 36;
+    EXPECT_EQ(full - params_only, 2 * conv1_fwd + conv2_fwd);
+}
+
+TEST(Trainer, FrozenPrefixActivationsTrainTheSameBits)
+{
+    // Training layers [first, n) on the frozen prefix's eval-mode
+    // activations gives the same weights and losses as full training
+    // forwards: per-image activations do not depend on the batch, and
+    // eval and training forwards agree.
+    const auto make = [] {
+        Rng rng(19);
+        Network net("n");
+        net.emplace<Conv2d>("c1", 2, 4, 3, 1, 1, rng);
+        net.emplace<ReLU>();
+        net.emplace<MaxPool2d>("p", 2, 2);
+        net.emplace<Conv2d>("c2", 4, 4, 3, 1, 1, rng);
+        net.emplace<ReLU>();
+        net.emplace<Flatten>();
+        net.emplace<Linear>("fc", 4 * 3 * 3, 3, rng);
+        net.freeze_first_convs(1);
+        return net;
+    };
+    Network full = make(), reuse = make();
+    Rng data_rng(20);
+    Tensor x({40, 2, 6, 6});
+    x.fill_uniform(data_rng, -1.0f, 1.0f);
+    std::vector<int64_t> y(40);
+    for (auto& v : y) v = static_cast<int64_t>(data_rng.next_below(3));
+
+    const size_t first = reuse.first_trainable();
+    ASSERT_EQ(first, 3u);
+    const Tensor feats = prefix_activations(reuse, x, first, 16);
+    Sgd opt_full({.lr = 0.05, .momentum = 0.9});
+    Sgd opt_reuse({.lr = 0.05, .momentum = 0.9});
+    Rng r1(21), r2(21);
+    const auto a = train_epochs(full, opt_full, x, y, 8, 3, r1);
+    const auto b =
+        train_epochs(reuse, opt_reuse, feats, y, 8, 3, r2, first);
+    for (size_t e = 0; e < a.size(); ++e)
+        EXPECT_EQ(a[e].mean_loss, b[e].mean_loss) << "epoch " << e;
+    const auto pa = full.params(), pb = reuse.params();
+    for (size_t i = 0; i < pa.size(); ++i)
+        EXPECT_EQ(std::memcmp(pa[i]->value().data(),
+                              pb[i]->value().data(),
+                              sizeof(float) * static_cast<size_t>(
+                                                  pa[i]->numel())),
+                  0)
+            << pa[i]->name();
+    EXPECT_EQ(evaluate_accuracy(full, x, y),
+              evaluate_accuracy(reuse, feats, y, first));
+}
+
 // Each layer first runs a training forward, so the death proves the
 // eval forward dropped that state rather than never having had any.
 
@@ -540,6 +649,40 @@ TEST(Network, SummaryMentionsLayers)
     EXPECT_NE(s.find("demo"), std::string::npos);
     EXPECT_NE(s.find("conv1"), std::string::npos);
     EXPECT_NE(s.find("trainable"), std::string::npos);
+}
+
+/// Identity layer of a kind no other test uses, so its timing
+/// histograms appear in the global registry only through this test.
+class TimingProbe : public Layer {
+  public:
+    Tensor forward(const Tensor& x, bool) override { return x; }
+    Tensor backward(const Tensor& g) override { return g; }
+    std::string kind() const override { return "timing_probe"; }
+};
+
+// A histogram is registered when first observed, so a network that
+// never runs backward (or never runs) exports no zero-count line.
+TEST(Network, TimingHistogramsRegisterOnFirstObservation)
+{
+    const auto& registry = obs::MetricsRegistry::global();
+    const std::string fwd = "nn.forward.timing_probe.time_s";
+    const std::string bwd = "nn.backward.timing_probe.time_s";
+    Network net("probe");
+    net.emplace<TimingProbe>();
+    EXPECT_EQ(registry.snapshot().find(fwd), nullptr);
+    EXPECT_EQ(registry.snapshot().find(bwd), nullptr);
+
+    const Tensor x({2, 3});
+    net.forward(x);
+    ASSERT_NE(registry.snapshot().find(fwd), nullptr);
+    EXPECT_EQ(registry.snapshot().find(fwd)->count, 1);
+    EXPECT_EQ(registry.snapshot().find(bwd), nullptr);
+
+    net.forward(x, /*training=*/true);
+    (void)net.backward_input(x);
+    EXPECT_EQ(registry.snapshot().find(fwd)->count, 2);
+    ASSERT_NE(registry.snapshot().find(bwd), nullptr);
+    EXPECT_EQ(registry.snapshot().find(bwd)->count, 1);
 }
 
 } // namespace
