@@ -33,7 +33,7 @@ ModelUpdateService::ModelUpdateService(TinyConfig config,
       inference_(make_tiny_inference(config, rng_)), trace_seed_(seed)
 {}
 
-double
+void
 ModelUpdateService::pretrain(const Tensor& images, int epochs,
                              int64_t batch_size)
 {
@@ -52,7 +52,6 @@ ModelUpdateService::pretrain(const Tensor& images, int epochs,
             jigsaw_.train_batch(opt, batch);
         }
     }
-    return evaluate_pretext(images);
 }
 
 void
@@ -100,11 +99,6 @@ ModelUpdateService::update(const Dataset& data,
     static auto& update_time = obs::MetricsRegistry::global()
                                    .histogram("cloud.update.wall_s");
     update_time.observe(report.wall_seconds);
-    // Price the job at paper scale: the trainable suffix starts after
-    // the frozen conv prefix.
-    report.modeled = cost_.train_cost(
-        tinynet_desc(), static_cast<double>(data.size()),
-        policy.epochs, policy.frozen_convs);
     return report;
 }
 
@@ -231,13 +225,6 @@ double
 ModelUpdateService::evaluate(const Dataset& data)
 {
     return evaluate_accuracy(inference_, data.images, data.labels);
-}
-
-double
-ModelUpdateService::evaluate_pretext(const Tensor& images)
-{
-    Rng eval_rng(42);
-    return jigsaw_.evaluate(images, perms_, eval_rng);
 }
 
 } // namespace insitu

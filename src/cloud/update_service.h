@@ -5,9 +5,8 @@
  * Owns the master copies of the unsupervised (jigsaw) network and the
  * inference network, performs unsupervised pre-training on raw
  * uploads, the transfer-learning surgery, and incremental supervised
- * updates; every job is also priced through the TrainingCostModel at
- * paper scale so system-level comparisons (Fig. 25) can report energy
- * and model-update time.
+ * updates. Paper-scale pricing of these jobs (Fig. 25's energy and
+ * model-update time) is price_stage() in iot/system.h.
  */
 #pragma once
 
@@ -35,7 +34,6 @@ struct UpdateReport {
     int64_t images = 0;
     double mean_loss = 0;
     double wall_seconds = 0;   ///< actual CPU time spent here
-    TrainingCost modeled;      ///< cost at paper scale on the cloud GPU
 };
 
 /** Outcome of one validation-gated update job. */
@@ -71,12 +69,10 @@ class ModelUpdateService {
     ModelUpdateService(TinyConfig config, GpuSpec cloud_gpu,
                        uint64_t seed);
 
-    /**
-     * Unsupervised pre-training on unlabeled images (jigsaw pretext).
-     * @return pretext accuracy after training.
-     */
-    double pretrain(const Tensor& images, int epochs,
-                    int64_t batch_size = 16);
+    /** Unsupervised pre-training on unlabeled images (jigsaw
+     *  pretext). */
+    void pretrain(const Tensor& images, int epochs,
+                  int64_t batch_size = 16);
 
     /**
      * Transfer learning (Fig. 4): copy the first @p convs conv layers
@@ -132,9 +128,6 @@ class ModelUpdateService {
 
     /** Inference accuracy on a labeled dataset. */
     double evaluate(const Dataset& data);
-
-    /** Pretext accuracy on unlabeled images. */
-    double evaluate_pretext(const Tensor& images);
 
     Network& inference() { return inference_; }
     const Network& inference() const { return inference_; }

@@ -7,22 +7,6 @@
 
 namespace insitu {
 
-namespace {
-
-/** Paper-scale upload accounting for @p images images. */
-void
-account_upload(StageMetrics& m, int64_t images)
-{
-    const LinkSpec link = iot_uplink_spec();
-    m.uploaded = images;
-    m.upload_bytes =
-        static_cast<double>(images) * kImageScale * bytes_per_image();
-    m.upload_energy_j = link.transfer_energy(m.upload_bytes);
-    m.upload_seconds = link.transfer_seconds(m.upload_bytes);
-}
-
-} // namespace
-
 const char*
 iot_system_name(IotSystemKind kind)
 {
@@ -71,17 +55,65 @@ IotSystemSim::deploy()
 }
 
 StageMetrics
+price_stage(IotSystemKind kind, const IotSystemConfig& config,
+            StageMetrics m)
+{
+    const bool bootstrap = m.stage == 0;
+    const TrainingCostModel cost(titan_x_spec());
+    const double trained =
+        static_cast<double>(m.labeled_images) * kImageScale;
+    m.cloud_energy_j = 0;
+    m.train_seconds = 0;
+    // (b) uploads everything and filters in the cloud, so it pays for
+    // running the diagnosis network there; the others upload exactly
+    // what the cloud trains on.
+    m.uploaded = m.labeled_images;
+    if (kind == IotSystemKind::kCloudDiagnosis) {
+        m.uploaded = m.acquired;
+        if (!bootstrap)
+            m.cloud_energy_j +=
+                cost.diagnosis_cost(diagnosis_desc(tinynet_desc()),
+                                    static_cast<double>(m.acquired) *
+                                        kImageScale)
+                    .energy_j;
+    }
+    const LinkSpec link = iot_uplink_spec();
+    m.upload_bytes =
+        static_cast<double>(m.uploaded) * kImageScale * bytes_per_image();
+    m.upload_energy_j = link.transfer_energy(m.upload_bytes);
+    m.upload_seconds = link.transfer_seconds(m.upload_bytes);
+
+    if (m.labeled_images > 0) {
+        const TrainingCost pre = cost.train_cost(
+            tinynet_desc(), trained,
+            bootstrap ? config.pretrain_epochs
+                      : config.incremental_pretrain_epochs);
+        m.cloud_energy_j += pre.energy_j;
+        m.train_seconds += pre.seconds;
+    }
+    const TrainingCost train = cost.train_cost(
+        tinynet_desc(), trained, config.update.epochs,
+        kind == IotSystemKind::kInsituAi ? kSharedConvs : 0);
+    m.cloud_energy_j += train.energy_j;
+    m.train_seconds += train.seconds;
+    m.update_seconds = m.upload_seconds + m.train_seconds;
+    return m;
+}
+
+StageMetrics
 IotSystemSim::step(const Dataset& data)
 {
+    // The trajectory depends on two facts about the kind only.
+    const bool filtered = kind_ != IotSystemKind::kCloudAll;
+    const bool shared = kind_ == IotSystemKind::kInsituAi;
     const bool bootstrap = stages_done_ == 0;
     StageMetrics m;
     m.stage = stages_done_++;
     m.acquired = data.size();
 
-    // Who uploads what, and who filters. All variants ship the whole
-    // first stage to the cloud to build the initial models (§V-B);
-    // afterwards the node serves inference on everything it acquires
-    // and diagnoses it.
+    // All variants ship the whole first stage to the cloud to build
+    // the initial models (§V-B); afterwards the node serves inference
+    // on everything it acquires and diagnoses it.
     Dataset flagged;
     const Dataset* valuable = &data;
     if (bootstrap) {
@@ -91,25 +123,13 @@ IotSystemSim::step(const Dataset& data)
         const NodeStageReport report = node_.process_stage(data);
         m.accuracy_before = report.accuracy.value_or(0.0);
         m.flag_rate = report.flag_rate;
-        if (kind_ != IotSystemKind::kCloudAll) {
+        if (filtered) {
             flagged = gather_dataset(
                 data, DiagnosisTask::flagged_indices(report.flags));
             valuable = &flagged;
         }
-        if (kind_ == IotSystemKind::kCloudDiagnosis) {
-            // The cloud replays the diagnosis to filter; pay its
-            // compute.
-            const TrainingCost diag = cloud_.cost_model().diagnosis_cost(
-                diagnosis_desc(tinynet_desc()),
-                static_cast<double>(data.size()) * kImageScale);
-            m.cloud_energy_j += diag.energy_j;
-        }
     }
-    // (b) uploads everything and filters in the cloud; the others
-    // upload exactly what the cloud trains on.
-    account_upload(m, kind_ == IotSystemKind::kCloudDiagnosis
-                          ? data.size()
-                          : valuable->size());
+    m.labeled_images = valuable->size();
 
     // Unsupervised pre-training on the raw upload ((a) over
     // everything, (b)-(d) over the valuable subset); the bootstrap
@@ -117,45 +137,25 @@ IotSystemSim::step(const Dataset& data)
     // the shared prefix is literally the same storage in the cloud
     // too, so inference and diagnosis weights cannot diverge and the
     // unsupervised pass keeps improving both tasks.
-    const int pretrain_epochs = bootstrap
-                                    ? config_.pretrain_epochs
-                                    : config_.incremental_pretrain_epochs;
-    if (valuable->size() > 0) {
-        cloud_.pretrain(valuable->images, pretrain_epochs);
-        const TrainingCost pre = cloud_.cost_model().train_cost(
-            tinynet_desc(),
-            static_cast<double>(valuable->size()) * kImageScale,
-            pretrain_epochs);
-        m.cloud_energy_j += pre.energy_j;
-        m.train_seconds += pre.seconds;
-    }
+    if (valuable->size() > 0)
+        cloud_.pretrain(valuable->images,
+                        bootstrap ? config_.pretrain_epochs
+                                  : config_.incremental_pretrain_epochs);
     if (bootstrap) {
         cloud_.transfer_from_pretext(kSharedConvs);
-        if (kind_ == IotSystemKind::kInsituAi) {
+        if (shared)
             cloud_.inference().share_convs_from(cloud_.jigsaw().trunk(),
                                                 kSharedConvs);
-        }
     }
 
     // Supervised update on the (possibly filtered) upload.
     UpdatePolicy policy = config_.update;
-    policy.frozen_convs = kind_ == IotSystemKind::kInsituAi
-                              ? kSharedConvs
-                              : 0;
-    m.labeled_images = valuable->size();
+    policy.frozen_convs = shared ? kSharedConvs : 0;
     if (valuable->size() > 0) cloud_.update(*valuable, policy);
-
-    const TrainingCost train_cost = cloud_.cost_model().train_cost(
-        tinynet_desc(),
-        static_cast<double>(valuable->size()) * kImageScale,
-        policy.epochs, policy.frozen_convs);
-    m.cloud_energy_j += train_cost.energy_j;
-    m.train_seconds += train_cost.seconds;
-    m.update_seconds = m.upload_seconds + m.train_seconds;
 
     m.deploy_bytes = deploy();
     m.accuracy_after = node_.inference().accuracy(data);
-    return m;
+    return price_stage(kind_, config_, m);
 }
 
 std::vector<StageMetrics>

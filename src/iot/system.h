@@ -13,10 +13,16 @@
  *                       so the update touches only the last conv
  *                       layers and the FCN head.
  *
- * Training is real (TinyNet gradients on synthetic data); time,
- * energy and data movement are additionally priced at paper scale
+ * Each system is two parts. The *trajectory* is what gets trained,
+ * and it depends on two facts about the kind: are uploads filtered by
+ * the node's flags (b, c and d), and is the first kSharedConvs convs'
+ * storage shared and frozen (d only)? So (b) and (c) train the same
+ * bits. The *pricing* (price_stage) is a pure function of the kind
+ * and one stage's record: upload bytes, radio energy and link time,
+ * (b)'s cloud diagnosis, and pretrain and train cost, at paper scale
  * through the IoT uplink (iot_uplink_spec) and the Titan X cloud GPU
- * (titan_x_spec) cost models.
+ * (titan_x_spec) cost models. Training is real (TinyNet gradients on
+ * synthetic data).
  */
 #pragma once
 
@@ -38,7 +44,8 @@ enum class IotSystemKind {
 /** Printable system name ("a", "b", "c", "d" plus description). */
 const char* iot_system_name(IotSystemKind kind);
 
-/** Per-stage outcome of one system. */
+/** Per-stage outcome of one system. price_stage() fills uploaded,
+ *  upload_*, cloud_energy_j, train_seconds and update_seconds. */
 struct StageMetrics {
     int stage = 0;
     int64_t acquired = 0;       ///< images acquired this stage
@@ -75,6 +82,16 @@ struct IotSystemConfig {
     int incremental_pretrain_epochs = 1;
     uint64_t seed = 1;
 };
+
+/**
+ * Price one stage of system @p kind from its @p record: every priced
+ * field is recomputed from the record's stage, acquired and
+ * labeled_images and @p config's epochs, so a (c) record re-priced as
+ * (b) equals a (b) run.
+ */
+StageMetrics price_stage(IotSystemKind kind,
+                         const IotSystemConfig& config,
+                         StageMetrics record);
 
 /**
  * One Fig. 24 system, runnable stage by stage. With kInsituAi it is

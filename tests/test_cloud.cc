@@ -78,8 +78,14 @@ TEST(UpdateService, PretrainImprovesPretextAccuracy)
     SynthConfig synth;
     const Dataset raw =
         make_dataset(synth, 96, Condition::ideal(), rng);
-    const double before = service.evaluate_pretext(raw.images);
-    const double after = service.pretrain(raw.images, 4);
+    auto pretext_accuracy = [&] {
+        Rng eval_rng(42);
+        return service.jigsaw().evaluate(raw.images,
+                                         service.permutations(), eval_rng);
+    };
+    const double before = pretext_accuracy();
+    service.pretrain(raw.images, 4);
+    const double after = pretext_accuracy();
     EXPECT_GT(after, before + 0.1);
     EXPECT_GT(after, 1.5 / 8.0); // clearly better than chance
 }
@@ -113,7 +119,6 @@ TEST(UpdateService, UpdateLearnsAndAccounts)
     const UpdateReport report = service.update(data, policy);
     EXPECT_EQ(report.images, 300);
     EXPECT_EQ(service.images_received(), 300);
-    EXPECT_GT(report.modeled.energy_j, 0.0);
     EXPECT_GT(service.evaluate(data), 0.5);
 }
 
@@ -212,25 +217,6 @@ TEST(UpdateService, PrefixReuseMatchesFullForwardValidatedUpdate)
         service.transfer_from_pretext(convs);
         ref.copy_convs_from(jigsaw.trunk(), convs);
     }
-}
-
-TEST(UpdateService, FrozenUpdateModeledCheaper)
-{
-    TinyConfig config;
-    ModelUpdateService a(config, titan_x_spec(), 21);
-    ModelUpdateService b(config, titan_x_spec(), 21);
-    Rng rng(22);
-    SynthConfig synth;
-    const Dataset data =
-        make_dataset(synth, 64, Condition::ideal(), rng);
-    UpdatePolicy full;
-    full.epochs = 1;
-    UpdatePolicy frozen = full;
-    frozen.frozen_convs = 3;
-    const auto ra = a.update(data, full);
-    const auto rb = b.update(data, frozen);
-    EXPECT_LT(rb.modeled.energy_j, ra.modeled.energy_j);
-    EXPECT_LT(rb.modeled.seconds, ra.modeled.seconds);
 }
 
 } // namespace

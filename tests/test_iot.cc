@@ -184,6 +184,26 @@ small_schedule()
     };
 }
 
+/** Field-for-field equality of two stages' metrics. */
+void
+expect_same_stage(const StageMetrics& g, const StageMetrics& w)
+{
+    EXPECT_EQ(g.stage, w.stage);
+    EXPECT_EQ(g.acquired, w.acquired);
+    EXPECT_EQ(g.uploaded, w.uploaded);
+    EXPECT_EQ(g.upload_bytes, w.upload_bytes);
+    EXPECT_EQ(g.upload_energy_j, w.upload_energy_j);
+    EXPECT_EQ(g.upload_seconds, w.upload_seconds);
+    EXPECT_EQ(g.cloud_energy_j, w.cloud_energy_j);
+    EXPECT_EQ(g.train_seconds, w.train_seconds);
+    EXPECT_EQ(g.update_seconds, w.update_seconds);
+    EXPECT_EQ(g.flag_rate, w.flag_rate);
+    EXPECT_EQ(g.labeled_images, w.labeled_images);
+    EXPECT_EQ(g.deploy_bytes, w.deploy_bytes);
+    EXPECT_EQ(g.accuracy_before, w.accuracy_before);
+    EXPECT_EQ(g.accuracy_after, w.accuracy_after);
+}
+
 TEST(SystemSim, CloudAllUploadsEverything)
 {
     auto config = small_system_config();
@@ -224,17 +244,60 @@ TEST(SystemSim, UploadBytesUsePaperScale)
 TEST(SystemSim, CloudDiagnosisPaysCloudComputeForFiltering)
 {
     auto config = small_system_config();
+    const TrainingCostModel cost(titan_x_spec());
+    // (b) and (c) train on the same flagged subset. (b) uploads every
+    // image, (c) only that subset, and after the bootstrap (b) also
+    // pays for running the diagnosis network over every image in the
+    // cloud.
+    auto expect_b_pays_more = [&](const StageMetrics& b,
+                                  const StageMetrics& c) {
+        EXPECT_EQ(b.uploaded, b.acquired);
+        EXPECT_EQ(b.upload_bytes, static_cast<double>(b.acquired) *
+                                      kImageScale * bytes_per_image());
+        EXPECT_EQ(c.uploaded, c.labeled_images);
+        EXPECT_EQ(b.train_seconds, c.train_seconds);
+        const double diagnosis =
+            b.stage == 0
+                ? 0.0
+                : cost.diagnosis_cost(diagnosis_desc(tinynet_desc()),
+                                      static_cast<double>(b.acquired) *
+                                          kImageScale)
+                      .energy_j;
+        EXPECT_DOUBLE_EQ(b.cloud_energy_j, c.cloud_energy_j + diagnosis);
+        EXPECT_EQ(b.update_seconds, b.upload_seconds + b.train_seconds);
+    };
+
     IotSystemSim b(IotSystemKind::kCloudDiagnosis, config);
     IotSystemSim c(IotSystemKind::kNodeDiagnosis, config);
     IotStream sb(SynthConfig{}, small_schedule(), 31);
     IotStream sc(SynthConfig{}, small_schedule(), 31);
     const auto rb = b.run(sb);
     const auto rc = c.run(sc);
-    // (b) uploads everything, (c) only the flagged subset.
-    EXPECT_GE(rb[1].upload_bytes, rc[1].upload_bytes);
-    // Both train on the same flagged subset, but (b) additionally
-    // pays for running the diagnosis network in the cloud.
+    ASSERT_EQ(rb.size(), 3u);
+    ASSERT_EQ(rc.size(), 3u);
+    for (size_t i = 0; i < rb.size(); ++i) {
+        SCOPED_TRACE(i);
+        // (b) trains what (c) trains, so (c)'s record priced as (b) is
+        // a whole (b) run, bootstrap stage included.
+        expect_same_stage(
+            price_stage(IotSystemKind::kCloudDiagnosis, config, rc[i]),
+            rb[i]);
+        expect_b_pays_more(rb[i], rc[i]);
+    }
     EXPECT_GT(rb[1].cloud_energy_j, rc[1].cloud_energy_j);
+
+    // This small node flags every image, so price a stage in which it
+    // flagged a quarter of them too.
+    StageMetrics record;
+    record.stage = 1;
+    record.acquired = 40;
+    record.labeled_images = 10;
+    const StageMetrics pb =
+        price_stage(IotSystemKind::kCloudDiagnosis, config, record);
+    const StageMetrics pc =
+        price_stage(IotSystemKind::kNodeDiagnosis, config, record);
+    expect_b_pays_more(pb, pc);
+    EXPECT_EQ(pc.uploaded, 10);
 }
 
 TEST(SystemSim, AccuracyImprovesOverBootstrapChance)
@@ -269,21 +332,7 @@ TEST(SystemSim, StepByStepMatchesRun)
         IotStream ss(SynthConfig{}, small_schedule(), 31);
         for (const StageMetrics& w : want) {
             ASSERT_FALSE(ss.exhausted());
-            const StageMetrics g = by_step.step(ss.next_stage());
-            EXPECT_EQ(g.stage, w.stage);
-            EXPECT_EQ(g.acquired, w.acquired);
-            EXPECT_EQ(g.uploaded, w.uploaded);
-            EXPECT_EQ(g.upload_bytes, w.upload_bytes);
-            EXPECT_EQ(g.upload_energy_j, w.upload_energy_j);
-            EXPECT_EQ(g.upload_seconds, w.upload_seconds);
-            EXPECT_EQ(g.cloud_energy_j, w.cloud_energy_j);
-            EXPECT_EQ(g.train_seconds, w.train_seconds);
-            EXPECT_EQ(g.update_seconds, w.update_seconds);
-            EXPECT_EQ(g.flag_rate, w.flag_rate);
-            EXPECT_EQ(g.labeled_images, w.labeled_images);
-            EXPECT_EQ(g.deploy_bytes, w.deploy_bytes);
-            EXPECT_EQ(g.accuracy_before, w.accuracy_before);
-            EXPECT_EQ(g.accuracy_after, w.accuracy_after);
+            expect_same_stage(by_step.step(ss.next_stage()), w);
         }
         EXPECT_TRUE(ss.exhausted());
     }
