@@ -54,7 +54,10 @@ main()
         fit(net, labeled, scale);
         const double acc = accuracy(net, test);
         const double energy =
-            cost.train_cost(tinynet_desc(), 100e3, 1, shared).energy_j;
+            cost.train_cost(describe(net, {3, config.image_size,
+                                           config.image_size}),
+                            100e3, 1, shared)
+                .energy_j;
 
         // Node memory the sharing saves: the shared prefix exists
         // once instead of twice.

@@ -47,8 +47,10 @@ main()
     DutyCycleConfig duty;
     duty.frames_per_day = 60; // matches the simulated capture rate
     DutyCycleScheduler scheduler(GpuModel(tx1_spec()), duty);
+    const int64_t side = config.tiny.image_size;
     const DutyCyclePlan day_plan = scheduler.plan(
-        tinynet_desc(), diagnosis_desc(tinynet_desc()));
+        describe(system.cloud().inference(), {3, side, side}),
+        describe(system.cloud().jigsaw().trunk(), {3, side / 3, side / 3}));
     BatterySpec battery_spec;
     battery_spec.harvest_wh_per_day = 42.0; // sized for ~37 Wh/day load
     Battery battery(battery_spec);

@@ -14,7 +14,9 @@
 #include <cstring>
 
 #include "analytics/planner.h"
+#include "models/tiny.h"
 #include "util/logging.h"
+#include "util/rng.h"
 
 using namespace insitu;
 
@@ -25,7 +27,6 @@ pick_network(const char* name)
 {
     if (std::strcmp(name, "vggnet") == 0) return vgg16_desc();
     if (std::strcmp(name, "googlenet") == 0) return googlenet_desc();
-    if (std::strcmp(name, "tinynet") == 0) return tinynet_desc();
     return alexnet_desc();
 }
 
@@ -40,8 +41,20 @@ main(int argc, char** argv)
     const bool always_on = argc > 3 && std::atoi(argv[3]) != 0;
     if (latency_s <= 0) fatal("latency must be positive");
 
-    const NetworkDesc net = pick_network(net_name);
-    const NetworkDesc diag = diagnosis_desc(net);
+    NetworkDesc net, diag;
+    if (std::strcmp(net_name, "tinynet") == 0) {
+        // The executable TinyNet, described from its layers: the
+        // inference net on a whole image, the jigsaw trunk per tile.
+        const TinyConfig tiny;
+        Rng rng(0);
+        const int64_t side = tiny.image_size;
+        net = describe(make_tiny_inference(tiny, rng), {3, side, side});
+        diag = describe(make_tiny_trunk(tiny, rng),
+                        {3, side / 3, side / 3});
+    } else {
+        net = pick_network(net_name);
+        diag = diagnosis_desc(net);
+    }
     std::printf("network: %s (%.2f GFLOP/inference, %.1f M weights)\n",
                 net.name.c_str(), net.total_ops() / 1e9,
                 net.total_weights() / 1e6);

@@ -57,11 +57,17 @@ main()
                                static_cast<double>(m.acquired)));
     }
 
-    // Ask the planners how to deploy this workload on real hardware.
+    // Ask the planners how to deploy this workload on real hardware,
+    // describing the nets the node runs: inference on the whole image,
+    // the diagnosis trunk on one tile.
+    const int64_t side = config.tiny.image_size;
+    const NetworkDesc inference =
+        describe(system.cloud().inference(), {3, side, side});
+    const NetworkDesc diagnosis =
+        describe(system.cloud().jigsaw().trunk(), {3, side / 3, side / 3});
     const SingleRunningPlan single =
         SingleRunningPlanner{GpuModel(tx1_spec())}.plan(
-            tinynet_desc(), diagnosis_desc(tinynet_desc()),
-            latency_requirement_s);
+            inference, diagnosis, latency_requirement_s);
     std::printf("Single-running plan on TX1: inference batch %lld "
                 "(latency %.1f ms), diagnosis batch %lld\n",
                 static_cast<long long>(single.inference_batch),
@@ -69,7 +75,7 @@ main()
                 static_cast<long long>(single.diagnosis_batch));
     const CoRunningPlan corun =
         CoRunningPlanner{FpgaModel(vx690t_spec())}.plan(
-            tinynet_desc(), latency_requirement_s);
+            inference, latency_requirement_s);
     std::printf("Co-running plan on VX690T: WSS group %lld, FCN batch "
                 "%lld, latency %.1f ms, %.1f img/s\n",
                 static_cast<long long>(corun.config.group_size),

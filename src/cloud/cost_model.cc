@@ -9,15 +9,12 @@ TrainingCostModel::epoch_ops(const NetworkDesc& net, double images,
                              size_t first_trainable_layer) const
 {
     INSITU_CHECK(images >= 0, "negative image count");
-    std::vector<LayerDesc> compute_layers;
-    for (const auto& l : net.layers)
-        if (l.type != LayerType::kPool) compute_layers.push_back(l);
-    INSITU_CHECK(first_trainable_layer <= compute_layers.size(),
+    INSITU_CHECK(first_trainable_layer <= net.layers.size(),
                  "first trainable layer out of range");
 
     double fwd = 0.0, bwd_data = 0.0, bwd_weight = 0.0;
-    for (size_t i = 0; i < compute_layers.size(); ++i) {
-        const double ops = compute_layers[i].ops();
+    for (size_t i = 0; i < net.layers.size(); ++i) {
+        const double ops = net.layers[i].ops();
         fwd += ops;
         // dL/dX propagates from the loss down to (and including) the
         // first trainable layer; dL/dW only where weights update.
@@ -49,9 +46,9 @@ TrainingCostModel::diagnosis_cost(const NetworkDesc& diagnosis,
                                   double images) const
 {
     TrainingCost c;
-    // Inference only: nine tiles per image are folded into the
-    // descriptor already (diagnosis_desc) or the caller passes the
-    // jigsaw network directly; either way one forward pass per image.
+    // Inference only: one forward pass of @p diagnosis per image. A
+    // per-tile trunk descriptor counts each tile as one image, so the
+    // caller multiplies its image count by the tiles.
     c.ops = diagnosis.total_ops() * images;
     const double sustained = gpu_.peak_ops() * kTrainingEfficiency;
     c.seconds = c.ops / sustained;

@@ -51,8 +51,6 @@ class TrainingCostModel {
     TrainingCost diagnosis_cost(const NetworkDesc& diagnosis,
                                 double images) const;
 
-    const GpuSpec& gpu() const { return gpu_; }
-
     /** Sustained training efficiency (fraction of peak). */
     static constexpr double kTrainingEfficiency = 0.55;
 

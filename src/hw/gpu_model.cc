@@ -119,7 +119,6 @@ GpuModel::memory_required(const NetworkDesc& net, int64_t batch) const
     double weights = net.total_weights();
     double peak_activation = 0.0;
     for (const auto& l : net.layers) {
-        if (l.type == LayerType::kPool) continue;
         peak_activation =
             std::max(peak_activation,
                      (l.input_count() + l.output_count()) * b);

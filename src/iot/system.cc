@@ -62,20 +62,30 @@ price_stage(IotSystemKind kind, const IotSystemConfig& config,
     const TrainingCostModel cost(titan_x_spec());
     const double trained =
         static_cast<double>(m.labeled_images) * kImageScale;
+    Rng rng(0); // the nets are built only to be described
+    const int64_t side = config.tiny.image_size, tile = side / 3;
+    const NetworkDesc net =
+        describe(make_tiny_inference(config.tiny, rng), {3, side, side});
     m.cloud_energy_j = 0;
     m.train_seconds = 0;
     // (b) uploads everything and filters in the cloud, so it pays for
-    // running the diagnosis network there; the others upload exactly
-    // what the cloud trains on.
+    // the node's diagnosis forward there: per probe, the trunk on each
+    // tile and the head once. The others upload exactly what the cloud
+    // trains on.
     m.uploaded = m.labeled_images;
     if (kind == IotSystemKind::kCloudDiagnosis) {
         m.uploaded = m.acquired;
-        if (!bootstrap)
-            m.cloud_energy_j +=
-                cost.diagnosis_cost(diagnosis_desc(tinynet_desc()),
-                                    static_cast<double>(m.acquired) *
-                                        kImageScale)
-                    .energy_j;
+        const JigsawNetwork jig = make_tiny_jigsaw(config.tiny, rng);
+        const int64_t tiles = PermutationSet::kTiles;
+        const int64_t head_in = tiles * tiny_trunk_features(config.tiny);
+        const double probes = bootstrap ? 0.0 : DiagnosisConfig{}.probes *
+                                                    kImageScale * m.acquired;
+        m.cloud_energy_j +=
+            cost.diagnosis_cost(describe(jig.trunk(), {3, tile, tile}),
+                                probes * tiles)
+                .energy_j +
+            cost.diagnosis_cost(describe(jig.head(), {head_in}), probes)
+                .energy_j;
     }
     const LinkSpec link = iot_uplink_spec();
     m.upload_bytes =
@@ -85,14 +95,14 @@ price_stage(IotSystemKind kind, const IotSystemConfig& config,
 
     if (m.labeled_images > 0) {
         const TrainingCost pre = cost.train_cost(
-            tinynet_desc(), trained,
+            net, trained,
             bootstrap ? config.pretrain_epochs
                       : config.incremental_pretrain_epochs);
         m.cloud_energy_j += pre.energy_j;
         m.train_seconds += pre.seconds;
     }
     const TrainingCost train = cost.train_cost(
-        tinynet_desc(), trained, config.update.epochs,
+        net, trained, config.update.epochs,
         kind == IotSystemKind::kInsituAi ? kSharedConvs : 0);
     m.cloud_energy_j += train.energy_j;
     m.train_seconds += train.seconds;

@@ -1,5 +1,9 @@
 #include "models/descriptor.h"
 
+#include "nn/conv2d.h"
+#include "nn/linear.h"
+#include "nn/network.h"
+#include "nn/pooling.h"
 #include "util/logging.h"
 
 namespace insitu {
@@ -56,8 +60,7 @@ double
 NetworkDesc::total_ops() const
 {
     double acc = 0.0;
-    for (const auto& l : layers)
-        if (l.type != LayerType::kPool) acc += l.ops();
+    for (const auto& l : layers) acc += l.ops();
     return acc;
 }
 
@@ -65,8 +68,7 @@ double
 NetworkDesc::total_weights() const
 {
     double acc = 0.0;
-    for (const auto& l : layers)
-        if (l.type != LayerType::kPool) acc += l.weight_count();
+    for (const auto& l : layers) acc += l.weight_count();
     return acc;
 }
 
@@ -74,7 +76,7 @@ namespace {
 
 LayerDesc
 conv(std::string name, int64_t n, int64_t m, int64_t k, int64_t r,
-     int64_t c, int64_t stride = 1)
+     int64_t c)
 {
     LayerDesc l;
     l.name = std::move(name);
@@ -84,7 +86,6 @@ conv(std::string name, int64_t n, int64_t m, int64_t k, int64_t r,
     l.k = k;
     l.r = r;
     l.c = c;
-    l.stride = stride;
     return l;
 }
 
@@ -107,7 +108,7 @@ alexnet_desc()
     NetworkDesc d;
     d.name = "AlexNet";
     d.layers = {
-        conv("conv1", 3, 96, 11, 55, 55, 4),
+        conv("conv1", 3, 96, 11, 55, 55),
         conv("conv2", 96, 256, 5, 27, 27),
         conv("conv3", 256, 384, 3, 13, 13),
         conv("conv4", 384, 384, 3, 13, 13),
@@ -153,7 +154,7 @@ googlenet_desc()
     NetworkDesc d;
     d.name = "GoogleNet";
     d.layers = {
-        conv("conv1", 3, 64, 7, 112, 112, 2),
+        conv("conv1", 3, 64, 7, 112, 112),
         conv("conv2", 64, 192, 3, 56, 56),
         conv("inc3a", 192, 256, 3, 28, 28),
         conv("inc3b", 256, 480, 3, 28, 28),
@@ -170,19 +171,40 @@ googlenet_desc()
 }
 
 NetworkDesc
-tinynet_desc()
+describe(const Network& net, std::vector<int64_t> shape)
 {
-    NetworkDesc d;
-    d.name = "TinyNet";
-    d.layers = {
-        conv("conv1", 3, 16, 3, 24, 24),
-        conv("conv2", 16, 24, 3, 12, 12),
-        conv("conv3", 24, 32, 3, 6, 6),
-        conv("conv4", 32, 32, 3, 6, 6),
-        conv("conv5", 32, 32, 3, 6, 6),
-        fcn("fc1", 288, 64),
-        fcn("fc2", 64, 10),
-    };
+    NetworkDesc d{net.name(), {}};
+    for (size_t i = 0; i < net.size(); ++i) {
+        const Layer& layer = net.layer(i);
+        if (const auto* cv = dynamic_cast<const Conv2d*>(&layer)) {
+            INSITU_CHECK(shape.size() == 3 && shape[0] == cv->in_channels(),
+                         "describe: ", layer.name(), " input mismatch");
+            const ConvGeometry g{.in_h = shape[1], .in_w = shape[2],
+                                 .kernel = cv->kernel(),
+                                 .stride = cv->stride(), .pad = cv->pad()};
+            shape = {cv->out_channels(), g.out_h(), g.out_w()};
+            d.layers.push_back(conv(layer.name(), cv->in_channels(),
+                                    shape[0], g.kernel, shape[1], shape[2]));
+        } else if (const auto* fc = dynamic_cast<const Linear*>(&layer)) {
+            int64_t in = 1;
+            for (int64_t s : shape) in *= s;
+            INSITU_CHECK(in == fc->in_features(), "describe: ",
+                         layer.name(), " input mismatch");
+            shape = {fc->out_features()};
+            d.layers.push_back(fcn(layer.name(), in, shape[0]));
+        } else if (const auto* mp = dynamic_cast<const MaxPool2d*>(&layer)) {
+            INSITU_CHECK(shape.size() == 3, "describe: ", layer.name(),
+                         " input mismatch");
+            // A pool window is an unpadded conv window.
+            const ConvGeometry g{.in_h = shape[1], .in_w = shape[2],
+                                 .kernel = mp->kernel(),
+                                 .stride = mp->stride()};
+            shape = {shape[0], g.out_h(), g.out_w()};
+        } else {
+            INSITU_CHECK(layer.kind() == "relu" || layer.kind() == "flatten",
+                         "describe: no geometry for ", layer.kind());
+        }
+    }
     return d;
 }
 
@@ -210,10 +232,8 @@ diagnosis_desc(const NetworkDesc& inference)
         if (l.type != LayerType::kConv) continue;
         LayerDesc t = l;
         t.name = l.name + ".tile";
-        // Tiles are a 3x3 partition: each engine sees one tile whose
-        // output map is a third of the full map per side (paper: 55x55
-        // vs 27x27 in the first layer, i.e. roughly half per side for
-        // AlexNet's stride-4 conv1; we use the exact tile geometry).
+        // The paper's AlexNet ratio: conv1's 55 x 55 map is 27 x 27
+        // on a tile, so every map halves per side.
         t.r = std::max<int64_t>(1, l.r / 2);
         t.c = std::max<int64_t>(1, l.c / 2);
         d.layers.push_back(t);

@@ -2,9 +2,9 @@
  * @file
  * Analytical layer descriptors of the CNNs the paper characterizes.
  *
- * The hardware models (§IV) never execute these networks; they only
- * need per-layer dimensions: M output maps, N input maps, K kernel,
- * R x C output size. Eq. (1): CONVops = 2 * M * N * K^2 * R * C.
+ * The models (§IV) need only per-layer dimensions: M output maps, N
+ * input maps, K kernel, R x C output size. Eq. (1): CONVops =
+ * 2 * M * N * K^2 * R * C. Executable nets are read by describe().
  */
 #pragma once
 
@@ -14,8 +14,10 @@
 
 namespace insitu {
 
+class Network;
+
 /** Layer category for the analytical models. */
-enum class LayerType { kConv, kFcn, kPool };
+enum class LayerType { kConv, kFcn };
 
 /** Dimensions of one layer in the paper's notation. */
 struct LayerDesc {
@@ -26,7 +28,6 @@ struct LayerDesc {
     int64_t k = 1;      ///< square kernel size (1 for FCN)
     int64_t r = 1;      ///< output rows (1 for FCN)
     int64_t c = 1;      ///< output cols (1 for FCN)
-    int64_t stride = 1;
 
     /** Multiply-accumulate op count of Eq. (1), in ops (MAC = 2). */
     double ops() const;
@@ -73,15 +74,19 @@ NetworkDesc vgg16_desc();
 NetworkDesc googlenet_desc();
 
 /**
- * Descriptor of the repo's trainable TinyNet (for cross-checking the
- * analytical models against the executable substrate).
+ * Descriptor of the executable @p net for one input of @p input_shape
+ * (C, H, W, or a feature count for a net that starts with a Linear),
+ * read from its Conv2d, Linear and MaxPool2d geometry; ReLU and Flatten
+ * pass the shape through, and any other layer kind is fatal. An eval
+ * forward of B inputs counts exactly B * total_ops() GEMM flops.
  */
-NetworkDesc tinynet_desc();
+NetworkDesc describe(const Network& net, std::vector<int64_t> input_shape);
 
 /**
- * Descriptor of the diagnosis (jigsaw) companion of @p inference: the
- * same conv stack applied to 3x-smaller tiles — output maps shrink to
- * roughly R/3 x C/3 per engine, nine engines in parallel (Fig. 17/18).
+ * Per-tile descriptor of the diagnosis (jigsaw) companion of a
+ * paper-scale @p inference net: the same conv stack with every map
+ * halved per side, the paper's AlexNet ratio (conv1's 55 x 55 is
+ * 27 x 27 on a tile; Fig. 17/18 run nine tiles on parallel engines).
  */
 NetworkDesc diagnosis_desc(const NetworkDesc& inference);
 

@@ -17,6 +17,8 @@ class MaxPool2d : public Layer {
     Tensor backward(const Tensor& grad_output) override;
     std::string kind() const override { return "maxpool"; }
     std::string describe() const override;
+    int64_t kernel() const { return kernel_; }
+    int64_t stride() const { return stride_; }
 
   private:
     int64_t kernel_, stride_;

@@ -26,10 +26,18 @@ weights_of(const Network& net)
     return out;
 }
 
+/** The default TinyNet inference net, described from its layers. */
+NetworkDesc
+tiny_desc()
+{
+    Rng rng(0);
+    return describe(make_tiny_inference(TinyConfig{}, rng), {3, 24, 24});
+}
+
 TEST(CostModel, EpochOpsScaleWithImages)
 {
     TrainingCostModel cost(titan_x_spec());
-    const NetworkDesc net = tinynet_desc();
+    const NetworkDesc net = tiny_desc();
     EXPECT_DOUBLE_EQ(cost.epoch_ops(net, 200, 0),
                      2.0 * cost.epoch_ops(net, 100, 0));
 }
@@ -38,7 +46,7 @@ TEST(CostModel, FreezingReducesCost)
 {
     // The weight-sharing payoff: updating only the suffix is cheaper.
     TrainingCostModel cost(titan_x_spec());
-    const NetworkDesc net = tinynet_desc();
+    const NetworkDesc net = tiny_desc();
     const double full = cost.epoch_ops(net, 1000, 0);
     const double frozen3 = cost.epoch_ops(net, 1000, 3);
     const double frozen5 = cost.epoch_ops(net, 1000, 5);
@@ -52,18 +60,20 @@ TEST(CostModel, FreezingReducesCost)
 TEST(CostModel, TrainCostConsistent)
 {
     TrainingCostModel cost(titan_x_spec());
-    const TrainingCost c = cost.train_cost(tinynet_desc(), 1000, 2, 0);
+    const TrainingCost c = cost.train_cost(tiny_desc(), 1000, 2, 0);
     EXPECT_GT(c.seconds, 0.0);
     EXPECT_DOUBLE_EQ(c.energy_j,
                      c.seconds * titan_x_spec().power_watts);
     EXPECT_DOUBLE_EQ(
-        c.ops, cost.epoch_ops(tinynet_desc(), 1000, 0) * 2.0);
+        c.ops, cost.epoch_ops(tiny_desc(), 1000, 0) * 2.0);
 }
 
 TEST(CostModel, DiagnosisCostIsForwardOnly)
 {
     TrainingCostModel cost(titan_x_spec());
-    const NetworkDesc diag = diagnosis_desc(tinynet_desc());
+    Rng rng(0);
+    const NetworkDesc diag =
+        describe(make_tiny_trunk(TinyConfig{}, rng), {3, 8, 8});
     const TrainingCost d = cost.diagnosis_cost(diag, 1000);
     const TrainingCost t = cost.train_cost(diag, 1000, 1, 0);
     EXPECT_LT(d.ops, t.ops); // training adds backward work

@@ -146,7 +146,10 @@ TEST(Edge, RngSplitChainsStayDeterministic)
 TEST(Edge, GpuMaxBatchRespectsExplicitLimit)
 {
     GpuModel gpu(tx1_spec());
-    EXPECT_LE(gpu.max_batch_for_memory(tinynet_desc(), 16), 16);
+    Rng rng(0);
+    const NetworkDesc tiny =
+        describe(make_tiny_inference(TinyConfig{}, rng), {3, 24, 24});
+    EXPECT_LE(gpu.max_batch_for_memory(tiny, 16), 16);
 }
 
 TEST(Edge, JigsawEvaluateEmptyIsZero)

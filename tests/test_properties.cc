@@ -13,6 +13,7 @@
 #include "analytics/planner.h"
 #include "data/synth.h"
 #include "fpga/pipeline.h"
+#include "models/tiny.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/grad_check.h"
@@ -205,12 +206,20 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<int64_t>(3, 16, 96, 256),
                        ::testing::Values<int64_t>(16, 64, 384)));
 
+/** The default TinyNet inference net, described from its layers. */
+NetworkDesc
+tiny_desc()
+{
+    Rng rng(0);
+    return describe(make_tiny_inference(TinyConfig{}, rng), {3, 24, 24});
+}
+
 TEST(GpuModelProperty, LatencyMonotoneInBatchForAllZooNetworks)
 {
     GpuModel gpu(tx1_spec());
     for (const NetworkDesc& net :
          {alexnet_desc(), vgg16_desc(), googlenet_desc(),
-          tinynet_desc()}) {
+          tiny_desc()}) {
         double prev = 0.0;
         for (int64_t b = 1; b <= 64; b *= 2) {
             const double t = gpu.network_latency(net, b);
@@ -270,7 +279,7 @@ TEST_P(PlannerSweep, SingleRunningPickRespectsBudgetWhenPossible)
     const double req = GetParam();
     GpuModel gpu(tx1_spec());
     SingleRunningPlanner planner{gpu};
-    for (const NetworkDesc& net : {alexnet_desc(), tinynet_desc()}) {
+    for (const NetworkDesc& net : {alexnet_desc(), tiny_desc()}) {
         const int64_t b = planner.max_batch_under_latency(net, req);
         EXPECT_GE(b, 1);
         if (gpu.network_latency(net, 1) <= req)
