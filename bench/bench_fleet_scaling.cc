@@ -157,7 +157,7 @@ main()
     for (size_t fleet_size : {1u, 3u}) {
         FleetConfig config;
         config.tiny.num_permutations = 8;
-        config.update.epochs = 2;
+        config.update_epochs = 2;
         config.pretrain_epochs = 2;
         config.seed = 2018;
         config.node_severity_offset.assign(fleet_size, 0.0);

@@ -22,8 +22,8 @@ main()
 
     IotSystemConfig config;
     config.tiny.num_permutations = 16;
-    config.update.epochs = 2;
-    config.update.lr = 0.01;
+    config.update_epochs = 2;
+    config.update_lr = 0.01;
     config.pretrain_epochs = 4;
     config.incremental_pretrain_epochs = 2;
     config.seed = 2018;

@@ -246,9 +246,8 @@ durable_config(const std::string& dir)
     FleetConfig c;
     c.tiny.num_permutations = 8;
     c.tiny.width = 0.5;
-    c.update.epochs = 1;
+    c.update_epochs = 1;
     c.pretrain_epochs = 1;
-    c.incremental_pretrain_epochs = 1;
     c.node_severity_offset = {0.0, 0.1, 0.2};
     c.stage_window_s = 60.0;
     c.holdout_images = 24;
@@ -261,7 +260,7 @@ durable_config(const std::string& dir)
     c.faults.crash_mid_commit_prob = 0.05;
     c.faults.stale_snapshot_prob = 0.05;
     c.faults.seed = 0xC0FFEE;
-    c.supervisor = SupervisorConfig{};
+    c.supervised = true;
     c.durable_dir = dir;
     return c;
 }

@@ -27,7 +27,7 @@ main()
     std::printf("== 14-day solar deployment study ==\n");
 
     IotSystemConfig config;
-    config.update.epochs = 2;
+    config.update_epochs = 2;
     config.pretrain_epochs = 2;
     config.seed = 7;
     IotSystemSim system(IotSystemKind::kInsituAi, config);

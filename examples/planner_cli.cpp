@@ -30,6 +30,24 @@ pick_network(const char* name)
     return alexnet_desc();
 }
 
+/** Split @p value into a mantissa and the largest SI prefix (G, M,
+ * k) that keeps the mantissa at least 1. */
+const char*
+si_prefix(double& value)
+{
+    const struct {
+        double scale;
+        const char* prefix;
+    } prefixes[] = {{1e9, "G"}, {1e6, "M"}, {1e3, "k"}};
+    for (const auto& p : prefixes) {
+        if (value >= p.scale) {
+            value /= p.scale;
+            return p.prefix;
+        }
+    }
+    return "";
+}
+
 } // namespace
 
 int
@@ -55,9 +73,12 @@ main(int argc, char** argv)
         net = pick_network(net_name);
         diag = diagnosis_desc(net);
     }
-    std::printf("network: %s (%.2f GFLOP/inference, %.1f M weights)\n",
-                net.name.c_str(), net.total_ops() / 1e9,
-                net.total_weights() / 1e6);
+    double ops = net.total_ops(), weights = net.total_weights();
+    const char* ops_prefix = si_prefix(ops);
+    const char* weights_prefix = si_prefix(weights);
+    std::printf("network: %s (%.2f %sFLOP/inference, %.1f %s weights)\n",
+                net.name.c_str(), ops, ops_prefix, weights,
+                weights_prefix);
     std::printf("latency budget: %.0f ms, inference 24/7: %s\n",
                 latency_s * 1e3, always_on ? "yes" : "no");
 
@@ -75,9 +96,11 @@ main(int argc, char** argv)
                     static_cast<long long>(plan.inference_batch),
                     plan.inference_latency * 1e3,
                     plan.inference_perf_per_watt);
-        std::printf("  diagnosis: batch %lld (memory-limited, "
-                    "%.0f MB), %.2f img/s/W\n",
+        std::printf("  diagnosis: batch %lld (%s, %.0f MB), "
+                    "%.2f img/s/W\n",
                     static_cast<long long>(plan.diagnosis_batch),
+                    plan.diagnosis_memory_limited ? "memory-limited"
+                                                  : "search-capped",
                     plan.diagnosis_memory_bytes / 1e6,
                     plan.diagnosis_perf_per_watt);
         if (plan.inference_latency > latency_s) {

@@ -26,7 +26,7 @@ main()
     // diagnosis network shares its first three conv layers with the
     // inference network.
     IotSystemConfig config;
-    config.update.epochs = 3;
+    config.update_epochs = 3;
     config.pretrain_epochs = 2;
     config.seed = 7;
     IotSystemSim system(IotSystemKind::kInsituAi, config);
@@ -69,10 +69,12 @@ main()
         SingleRunningPlanner{GpuModel(tx1_spec())}.plan(
             inference, diagnosis, latency_requirement_s);
     std::printf("Single-running plan on TX1: inference batch %lld "
-                "(latency %.1f ms), diagnosis batch %lld\n",
+                "(latency %.1f ms), diagnosis batch %lld (%s)\n",
                 static_cast<long long>(single.inference_batch),
                 single.inference_latency * 1e3,
-                static_cast<long long>(single.diagnosis_batch));
+                static_cast<long long>(single.diagnosis_batch),
+                single.diagnosis_memory_limited ? "memory-limited"
+                                                : "search-capped");
     const CoRunningPlan corun =
         CoRunningPlanner{FpgaModel(vx690t_spec())}.plan(
             inference, latency_requirement_s);

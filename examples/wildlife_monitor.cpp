@@ -37,7 +37,7 @@ main()
     std::printf("== Serengeti-style wildlife monitor ==\n");
 
     IotSystemConfig config;
-    config.update.epochs = 3;
+    config.update_epochs = 3;
     config.pretrain_epochs = 2;
     config.seed = 7;
     IotSystemSim system(IotSystemKind::kInsituAi, config);

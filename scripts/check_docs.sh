@@ -27,6 +27,11 @@
 #    not-yet-gated list below with the ROADMAP item that will gate
 #    it. A listed stem that is also gated, or that no longer calls
 #    verdict(, fails too, so the list can only shrink.
+# 10. Every backticked CamelCase type ending in Config, Policy, Spec or
+#    Plan in README, DESIGN, EXPERIMENTS and docs/ names a struct or
+#    class declared under src/ or perfbench/src/, so a config type
+#    that became constants cannot live on in the docs. ROADMAP and
+#    CHANGES are exempt, as in rule 7.
 set -u
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -296,8 +301,25 @@ for stem in $listed; do
     fi
 done
 
+# --- 10. backticked config types are declared ----------------------
+types=0
+for doc in "$root"/README.md "$root"/DESIGN.md "$root"/EXPERIMENTS.md \
+        "$root"/docs/*.md; do
+    [ -f "$doc" ] || continue
+    while IFS= read -r type; do
+        types=$((types + 1))
+        if ! grep -qE "^[[:space:]]*(struct|class)[[:space:]]+$type([^A-Za-z0-9_;].*)?\$" \
+                -r "$root/src" "$root/perfbench/src"; then
+            note "${doc#"$root"/}: \`$type\`: no struct or class in src/ or perfbench/src/"
+            fail=1
+        fi
+    done < <(grep -o '`[^`]*`' "$doc" |
+             grep -oE '\b[A-Z][A-Za-z0-9_]*(Config|Policy|Spec|Plan)\b' |
+             sort -u)
+done
+
 if [ "$fail" -ne 0 ]; then
     note "check_docs: FAILED"
     exit 1
 fi
-note "check_docs: OK ($checked links, $refs Type::member references, $paths repo paths, $tests test names, $verdicts verdict benches gated or listed, bench + telemetry docs complete)"
+note "check_docs: OK ($checked links, $refs Type::member references, $paths repo paths, $tests test names, $verdicts verdict benches gated or listed, $types config type names, bench + telemetry docs complete)"

@@ -53,6 +53,9 @@ SingleRunningPlanner::plan(const NetworkDesc& inference,
     // Diagnosis has no latency requirement; bigger batches only help
     // until Eq (9) runs out of device memory.
     p.diagnosis_batch = gpu_.max_batch_for_memory(diagnosis);
+    p.diagnosis_memory_limited =
+        gpu_.memory_required(diagnosis, p.diagnosis_batch + 1) >
+        gpu_.spec().mem_capacity;
     p.diagnosis_memory_bytes =
         gpu_.memory_required(diagnosis, p.diagnosis_batch);
     p.diagnosis_perf_per_watt =

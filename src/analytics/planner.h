@@ -38,6 +38,9 @@ struct SingleRunningPlan {
     double inference_latency = 0;     ///< seconds per batch
     double inference_perf_per_watt = 0;
     int64_t diagnosis_batch = 1;
+    /// True when Eq (9) stopped the diagnosis batch (one more image
+    /// would not fit); false when the batch search's cap did.
+    bool diagnosis_memory_limited = false;
     double diagnosis_memory_bytes = 0;
     double diagnosis_perf_per_watt = 0;
 };

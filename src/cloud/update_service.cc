@@ -22,6 +22,8 @@ cloud_counter(const char* name)
 
 /// Minibatch size of every supervised update job.
 constexpr int64_t kUpdateBatch = 32;
+/// SGD momentum of every supervised update job.
+constexpr double kUpdateMomentum = 0.9;
 
 } // namespace
 
@@ -76,7 +78,7 @@ ModelUpdateService::update(const Dataset& data,
     const size_t first = freeze_prefix(policy);
 
     const auto t0 = std::chrono::steady_clock::now();
-    Sgd opt({.lr = policy.lr, .momentum = policy.momentum});
+    Sgd opt({.lr = policy.lr, .momentum = kUpdateMomentum});
     Rng epoch_rng = rng_.split();
     // The frozen prefix runs once, in eval mode, over the whole
     // upload; every epoch trains the layers above it on its output.

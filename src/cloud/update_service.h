@@ -26,7 +26,6 @@ struct UpdatePolicy {
     size_t frozen_convs = 0;
     int epochs = 2;
     double lr = 0.01;
-    double momentum = 0.9;
 };
 
 /** Outcome of one update job. */

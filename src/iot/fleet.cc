@@ -21,6 +21,8 @@ namespace {
 /// Per-link delivery SLO: the fraction of a link's flagged images
 /// that should reach the cloud.
 constexpr double kDeliveryObjective = 0.90;
+/// Unsupervised epochs over each stage's pooled upload.
+constexpr int kFleetIncrementalPretrainEpochs = 1;
 
 } // namespace
 
@@ -59,8 +61,8 @@ FleetSim::FleetSim(FleetConfig config)
         obj.min_events = 4;
         slo_links_.push_back(slo_engine_.declare(obj));
     }
-    if (config_.supervisor) {
-        supervisor_.emplace(config_.supervisor->validated(), n);
+    if (config_.supervised) {
+        supervisor_.emplace(n);
         // The breakers_ vector never resizes after construction, so
         // these pointers stay valid for the fleet's lifetime.
         for (size_t i = 0; i < n; ++i)
@@ -224,9 +226,7 @@ FleetSim::bootstrap(int64_t images_per_node, double base_severity)
     cloud_.transfer_from_pretext(kSharedConvs);
     cloud_.inference().share_convs_from(cloud_.jigsaw().trunk(),
                                         kSharedConvs);
-    UpdatePolicy policy = config_.update;
-    policy.frozen_convs = kSharedConvs;
-    cloud_.update(pooled, policy);
+    cloud_.update(pooled, UpdatePolicy{kSharedConvs, config_.update_epochs});
     deploy_all();
 
     std::vector<double> node_acc(nodes_.size(), 0.0);
@@ -553,12 +553,10 @@ FleetSim::run_stage(int64_t images_per_node, double base_severity)
             SynthConfig{}, config_.holdout_images,
             Condition::in_situ(base_severity + mean_offset), rng_);
 
-        cloud_.pretrain(pooled.images,
-                        config_.incremental_pretrain_epochs);
-        UpdatePolicy policy = config_.update;
-        policy.frozen_convs = kSharedConvs;
+        cloud_.pretrain(pooled.images, kFleetIncrementalPretrainEpochs);
         const ValidatedUpdateReport vr = cloud_.validated_update(
-            pooled, policy, holdout, config_.rollback_tolerance);
+            pooled, UpdatePolicy{kSharedConvs, config_.update_epochs},
+            holdout, config_.rollback_tolerance);
         report.rolled_back = vr.rolled_back;
         report.holdout_before = vr.holdout_before;
         report.holdout_after = vr.holdout_after;
@@ -681,9 +679,8 @@ chaos_fleet_config(bool supervised)
 {
     FleetConfig c;
     c.tiny.num_permutations = 8;
-    c.update.epochs = 2;
+    c.update_epochs = 2;
     c.pretrain_epochs = 3;
-    c.incremental_pretrain_epochs = 1;
     c.node_severity_offset = {0.0, 0.1, 0.2};
     c.stage_window_s = 60.0;
     c.holdout_images = 64;
@@ -706,7 +703,7 @@ chaos_fleet_config(bool supervised)
     c.faults.crashes = {{0, 1}, {1, 1}}; // node 1 crash-loops
     c.faults.poisoned_stages = {3};      // bad labels in stage 3
     c.faults.seed = 0xC0FFEE;
-    if (supervised) c.supervisor = SupervisorConfig{};
+    c.supervised = supervised;
     return c;
 }
 

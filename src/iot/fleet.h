@@ -51,10 +51,10 @@ namespace insitu {
 /** Fleet-level configuration. */
 struct FleetConfig {
     TinyConfig tiny;
-    /// Policy of the bootstrap and the per-stage incremental updates.
-    UpdatePolicy update;
+    /// Epochs of the bootstrap and the per-stage incremental updates
+    /// (at UpdatePolicy's learning rate, first kSharedConvs frozen).
+    int update_epochs = 2;
     int pretrain_epochs = 2;
-    int incremental_pretrain_epochs = 1;
     /// Per-node severity offsets added to the stage's base severity
     /// (one entry per node; size defines the fleet size).
     std::vector<double> node_severity_offset = {0.0, 0.1, 0.2};
@@ -71,11 +71,11 @@ struct FleetConfig {
     double rollback_tolerance = 0.02;
     /// Failure scenario; the default injects nothing.
     FaultPlan faults;
-    /// Optional self-healing supervision layer (uplink circuit
+    /// Run the self-healing supervision layer (uplink circuit
     /// breakers, crash-loop quarantine, canary rollout — see
-    /// iot/supervisor.h). nullopt reproduces the unsupervised fleet
+    /// iot/supervisor.h). false reproduces the unsupervised fleet
     /// exactly.
-    std::optional<SupervisorConfig> supervisor;
+    bool supervised = false;
     /// Directory for durable state (created if missing). When set,
     /// the fleet persists node checkpoints (SnapshotStore per node),
     /// the cloud's registry history (a WAL), the supervisor state and
@@ -226,7 +226,7 @@ class FleetSim {
     /// (trained in the first stage after the verdict lands).
     Dataset deferred_pool_;
     std::vector<NodeCheckpoint> checkpoints_;
-    /// Engaged iff config_.supervisor is set. Stable address: the
+    /// Engaged iff config_.supervised. Stable address: the
     /// uplinks hold pointers into its breakers.
     std::optional<FleetSupervisor> supervisor_;
     /// Durable-state handles, engaged iff config_.durable_dir is set.
@@ -273,7 +273,7 @@ class FleetSim {
  * payload loss and 5% corruption, a link that flaps through stages
  * 0-1, node 1 crash-looping, and poisoned labels in stage 3, with the
  * holdout gate waved open so only a canary rollout can catch the
- * poison. @p supervised adds the stock SupervisorConfig (breakers,
+ * poison. @p supervised adds the supervision layer (breakers,
  * quarantine, canary); without it the fleet has only its local
  * defenses.
  */

@@ -97,8 +97,6 @@ ScaleFleetConfig::validated() const
                      permille_ok(drop_permille) &&
                      permille_ok(poison_permille),
                  "permille knobs live in [0, 1000]");
-    quarantine.validated();
-    canary.validated();
     INSITU_CHECK(quality_tolerance_ppm >= 0,
                  "negative validation tolerance");
     return *this;
@@ -206,8 +204,7 @@ ScaleFleetEngine::run_shard_stage(Shard& shard, double t0)
         const bool crashed = (node.state & kDown) != 0;
         if (!(crashed | node.window.faults | node.window.quarantined))
             continue;
-        const QuarantineTransition t =
-            quarantine_step(node.window, crashed, config_.quarantine);
+        const QuarantineTransition t = quarantine_step(node.window, crashed);
         shard.newly_quarantined += t == QuarantineTransition::kQuarantined;
         shard.readmitted += t == QuarantineTransition::kReadmitted;
     }
@@ -436,7 +433,7 @@ ScaleFleetEngine::judge_canary(ScaleStageReport& report)
             : noise_sum / static_cast<int64_t>(canary_nodes_.size());
     const int64_t canary_mean = canary_quality_ppm_ + mean_noise;
     const int64_t tolerance = static_cast<int64_t>(
-        std::llround(config_.canary.accuracy_tolerance * kPpm));
+        std::llround(kCanaryAccuracyTolerance * kPpm));
     const double t_end = clock_s_ + config_.stage_window_s;
     report.canary_judged_version = canary_version_;
     if (canary_mean + tolerance >= quality_ppm_) {
@@ -538,8 +535,7 @@ ScaleFleetEngine::start_canary(int64_t candidate_version,
                                ScaleStageReport& report)
 {
     const int64_t n = config_.nodes;
-    const int64_t want =
-        std::min<int64_t>(config_.canary.canary_nodes, n - 1);
+    const int64_t want = std::min<int64_t>(kCanaryNodes, n - 1);
     canary_nodes_.clear();
     const uint64_t scan_start =
         derive_stream(config_.seed, kCanarySalt,

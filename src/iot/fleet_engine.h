@@ -77,8 +77,6 @@ struct ScaleFleetConfig {
     int32_t drop_permille = 0;   ///< per drain-batch link-loss probability
     int32_t poison_permille = 0; ///< per stage poisoned-pool probability
 
-    QuarantineConfig quarantine;
-    CanaryConfig canary;
     /// Validation gate: a candidate may lag the deployed quality by at
     /// most this many ppm and still commit.
     int64_t quality_tolerance_ppm = 20000;

@@ -22,11 +22,9 @@ supervision_counter(const char* name)
 constexpr uint32_t kSupMagic = 0x1A51'70A5u;
 // v2: each node's health record is fixed-width, its crash window
 // three raw bytes (fault bits, clean streak, quarantined flag).
-constexpr uint32_t kSupVersion = 2u;
-
-/// Canary mean flag rate may exceed the control group's by this much
-/// and still promote.
-constexpr double kCanaryFlagRateTolerance = 0.15;
+// v3: the health record drops the last flag rate and accuracy, which
+// nothing read.
+constexpr uint32_t kSupVersion = 3u;
 
 } // namespace
 
@@ -41,21 +39,11 @@ breaker_state_name(BreakerState state)
     return "?";
 }
 
-CircuitBreaker::CircuitBreaker(BreakerConfig config) : config_(config)
-{
-    INSITU_CHECK(config_.failure_threshold >= 1,
-                 "breaker needs a positive failure threshold");
-    INSITU_CHECK(config_.cooldown_s > 0,
-                 "breaker cooldown must be positive");
-    INSITU_CHECK(config_.probe_successes >= 1,
-                 "breaker needs a positive probe count");
-}
-
 void
 CircuitBreaker::open(double now_s)
 {
     state_ = BreakerState::kOpen;
-    retry_at_ = now_s + config_.cooldown_s;
+    retry_at_ = now_s + kBreakerCooldownS;
     consecutive_failures_ = 0;
     half_open_successes_ = 0;
     ++opens_;
@@ -86,7 +74,7 @@ CircuitBreaker::on_success(double now_s)
 {
     consecutive_failures_ = 0;
     if (state_ == BreakerState::kHalfOpen) {
-        if (++half_open_successes_ >= config_.probe_successes) {
+        if (++half_open_successes_ >= kBreakerProbeSuccesses) {
             state_ = BreakerState::kClosed;
             half_open_successes_ = 0;
             ++closes_;
@@ -108,7 +96,7 @@ CircuitBreaker::on_failure(double now_s)
         return;
     }
     if (state_ == BreakerState::kClosed &&
-        ++consecutive_failures_ >= config_.failure_threshold)
+        ++consecutive_failures_ >= kBreakerFailureThreshold)
         open(now_s);
 }
 
@@ -138,46 +126,16 @@ CircuitBreaker::restore(const Snapshot& snap)
     probes_ = snap.probes;
 }
 
-const QuarantineConfig&
-QuarantineConfig::validated() const
-{
-    INSITU_CHECK(crash_threshold >= 1,
-                 "quarantine threshold must be positive");
-    INSITU_CHECK(window_stages >= 1 && window_stages <= 8,
-                 "quarantine window must be 1..8 stages");
-    INSITU_CHECK(readmit_after >= 1 && readmit_after <= 255,
-                 "readmit streak must be 1..255 stages");
-    return *this;
-}
-
-const CanaryConfig&
-CanaryConfig::validated() const
-{
-    INSITU_CHECK(canary_nodes >= 1, "canary subset must be positive");
-    INSITU_CHECK(accuracy_tolerance >= 0,
-                 "canary tolerances must be non-negative");
-    return *this;
-}
-
-const SupervisorConfig&
-SupervisorConfig::validated() const
-{
-    quarantine.validated();
-    canary.validated();
-    return *this;
-}
-
 QuarantineTransition
-quarantine_step(QuarantineWindow& window, bool faulted,
-                const QuarantineConfig& config)
+quarantine_step(QuarantineWindow& window, bool faulted)
 {
-    const unsigned mask = (1u << config.window_stages) - 1;
+    constexpr unsigned mask = (1u << kQuarantineWindowStages) - 1;
     window.faults = static_cast<uint8_t>(
         ((static_cast<unsigned>(window.faults) << 1) |
          (faulted ? 1u : 0u)) &
         mask);
     if (!window.quarantined) {
-        if (window.fault_count() < config.crash_threshold)
+        if (window.fault_count() < kQuarantineCrashThreshold)
             return QuarantineTransition::kNone;
         window.quarantined = 1;
         window.clean_streak = 0;
@@ -185,7 +143,7 @@ quarantine_step(QuarantineWindow& window, bool faulted,
     }
     window.clean_streak =
         faulted ? 0 : static_cast<uint8_t>(window.clean_streak + 1);
-    if (window.clean_streak < config.readmit_after)
+    if (window.clean_streak < kQuarantineReadmitAfter)
         return QuarantineTransition::kNone;
     window = QuarantineWindow{};
     return QuarantineTransition::kReadmitted;
@@ -203,15 +161,11 @@ NodeHealth::score() const
     return completion * fault_penalty;
 }
 
-FleetSupervisor::FleetSupervisor(SupervisorConfig config,
-                                 size_t num_nodes)
-    : config_(config.validated()), health_(num_nodes),
+FleetSupervisor::FleetSupervisor(size_t num_nodes)
+    : breakers_(num_nodes), health_(num_nodes),
       observations_(num_nodes), observed_(num_nodes, 0)
 {
     INSITU_CHECK(num_nodes > 0, "supervisor needs at least one node");
-    breakers_.reserve(num_nodes);
-    for (size_t i = 0; i < num_nodes; ++i)
-        breakers_.emplace_back(config_.breaker);
 }
 
 CircuitBreaker&
@@ -271,13 +225,9 @@ FleetSupervisor::end_stage(int stage)
         const bool faulted = obs.crashed || obs.restore_failed;
         if (obs.crashed) ++h.crashes;
         if (obs.restore_failed) ++h.restore_failures;
-        if (!faulted) {
-            ++h.stages_completed;
-            h.last_flag_rate = obs.flag_rate;
-            if (obs.has_accuracy) h.last_accuracy = obs.accuracy;
-        }
+        if (!faulted) ++h.stages_completed;
         const QuarantineTransition t =
-            quarantine_step(h.quarantine, faulted, config_.quarantine);
+            quarantine_step(h.quarantine, faulted);
         if (t == QuarantineTransition::kNone) continue;
         const bool entered = t == QuarantineTransition::kQuarantined;
         (entered ? decisions.newly_quarantined : decisions.readmitted)
@@ -325,8 +275,7 @@ FleetSupervisor::end_stage(int stage)
             decisions.canary_judged = true;
             decisions.canary_version = canary_.accepted_version;
             const bool healthy =
-                canary_acc + config_.canary.accuracy_tolerance >=
-                    base_acc &&
+                canary_acc + kCanaryAccuracyTolerance >= base_acc &&
                 canary_flag <=
                     base_flag + kCanaryFlagRateTolerance;
             if (healthy) {
@@ -373,9 +322,9 @@ FleetSupervisor::pick_canaries() const
         if (sa != sb) return sa > sb;
         return a < b;
     });
-    const size_t take = std::min(
-        static_cast<size_t>(config_.canary.canary_nodes),
-        healthy.size() - 1); // keep >= 1 control
+    const size_t take =
+        std::min(static_cast<size_t>(kCanaryNodes),
+                 healthy.size() - 1); // keep >= 1 control
     healthy.resize(take);
     std::sort(healthy.begin(), healthy.end());
     return healthy;
@@ -403,8 +352,6 @@ FleetSupervisor::encode_state() const
         storage::put_i64(out, h.stages_completed);
         storage::put_i64(out, h.crashes);
         storage::put_i64(out, h.restore_failures);
-        storage::put_f64(out, h.last_flag_rate);
-        storage::put_f64(out, h.last_accuracy);
         out.push_back(static_cast<char>(h.quarantine.faults));
         out.push_back(static_cast<char>(h.quarantine.clean_streak));
         out.push_back(static_cast<char>(h.quarantine.quarantined));
@@ -429,7 +376,6 @@ FleetSupervisor::restore_state(std::string_view blob)
     if (r.u64() != health_.size() || !r.ok) return false;
 
     // Decode into temporaries so a torn payload changes nothing.
-    const QuarantineConfig& q = config_.quarantine;
     std::vector<CircuitBreaker::Snapshot> breakers(health_.size());
     std::vector<NodeHealth> health(health_.size());
     for (size_t i = 0; i < health.size(); ++i) {
@@ -449,8 +395,6 @@ FleetSupervisor::restore_state(std::string_view blob)
         h.stages_completed = r.i64();
         h.crashes = r.i64();
         h.restore_failures = r.i64();
-        h.last_flag_rate = r.f64();
-        h.last_accuracy = r.f64();
         const std::string_view window = r.view(3);
         if (!r.ok) return false;
         QuarantineWindow& w = h.quarantine;
@@ -458,8 +402,9 @@ FleetSupervisor::restore_state(std::string_view blob)
         w.clean_streak = static_cast<uint8_t>(window[1]);
         w.quarantined = static_cast<uint8_t>(window[2]);
         // Refuse a window quarantine_step could never have produced.
-        if (w.quarantined > 1 || (w.faults >> q.window_stages) != 0 ||
-            w.clean_streak >= (w.quarantined ? q.readmit_after : 1))
+        if (w.quarantined > 1 ||
+            (w.faults >> kQuarantineWindowStages) != 0 ||
+            w.clean_streak >= (w.quarantined ? kQuarantineReadmitAfter : 1))
             return false;
     }
     CanaryRollout canary;

@@ -14,7 +14,7 @@
  *   attempts the breaker opens and the radio fast-fails until a
  *   cooldown expires, then a half-open probe re-admits traffic.
  * - **Health tracking + crash-loop quarantine**: per-node heartbeat /
- *   completion / crash / flag-rate counters feed a health score; a
+ *   completion / crash counters feed a health score; a
  *   node that crash-loops is quarantined (uploads excluded from the
  *   update pool, redeploys suspended) and re-admitted on sustained
  *   health.
@@ -51,15 +51,14 @@ enum class BreakerState {
 /** Printable name of a breaker state. */
 const char* breaker_state_name(BreakerState state);
 
-/** Knobs of one uplink's circuit breaker. */
-struct BreakerConfig {
-    /// Consecutive failed transmission attempts that open the breaker.
-    int failure_threshold = 3;
-    /// Seconds the breaker stays open before a half-open probe.
-    double cooldown_s = 8.0;
-    /// Half-open successes required to close again.
-    int probe_successes = 2;
-};
+/// Consecutive failed transmission attempts that open a breaker.
+inline constexpr int kBreakerFailureThreshold = 3;
+/// Seconds a breaker stays open before a half-open probe.
+inline constexpr double kBreakerCooldownS = 8.0;
+/// Half-open successes required to close a breaker again.
+inline constexpr int kBreakerProbeSuccesses = 2;
+static_assert(kBreakerFailureThreshold >= 1 && kBreakerCooldownS > 0 &&
+              kBreakerProbeSuccesses >= 1);
 
 /**
  * Per-uplink circuit breaker. The UplinkQueue consults it once per
@@ -70,10 +69,7 @@ struct BreakerConfig {
  */
 class CircuitBreaker {
   public:
-    explicit CircuitBreaker(BreakerConfig config);
-
     BreakerState state() const { return state_; }
-    const BreakerConfig& config() const { return config_; }
 
     /**
      * May the radio attempt a transmission at time @p now_s?
@@ -108,14 +104,12 @@ class CircuitBreaker {
 
     Snapshot snapshot() const;
 
-    /** Overwrite the mutable state from @p snap (config is not part
-     * of a snapshot — it comes from the rebuilt supervisor). */
+    /** Overwrite the breaker's state from @p snap. */
     void restore(const Snapshot& snap);
 
   private:
     void open(double now_s);
 
-    BreakerConfig config_;
     BreakerState state_ = BreakerState::kClosed;
     int consecutive_failures_ = 0;
     int half_open_successes_ = 0;
@@ -125,21 +119,18 @@ class CircuitBreaker {
     int64_t probes_ = 0;
 };
 
-/** Knobs of the crash-loop quarantine state machine. */
-struct QuarantineConfig {
-    /// Crash/restore-failure events within `window_stages` that
-    /// quarantine a node.
-    int crash_threshold = 2;
-    /// Sliding window of observed stages the threshold is evaluated
-    /// over (1..8: the window is one byte of fault bits).
-    int window_stages = 3;
-    /// Consecutive fault-free stages a quarantined node must show
-    /// before it is re-admitted (1..255).
-    int readmit_after = 2;
-
-    /** Fatal-checks the ranges above; returns *this. */
-    const QuarantineConfig& validated() const;
-};
+/// Crash/restore-failure events within the window that quarantine a
+/// node.
+inline constexpr int kQuarantineCrashThreshold = 2;
+/// Sliding window of observed stages the threshold is evaluated over
+/// (1..8: the window is one byte of fault bits).
+inline constexpr int kQuarantineWindowStages = 3;
+/// Consecutive fault-free stages a quarantined node must show before
+/// it is re-admitted (1..255: the streak is one byte).
+inline constexpr int kQuarantineReadmitAfter = 2;
+static_assert(kQuarantineCrashThreshold >= 1);
+static_assert(kQuarantineWindowStages >= 1 && kQuarantineWindowStages <= 8);
+static_assert(kQuarantineReadmitAfter >= 1 && kQuarantineReadmitAfter <= 255);
 
 /**
  * One node's crash-window quarantine state. Three bytes of plain data,
@@ -147,7 +138,7 @@ struct QuarantineConfig {
  */
 struct QuarantineWindow {
     /// Bit k set: the node faulted k observed stages ago. Masked to
-    /// `window_stages` bits on every step.
+    /// kQuarantineWindowStages bits on every step.
     uint8_t faults = 0;
     uint8_t clean_streak = 0; ///< fault-free stages while quarantined
     uint8_t quarantined = 0;  ///< 1 while excluded from the pool
@@ -166,37 +157,25 @@ enum class QuarantineTransition : uint8_t {
 /**
  * Fold one observed stage into @p window — the single quarantine
  * policy both fleet engines call. The fault window slides by one
- * stage; an admitted node whose window holds `crash_threshold` faults
- * is quarantined; a quarantined node is re-admitted after
- * `readmit_after` consecutive clean stages, and readmission clears the
- * window, so one new fault cannot instantly re-quarantine it.
+ * stage; an admitted node whose window holds kQuarantineCrashThreshold
+ * faults is quarantined; a quarantined node is re-admitted after
+ * kQuarantineReadmitAfter consecutive clean stages, and readmission
+ * clears the window, so one new fault cannot instantly re-quarantine
+ * it.
  */
-QuarantineTransition quarantine_step(QuarantineWindow& window,
-                                     bool faulted,
-                                     const QuarantineConfig& config);
+QuarantineTransition quarantine_step(QuarantineWindow& window, bool faulted);
 
-/** Knobs of the canary rollout protocol. */
-struct CanaryConfig {
-    /// Nodes a validated update deploys to first (capped so at least
-    /// one healthy control node remains).
-    int canary_nodes = 1;
-    /// Canary mean accuracy may lag the control group by this much
-    /// and still promote.
-    double accuracy_tolerance = 0.05;
-
-    /** Fatal-checks internal consistency; returns *this. */
-    const CanaryConfig& validated() const;
-};
-
-/** Configuration of the whole supervision layer. */
-struct SupervisorConfig {
-    BreakerConfig breaker;
-    QuarantineConfig quarantine;
-    CanaryConfig canary;
-
-    /** Validates the quarantine and canary knobs; returns *this. */
-    const SupervisorConfig& validated() const;
-};
+/// Nodes a validated update deploys to first (capped so at least one
+/// healthy control node remains).
+inline constexpr int kCanaryNodes = 1;
+/// Canary mean accuracy may lag the control group by this much and
+/// still promote.
+inline constexpr double kCanaryAccuracyTolerance = 0.05;
+/// Canary mean flag rate may exceed the control group's by this much
+/// and still promote.
+inline constexpr double kCanaryFlagRateTolerance = 0.15;
+static_assert(kCanaryNodes >= 1 && kCanaryAccuracyTolerance >= 0 &&
+              kCanaryFlagRateTolerance >= 0);
 
 /** Rolling health record of one node. */
 struct NodeHealth {
@@ -204,8 +183,6 @@ struct NodeHealth {
     int64_t stages_completed = 0; ///< stages finished without a fault
     int64_t crashes = 0;          ///< lifetime crash events
     int64_t restore_failures = 0; ///< lifetime failed reboots
-    double last_flag_rate = 0;    ///< most recent diagnosis flag rate
-    double last_accuracy = 0;     ///< most recent pre-update accuracy
     QuarantineWindow quarantine;  ///< crash window + quarantine flag
 
     /**
@@ -261,10 +238,9 @@ struct SupervisorStageDecisions {
  */
 class FleetSupervisor {
   public:
-    FleetSupervisor(SupervisorConfig config, size_t num_nodes);
+    explicit FleetSupervisor(size_t num_nodes);
 
     size_t size() const { return health_.size(); }
-    const SupervisorConfig& config() const { return config_; }
 
     CircuitBreaker& breaker(size_t node);
     const CircuitBreaker& breaker(size_t node) const;
@@ -320,7 +296,6 @@ class FleetSupervisor {
     bool restore_state(std::string_view blob);
 
   private:
-    SupervisorConfig config_;
     std::vector<CircuitBreaker> breakers_;
     std::vector<NodeHealth> health_;
     std::vector<NodeStageObservation> observations_;

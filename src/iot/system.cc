@@ -102,7 +102,7 @@ price_stage(IotSystemKind kind, const IotSystemConfig& config,
         m.train_seconds += pre.seconds;
     }
     const TrainingCost train = cost.train_cost(
-        net, trained, config.update.epochs,
+        net, trained, config.update_epochs,
         kind == IotSystemKind::kInsituAi ? kSharedConvs : 0);
     m.cloud_energy_j += train.energy_j;
     m.train_seconds += train.seconds;
@@ -159,9 +159,11 @@ IotSystemSim::step(const Dataset& data)
     }
 
     // Supervised update on the (possibly filtered) upload.
-    UpdatePolicy policy = config_.update;
-    policy.frozen_convs = shared ? kSharedConvs : 0;
-    if (valuable->size() > 0) cloud_.update(*valuable, policy);
+    if (valuable->size() > 0)
+        cloud_.update(*valuable,
+                      UpdatePolicy{shared ? kSharedConvs : 0,
+                                   config_.update_epochs,
+                                   config_.update_lr});
 
     m.deploy_bytes = deploy();
     m.accuracy_after = node_.inference().accuracy(data);

@@ -75,7 +75,8 @@ inline constexpr double kImageScale = 1000.0;
 /** Simulator configuration shared across the four systems. */
 struct IotSystemConfig {
     TinyConfig tiny;
-    UpdatePolicy update;        ///< base policy (epochs, lr)
+    int update_epochs = 2;      ///< supervised update epochs
+    double update_lr = 0.01;    ///< supervised update learning rate
     int pretrain_epochs = 3;    ///< initial unsupervised pre-training
     /// Unsupervised epochs over each stage's upload (continual
     /// pretext learning that keeps the diagnosis model current).

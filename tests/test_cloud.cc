@@ -203,7 +203,7 @@ TEST(UpdateService, PrefixReuseMatchesFullForwardValidatedUpdate)
             evaluate_accuracy(ref, holdout.images, holdout.labels);
         copy_parameters(backup, ref);
         ref.freeze_first_convs(policy.frozen_convs);
-        Sgd opt({.lr = policy.lr, .momentum = policy.momentum});
+        Sgd opt({.lr = policy.lr, .momentum = 0.9});
         Rng epoch_rng = mirror.split();
         const auto stats = train_epochs(ref, opt, data.images,
                                         data.labels, 32, policy.epochs,

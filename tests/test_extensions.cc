@@ -163,7 +163,7 @@ TEST(LabelingCost, DiagnosisCutsLabeledImages)
 {
     IotSystemConfig config;
     config.tiny.num_permutations = 8;
-    config.update.epochs = 1;
+    config.update_epochs = 1;
     config.pretrain_epochs = 2;
     config.incremental_pretrain_epochs = 2;
     config.seed = 77;

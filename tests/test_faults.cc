@@ -402,9 +402,8 @@ chaos_fleet_config()
 {
     FleetConfig c;
     c.tiny.num_permutations = 8;
-    c.update.epochs = 2;
+    c.update_epochs = 2;
     c.pretrain_epochs = 1;
-    c.incremental_pretrain_epochs = 1;
     c.node_severity_offset = {0.0, 0.2};
     c.holdout_images = 32;
     c.seed = 21;
@@ -569,7 +568,7 @@ TEST(ChaosFleet, NoFaultPlanMatchesHappyPath)
     // everything flagged is delivered inside the stage window.
     FleetConfig c;
     c.tiny.num_permutations = 8;
-    c.update.epochs = 2;
+    c.update_epochs = 2;
     c.pretrain_epochs = 2;
     c.node_severity_offset = {0.0, 0.15};
     c.seed = 3;

@@ -14,7 +14,7 @@ small_fleet()
 {
     FleetConfig c;
     c.tiny.num_permutations = 8;
-    c.update.epochs = 2;
+    c.update_epochs = 2;
     c.pretrain_epochs = 2;
     c.node_severity_offset = {0.0, 0.15};
     c.seed = 3;

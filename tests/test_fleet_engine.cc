@@ -117,9 +117,6 @@ TEST(FleetEngine, QuarantineAndReadmission)
     config.nodes = 400;
     config.seed = 11;
     config.crash_permille = 450;
-    config.quarantine.crash_threshold = 2;
-    config.quarantine.window_stages = 3;
-    config.quarantine.readmit_after = 1;
     ScaleFleetEngine engine(config);
     int64_t quarantines = 0, readmissions = 0;
     for (int s = 0; s < 10; ++s) {

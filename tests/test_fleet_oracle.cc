@@ -132,7 +132,7 @@ class FleetOracle {
         for (RefNode& n : nodes_) {
             r.backlog += n.backlog;
             const QuarantineTransition step =
-                quarantine_step(n.window, n.down, c_.quarantine);
+                quarantine_step(n.window, n.down);
             r.newly_quarantined += step == QuarantineTransition::kQuarantined;
             r.readmitted += step == QuarantineTransition::kReadmitted;
             r.quarantined += n.window.quarantined;
@@ -179,7 +179,7 @@ class FleetOracle {
         const int64_t mean =
             canary_quality_ + noise / int64_t(canaries_.size());
         const int64_t tolerance =
-            std::llround(c_.canary.accuracy_tolerance * kPpm);
+            std::llround(kCanaryAccuracyTolerance * kPpm);
         r.canary_judged_version = canary_version_;
         if (mean + tolerance >= quality_) {
             version_ = canary_version_;
@@ -215,7 +215,7 @@ class FleetOracle {
         }
         const int64_t v = commit(double(candidate) / kPpm);
         const int64_t n = c_.nodes;
-        const int64_t want = std::min<int64_t>(c_.canary.canary_nodes, n - 1);
+        const int64_t want = std::min<int64_t>(kCanaryNodes, n - 1);
         const uint64_t start =
             derive_stream(c_.seed, kCanarySalt, s) % uint64_t(n);
         for (int64_t k = 0; k < n && int64_t(canaries_.size()) < want; ++k) {
@@ -279,12 +279,6 @@ TEST(FleetOracle, EngineMatchesBruteForceOverRandomConfigs)
         c.crash_permille = int32_t(pick(5, 401));
         c.drop_permille = int32_t(pick(6, 401));
         c.poison_permille = int32_t(pick(7, 401));
-        c.quarantine.crash_threshold = 1 + int(pick(8, 4));
-        c.quarantine.window_stages = 1 + int(pick(9, 8));
-        c.quarantine.readmit_after =
-            k % 10 == 9 ? 255 : 1 + int(pick(10, 4));
-        c.canary.canary_nodes = 1 + int(pick(11, 12));
-        c.canary.accuracy_tolerance = double(pick(12, 4)) * 0.01;
         c.quality_tolerance_ppm =
             std::array<int64_t, 4>{0, 20000, 200000, kPpm}[pick(13, 4)];
         c.seed = 1 + pick(14, 1u << 30);

@@ -15,7 +15,7 @@ tiny_system()
 {
     IotSystemConfig c;
     c.tiny.num_permutations = 8;
-    c.update.epochs = 2;
+    c.update_epochs = 2;
     c.pretrain_epochs = 2;
     c.incremental_pretrain_epochs = 1;
     c.seed = 13;

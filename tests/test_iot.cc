@@ -172,7 +172,7 @@ small_system_config()
     // Four jigsaw classes: a pretext this small learns enough that the
     // node lets some images stay local after the bootstrap.
     c.tiny.num_permutations = 4;
-    c.update.epochs = 1;
+    c.update_epochs = 1;
     c.pretrain_epochs = 1;
     c.seed = 21;
     return c;
@@ -331,8 +331,8 @@ TEST(SystemSim, CloudDiagnosisPaysCloudComputeForFiltering)
 TEST(SystemSim, AccuracyImprovesOverBootstrapChance)
 {
     auto config = small_system_config();
-    config.update.epochs = 4;
-    config.update.lr = 0.02;
+    config.update_epochs = 4;
+    config.update_lr = 0.02;
     config.pretrain_epochs = 2;
     IotSystemSim sim(IotSystemKind::kInsituAi, config);
     IotStream stream(SynthConfig{},
@@ -372,7 +372,7 @@ loop_config(int epochs, int pretrain_epochs, uint64_t seed)
 {
     IotSystemConfig c;
     c.tiny = small_tiny();
-    c.update.epochs = epochs;
+    c.update_epochs = epochs;
     c.pretrain_epochs = pretrain_epochs;
     c.seed = seed;
     return c;
@@ -381,7 +381,7 @@ loop_config(int epochs, int pretrain_epochs, uint64_t seed)
 TEST(SystemSim, BootstrapTrainsAndDeploys)
 {
     IotSystemConfig config = loop_config(4, 2, 5);
-    config.update.lr = 0.02;
+    config.update_lr = 0.02;
     IotSystemSim sim(IotSystemKind::kInsituAi, config);
     Rng rng(6);
     const Dataset initial =
@@ -398,7 +398,7 @@ TEST(SystemSim, BootstrapTrainsAndDeploys)
 TEST(SystemSim, AutonomousStepUploadsSubsetAndUpdates)
 {
     IotSystemConfig config = loop_config(4, 2, 5);
-    config.update.lr = 0.02;
+    config.update_lr = 0.02;
     IotSystemSim sim(IotSystemKind::kInsituAi, config);
     Rng rng(8);
     SynthConfig synth;

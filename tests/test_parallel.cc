@@ -276,7 +276,7 @@ fleet_run()
 {
     FleetConfig config;
     config.tiny.num_permutations = 8;
-    config.update.epochs = 1;
+    config.update_epochs = 1;
     config.pretrain_epochs = 1;
     config.node_severity_offset = {0.0, 0.2};
     config.seed = 11;

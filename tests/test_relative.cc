@@ -108,7 +108,7 @@ TEST(DeployBytes, QuantizedDownlinkIsSmaller)
 {
     IotSystemConfig config;
     config.tiny.num_permutations = 8;
-    config.update.epochs = 1;
+    config.update_epochs = 1;
     config.pretrain_epochs = 1;
     config.seed = 9;
     IotSystemSim q(IotSystemKind::kInsituAi, config);

@@ -608,8 +608,7 @@ TEST(RegistryWal, VersionHistoryReplaysAfterACloudCrash)
 
 TEST(SupervisorState, RoundTripsBreakersHealthAndCanary)
 {
-    SupervisorConfig config;
-    FleetSupervisor sup(config, 3);
+    FleetSupervisor sup(3);
     // Exercise some state: breaker failures, health, a quarantine
     // and a pending canary.
     sup.breaker(0).on_failure(1.0);
@@ -631,7 +630,7 @@ TEST(SupervisorState, RoundTripsBreakersHealthAndCanary)
     ASSERT_EQ(sup.breaker(0).state(), BreakerState::kOpen);
 
     const std::string blob = sup.encode_state();
-    FleetSupervisor restored(config, 3);
+    FleetSupervisor restored(3);
     ASSERT_TRUE(restored.restore_state(blob));
     EXPECT_EQ(restored.encode_state(), blob); // bit-identical round trip
     EXPECT_TRUE(restored.quarantined(2));
@@ -644,9 +643,9 @@ TEST(SupervisorState, RoundTripsBreakersHealthAndCanary)
 
     // Wrong fleet size, truncation and bit rot are all refused,
     // leaving the target untouched.
-    FleetSupervisor wrong(config, 4);
+    FleetSupervisor wrong(4);
     EXPECT_FALSE(wrong.restore_state(blob));
-    FleetSupervisor fresh(config, 3);
+    FleetSupervisor fresh(3);
     const std::string fresh_state = fresh.encode_state();
     EXPECT_FALSE(fresh.restore_state(
         std::string_view(blob).substr(0, blob.size() / 2)));
@@ -662,7 +661,7 @@ TEST(SupervisorState, RoundTripsBreakersHealthAndCanary)
 FleetSupervisor
 quarantined_supervisor(size_t nodes)
 {
-    FleetSupervisor sup(SupervisorConfig{}, nodes);
+    FleetSupervisor sup(nodes);
     for (int stage = 0; stage < 3; ++stage) {
         for (size_t i = 0; i < nodes; ++i) {
             NodeStageObservation obs;
@@ -675,7 +674,7 @@ quarantined_supervisor(size_t nodes)
     return sup;
 }
 
-TEST(SupervisorState, V2RecordIsFixedWidthAndRefusesV1AndBadWindows)
+TEST(SupervisorState, V3RecordIsFixedWidthAndRefusesV1AndBadWindows)
 {
     FleetSupervisor sup = quarantined_supervisor(3);
     ASSERT_TRUE(sup.quarantined(2));
@@ -683,23 +682,22 @@ TEST(SupervisorState, V2RecordIsFixedWidthAndRefusesV1AndBadWindows)
     EXPECT_EQ(sup.health(2).quarantine.clean_streak, 1);
     const std::string blob = sup.encode_state();
 
-    // v2 round trip restores the window bytes exactly.
-    FleetSupervisor restored(SupervisorConfig{}, 3);
+    // v3 round trip restores the window bytes exactly.
+    FleetSupervisor restored(3);
     ASSERT_TRUE(restored.restore_state(blob));
     EXPECT_EQ(restored.encode_state(), blob);
     EXPECT_TRUE(restored.quarantined(2));
     EXPECT_EQ(restored.health(2).quarantine.faults, 0b110);
     EXPECT_EQ(restored.health(2).quarantine.clean_streak, 1);
 
-    // Fixed width: one more node adds one 103-byte record (52 breaker
-    // + 48 health + 3 window), whatever the nodes' fault history.
-    constexpr size_t kRecord = 103;
+    // Fixed width: one more node adds one 87-byte record (52 breaker
+    // + 32 health + 3 window), whatever the nodes' fault history.
+    constexpr size_t kRecord = 87;
     EXPECT_EQ(quarantined_supervisor(4).encode_state().size(),
               blob.size() + kRecord);
-    EXPECT_EQ(FleetSupervisor(SupervisorConfig{}, 3).encode_state().size(),
-              blob.size());
+    EXPECT_EQ(FleetSupervisor(3).encode_state().size(), blob.size());
 
-    FleetSupervisor target(SupervisorConfig{}, 3);
+    FleetSupervisor target(3);
     const std::string before = target.encode_state();
 
     // A v1 blob of the same fleet (variable-length fault deques) is
@@ -731,7 +729,7 @@ TEST(SupervisorState, V2RecordIsFixedWidthAndRefusesV1AndBadWindows)
     // streak that should already have readmitted, a streak outside
     // quarantine.
     const size_t header = 16;
-    const size_t window = header + 2 * kRecord + 100; // node 2
+    const size_t window = header + 2 * kRecord + 84; // node 2
     const struct {
         size_t offset;
         unsigned char value;
@@ -739,13 +737,52 @@ TEST(SupervisorState, V2RecordIsFixedWidthAndRefusesV1AndBadWindows)
         {window + 0, 0b1110}, // faults
         {window + 2, 2},      // quarantined
         {window + 1, 2},      // clean streak >= readmit_after
-        {header + 100 + 1, 1} // node 0: streak while admitted
+        {header + 84 + 1, 1}  // node 0: streak while admitted
     };
     for (const auto& d : damage) {
         std::string bad = blob;
         bad[d.offset] = static_cast<char>(d.value);
         EXPECT_FALSE(target.restore_state(bad)) << "offset " << d.offset;
     }
+    EXPECT_EQ(target.encode_state(), before);
+}
+
+TEST(SupervisorState, RefusesV2RecordWithTheDroppedFields)
+{
+    // A well-formed v2 blob of a healthy 3-node fleet: the v3 record
+    // plus each node's last flag rate and accuracy, which v3 drops.
+    std::string v2;
+    storage::put_u32(v2, 0x1A5170A5u);
+    storage::put_u32(v2, 2u);
+    storage::put_u64(v2, 3);
+    for (int i = 0; i < 3; ++i) {
+        storage::put_u32(v2, 0);                      // breaker closed
+        for (int k = 0; k < 2; ++k) storage::put_i64(v2, 0);
+        storage::put_f64(v2, 0);                      // retry_at
+        for (int k = 0; k < 3; ++k) storage::put_i64(v2, 0);
+        for (int k = 0; k < 4; ++k) storage::put_i64(v2, 0);
+        storage::put_f64(v2, 0.25);                   // last flag rate
+        storage::put_f64(v2, 0.75);                   // last accuracy
+        v2.append(3, '\0');                           // crash window
+    }
+    storage::put_u32(v2, 0); // no canary
+    storage::put_i64(v2, -1);
+    storage::put_u64(v2, 0);
+    for (int k = 0; k < 2; ++k) storage::put_i64(v2, 0);
+    storage::put_f64(v2, 0);
+    storage::put_f64(v2, 0);
+
+    FleetSupervisor target(3);
+    const std::string before = target.encode_state();
+    // The v3 blob of the same fleet is the v2 one without 16 bytes
+    // per node and with its own version.
+    ASSERT_EQ(v2.size(), before.size() + 3 * 16);
+    EXPECT_FALSE(target.restore_state(v2));
+    // Relabelled v3, the v2 layout is still refused: its records are
+    // 16 bytes longer than the decoder reads.
+    std::string relabelled = v2;
+    relabelled[4] = 3;
+    EXPECT_FALSE(target.restore_state(relabelled));
     EXPECT_EQ(target.encode_state(), before);
 }
 

@@ -13,7 +13,6 @@
 
 #include "faults/fault_injector.h"
 #include "iot/fleet.h"
-#include "iot/fleet_engine.h"
 #include "iot/supervisor.h"
 #include "iot/uplink.h"
 #include "util/parallel.h"
@@ -23,11 +22,11 @@ namespace {
 
 TEST(CircuitBreaker, StateMachineTransitions)
 {
-    BreakerConfig config;
-    config.failure_threshold = 3;
-    config.cooldown_s = 8.0;
-    config.probe_successes = 2;
-    CircuitBreaker breaker(config);
+    static_assert(kBreakerFailureThreshold == 3 &&
+                      kBreakerCooldownS == 8.0 &&
+                      kBreakerProbeSuccesses == 2,
+                  "the script below is written for these constants");
+    CircuitBreaker breaker;
 
     // Closed: failures below the threshold keep traffic flowing.
     EXPECT_EQ(breaker.state(), BreakerState::kClosed);
@@ -98,11 +97,7 @@ TEST(CircuitBreaker, SavesRadioEnergyUnderFlappingLink)
     FaultInjector supervised_injector(plan);
     UplinkQueue supervised(link, 1000.0, ucfg);
     supervised.set_fault_injector(&supervised_injector);
-    BreakerConfig bcfg;
-    bcfg.failure_threshold = 2;
-    bcfg.cooldown_s = 6.0;
-    bcfg.probe_successes = 1;
-    CircuitBreaker breaker(bcfg);
+    CircuitBreaker breaker;
     supervised.set_breaker(&breaker);
 
     naive.enqueue(20, 0.0);
@@ -145,25 +140,11 @@ crashed_obs()
     return obs;
 }
 
-SupervisorConfig
-small_supervisor_config()
-{
-    SupervisorConfig config;
-    config.quarantine.crash_threshold = 2;
-    config.quarantine.window_stages = 3;
-    config.quarantine.readmit_after = 2;
-    config.canary.canary_nodes = 1;
-    return config;
-}
-
-/** One row: a config, the per-stage faults ('X' faulted, '.' clean),
- * the transition each stage fires ('Q' quarantined, 'R' readmitted,
- * '.' none) and whether the node ends quarantined. */
+/** One row: the per-stage faults ('X' faulted, '.' clean), the
+ * transition each stage fires ('Q' quarantined, 'R' readmitted, '.'
+ * none) and whether the node ends quarantined. */
 struct StepCase {
     const char* name;
-    int crash_threshold;
-    int window_stages;
-    int readmit_after;
     const char* faults;
     const char* transitions;
     bool ends_quarantined;
@@ -171,69 +152,42 @@ struct StepCase {
 
 TEST(Quarantine, StepFollowsProtocol)
 {
+    static_assert(kQuarantineCrashThreshold == 2 &&
+                      kQuarantineWindowStages == 3 &&
+                      kQuarantineReadmitAfter == 2,
+                  "the cases below are written for these constants");
     const StepCase cases[] = {
-        {"threshold inside the window", 2, 3, 2, "X.X", "..Q", true},
-        {"a fault ages out of the window", 2, 3, 2, "X..X", "....",
+        {"threshold inside the window", "X.X", "..Q", true},
+        {"a fault ages out of the window", "X..X", "....", false},
+        {"a fault in quarantine resets the streak", "XX.X..", ".Q...R",
          false},
-        {"a fault in quarantine resets the streak", 2, 3, 2, "XX.X..",
-         ".Q...R", false},
-        {"an 8-stage window still holds its oldest fault", 2, 8, 2,
-         "X......X", ".......Q", true},
-        {"an 8-stage window drops its ninth-oldest fault", 2, 8, 2,
-         "X.......X", ".........", false},
-        {"readmission clears the window", 2, 3, 1, "XX.X", ".QR.",
-         false},
+        {"readmission clears the window", "XX..X", ".Q.R.", false},
     };
     for (const StepCase& c : cases) {
-        QuarantineConfig config;
-        config.crash_threshold = c.crash_threshold;
-        config.window_stages = c.window_stages;
-        config.readmit_after = c.readmit_after;
-        config.validated();
         QuarantineWindow window;
         std::string got;
         for (const char* f = c.faults; *f != '\0'; ++f) {
-            switch (quarantine_step(window, *f == 'X', config)) {
+            switch (quarantine_step(window, *f == 'X')) {
             case QuarantineTransition::kNone: got += '.'; break;
             case QuarantineTransition::kQuarantined: got += 'Q'; break;
-            case QuarantineTransition::kReadmitted: got += 'R'; break;
+            case QuarantineTransition::kReadmitted:
+                got += 'R';
+                // The window's oldest fault is still inside it; only
+                // the reset removes it.
+                EXPECT_EQ(window.faults, 0) << c.name;
+                break;
             }
-            EXPECT_EQ(window.faults >> c.window_stages, 0) << c.name;
+            EXPECT_EQ(window.faults >> kQuarantineWindowStages, 0)
+                << c.name;
         }
         EXPECT_EQ(got, c.transitions) << c.name;
         EXPECT_EQ(window.quarantined != 0, c.ends_quarantined) << c.name;
     }
 }
 
-TEST(QuarantineDeathTest, OutOfRangeKnobsRefusedByBothEngines)
-{
-    const auto fleet_sim = [](QuarantineConfig q) {
-        FleetConfig c;
-        c.tiny.num_permutations = 8;
-        c.node_severity_offset = {0.0};
-        c.supervisor = SupervisorConfig{};
-        c.supervisor->quarantine = q;
-        FleetSim fleet(c);
-    };
-    const auto scale_engine = [](QuarantineConfig q) {
-        ScaleFleetConfig c;
-        c.nodes = 10;
-        c.quarantine = q;
-        ScaleFleetEngine engine(c);
-    };
-    QuarantineConfig wide;
-    wide.window_stages = 9;
-    EXPECT_DEATH(fleet_sim(wide), "1..8 stages");
-    EXPECT_DEATH(scale_engine(wide), "1..8 stages");
-    QuarantineConfig slow;
-    slow.readmit_after = 256;
-    EXPECT_DEATH(fleet_sim(slow), "1..255 stages");
-    EXPECT_DEATH(scale_engine(slow), "1..255 stages");
-}
-
 TEST(Quarantine, CrashLoopQuarantinesAndSustainedHealthReadmits)
 {
-    FleetSupervisor sup(small_supervisor_config(), 3);
+    FleetSupervisor sup(3);
 
     // Stage 0: node 2 crashes once — under the threshold.
     sup.observe(0, healthy_obs());
@@ -276,7 +230,7 @@ TEST(Quarantine, CrashLoopQuarantinesAndSustainedHealthReadmits)
 
 TEST(Quarantine, RestoreFailuresCountAsFaults)
 {
-    FleetSupervisor sup(small_supervisor_config(), 2);
+    FleetSupervisor sup(2);
     NodeStageObservation bad_reboot;
     bad_reboot.crashed = true;
     bad_reboot.restore_failed = true;
@@ -295,19 +249,18 @@ TEST(Quarantine, RestoreFailuresCountAsFaults)
 
 TEST(Canary, PickPrefersHealthiestAndKeepsAControl)
 {
-    SupervisorConfig config = small_supervisor_config();
-    config.canary.canary_nodes = 2;
-    FleetSupervisor sup(config, 3);
+    static_assert(kCanaryNodes == 1);
+    FleetSupervisor sup(3);
 
-    // Node 1 crashes once: healthy but scarred.
-    sup.observe(0, healthy_obs());
-    sup.observe(1, crashed_obs());
+    // Node 0 crashes once: healthy but scarred.
+    sup.observe(0, crashed_obs());
+    sup.observe(1, healthy_obs());
     sup.observe(2, healthy_obs());
     sup.end_stage(0);
 
-    // Healthiest first (tie broken by index), capped to leave a
-    // control: nodes 0 and 2, never the scarred node 1.
-    EXPECT_EQ(sup.pick_canaries(), (std::vector<int>{0, 2}));
+    // Healthiest first, tie broken by index: node 1, never the
+    // scarred node 0, which would win on index alone.
+    EXPECT_EQ(sup.pick_canaries(), std::vector<int>{1});
 
     // Quarantined nodes are never canaries; with fewer than two
     // healthy nodes there is no control group and no canary.
@@ -324,7 +277,7 @@ TEST(Canary, PickPrefersHealthiestAndKeepsAControl)
 
 TEST(Canary, RegressingCanaryRollsBackToBaseline)
 {
-    FleetSupervisor sup(small_supervisor_config(), 3);
+    FleetSupervisor sup(3);
     sup.start_canary(/*stage=*/0, {0}, /*accepted_version=*/7,
                      /*baseline_version=*/6, 0.8, 0.2);
     ASSERT_TRUE(sup.canary_pending());
@@ -346,7 +299,7 @@ TEST(Canary, RegressingCanaryRollsBackToBaseline)
 
 TEST(Canary, HealthyCanaryPromotes)
 {
-    FleetSupervisor sup(small_supervisor_config(), 3);
+    FleetSupervisor sup(3);
     sup.start_canary(0, {2}, 9, 8, 0.8, 0.2);
     sup.observe(0, healthy_obs(0.78, 0.2));
     sup.observe(1, healthy_obs(0.8, 0.2));
@@ -360,7 +313,7 @@ TEST(Canary, HealthyCanaryPromotes)
 
 TEST(Canary, JudgmentDefersWhileCanariesAreDown)
 {
-    FleetSupervisor sup(small_supervisor_config(), 3);
+    FleetSupervisor sup(3);
     sup.start_canary(0, {1}, 5, 4, 0.8, 0.2);
     // The canary crashed: no verdict this stage.
     sup.observe(0, healthy_obs());
@@ -387,9 +340,8 @@ supervised_chaos_config()
 {
     FleetConfig c;
     c.tiny.num_permutations = 8;
-    c.update.epochs = 2;
+    c.update_epochs = 2;
     c.pretrain_epochs = 1;
-    c.incremental_pretrain_epochs = 1;
     c.node_severity_offset = {0.0, 0.1, 0.2, 0.3};
     c.holdout_images = 32;
     c.stage_window_s = 600.0;
@@ -407,15 +359,7 @@ supervised_chaos_config()
     c.faults.poisoned_stages = {2};
     c.faults.seed = 1234;
     c.rollback_tolerance = 1.0; // the gate waves everything through
-    SupervisorConfig sup;
-    sup.breaker.failure_threshold = 2;
-    sup.breaker.cooldown_s = 6.0;
-    sup.breaker.probe_successes = 1;
-    sup.quarantine.crash_threshold = 2;
-    sup.quarantine.window_stages = 3;
-    sup.quarantine.readmit_after = 2;
-    sup.canary.canary_nodes = 1;
-    c.supervisor = sup;
+    c.supervised = true;
     return c;
 }
 
@@ -479,7 +423,7 @@ TEST(SupervisedFleet, SurvivesChaosAndBeatsTheNaiveFleet)
 
     // The breaker-less baseline: same faults, no supervision.
     FleetConfig naive_config = supervised_chaos_config();
-    naive_config.supervisor.reset();
+    naive_config.supervised = false;
     FleetSim naive(naive_config);
     naive.bootstrap(40, 0.2);
     for (int s = 0; s < kStages; ++s) naive.run_stage(30, 0.25);
