@@ -91,9 +91,11 @@ main(int argc, char** argv)
         const SingleRunningPlan plan =
             planner.plan(net, diag, latency_s);
         std::printf("TX1 (mobile GPU) configuration:\n");
-        std::printf("  inference: batch %lld, latency %.1f ms, "
+        std::printf("  inference: batch %lld (%s), latency %.1f ms, "
                     "%.2f img/s/W\n",
                     static_cast<long long>(plan.inference_batch),
+                    plan.inference_latency_limited ? "latency-limited"
+                                                   : "search-capped",
                     plan.inference_latency * 1e3,
                     plan.inference_perf_per_watt);
         std::printf("  diagnosis: batch %lld (%s, %.0f MB), "

@@ -69,8 +69,10 @@ main()
         SingleRunningPlanner{GpuModel(tx1_spec())}.plan(
             inference, diagnosis, latency_requirement_s);
     std::printf("Single-running plan on TX1: inference batch %lld "
-                "(latency %.1f ms), diagnosis batch %lld (%s)\n",
+                "(%s, latency %.1f ms), diagnosis batch %lld (%s)\n",
                 static_cast<long long>(single.inference_batch),
+                single.inference_latency_limited ? "latency-limited"
+                                                 : "search-capped",
                 single.inference_latency * 1e3,
                 static_cast<long long>(single.diagnosis_batch),
                 single.diagnosis_memory_limited ? "memory-limited"

@@ -46,6 +46,9 @@ SingleRunningPlanner::plan(const NetworkDesc& inference,
     SingleRunningPlan p;
     p.inference_batch =
         max_batch_under_latency(inference, latency_req);
+    p.inference_latency_limited =
+        gpu_.network_latency(inference, p.inference_batch + 1) >
+        latency_req;
     p.inference_latency =
         gpu_.network_latency(inference, p.inference_batch);
     p.inference_perf_per_watt =

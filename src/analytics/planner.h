@@ -35,6 +35,10 @@ WorkingMode choose_working_mode(bool inference_always_on);
 /** Single-running plan for the two tasks on one GPU. */
 struct SingleRunningPlan {
     int64_t inference_batch = 1;
+    /// True when the latency budget stopped the inference batch (one
+    /// more image would miss it); false when the batch search's cap
+    /// did.
+    bool inference_latency_limited = false;
     double inference_latency = 0;     ///< seconds per batch
     double inference_perf_per_watt = 0;
     int64_t diagnosis_batch = 1;

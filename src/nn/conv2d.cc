@@ -80,14 +80,14 @@ Conv2d::forward(const Tensor& input, bool training)
         "tensor.matmul.calls");
     static auto& mm_flops = obs::MetricsRegistry::global().counter(
         "tensor.matmul.flops");
-    // One GEMM per group of images lowered side by side, so small
-    // feature maps fill whole register tiles and Fm is packed once per
-    // group. The group size depends only on shape. Each C element
-    // still sums its k-products in ascending k with the same KC split
-    // whatever the GEMM's width, so the output is bit-identical to one
-    // GEMM per image. Groups are parallel: each owns its output slices
-    // (the nested GEMM runs inline inside a pool worker), and its
-    // scratch lives in the executing thread's workspace arena.
+    // One GEMM per group of images lowered together, so small feature
+    // maps fill whole register tiles and Fm is packed once per group.
+    // The group size depends only on shape. Each C element still sums
+    // its k-products in ascending k with the same KC split whatever
+    // the GEMM's width, so the output is bit-identical to one GEMM per
+    // image. Groups are parallel: each owns its output slices (the
+    // nested GEMM runs inline inside a pool worker), and its scratch
+    // lives in the executing thread's workspace arena.
     const int64_t group = std::max<int64_t>(
         1, std::min(batch, (kGroupCols + ohw - 1) / ohw));
     const int64_t ngroups = (batch + group - 1) / group;
@@ -97,9 +97,10 @@ Conv2d::forward(const Tensor& input, bool training)
             const int64_t nimg = std::min(group, batch - b0);
             const int64_t ncols = nimg * ohw;
             Workspace::Scope scope;
+            // Dm: (NK^2, R*C*G), column p*G + i for image i's
+            // position p.
             float* cols = Workspace::local().alloc(ckk * ncols);
-            for (int64_t i = 0; i < nimg; ++i) // Dm: (NK^2, G*R*C)
-                im2col_into(input, b0 + i, g, cols, ncols, i * ohw);
+            im2col_group(input, b0, nimg, g, cols, ncols);
             mm_calls.add(1);
             mm_flops.add(2 * out_channels_ * ckk * ncols);
             // Om = Fm * Dm. A lone image's (M, R*C) product already
@@ -111,14 +112,15 @@ Conv2d::forward(const Tensor& input, bool training)
                                                        ncols);
             gemm(out_channels_, ncols, ckk, fm, ckk, 1, cols, ncols, 1,
                  om, be);
-            // Scatter to NCHW, adding the bias after the full k-sum.
+            // Scatter om[m][p*G + i] to NCHW, adding the bias after
+            // the full k-sum.
             for (int64_t i = 0; i < nimg; ++i) {
                 float* dst = po + (b0 + i) * out_channels_ * ohw;
                 for (int64_t m = 0; m < out_channels_; ++m) {
                     const float bias = pb[m];
-                    const float* src = om + m * ncols + i * ohw;
-                    for (int64_t j = 0; j < ohw; ++j)
-                        dst[m * ohw + j] = src[j] + bias;
+                    const float* src = om + m * ncols + i;
+                    for (int64_t p = 0; p < ohw; ++p)
+                        dst[m * ohw + p] = src[p * nimg] + bias;
                 }
             }
         }
@@ -171,13 +173,14 @@ Conv2d::accumulate_grads(const Tensor& grad_output, Tensor* grad_input)
     if (grad_input != nullptr)
         *grad_input = Tensor({batch, in_channels_, g.in_h, g.in_w});
 
-    // Pass 1, parallel over the forward's image groups: lower every
-    // image into its columns of one (N*K*K, B*R*C) matrix Dm, and,
-    // when dX is wanted, form the group's column gradients
-    // dL/dDm = Fm^T * dL/dOm with one GEMM over the group's images
-    // side by side (each column keeps its k-sum order, so this is the
-    // per-image product) and scatter them back with col2im. Each
-    // group owns its Dm columns and grad_input slices.
+    // Pass 1, parallel over the forward's image groups: lower each
+    // group into its columns of one (N*K*K, B*R*C) matrix Dm, group
+    // gi's block starting at column b0*R*C and laid out as the
+    // forward's, and, when dX is wanted, form the group's column
+    // gradients dL/dDm = Fm^T * dL/dOm with one GEMM over the group
+    // (each column keeps its k-sum order, so this is the per-image
+    // product) and scatter them back with col2im. Each group owns its
+    // Dm columns and grad_input slices.
     Workspace::Scope scope;
     float* cols = Workspace::local().alloc(ckk * ld);
     const int64_t group = std::max<int64_t>(
@@ -187,22 +190,23 @@ Conv2d::accumulate_grads(const Tensor& grad_output, Tensor* grad_input)
         for (int64_t gi = g0; gi < g1; ++gi) {
             const int64_t b0 = gi * group;
             const int64_t nimg = std::min(group, batch - b0);
-            for (int64_t i = 0; i < nimg; ++i)
-                im2col_into(cached_input_, b0 + i, g, cols, ld,
-                            (b0 + i) * ohw);
+            im2col_group(cached_input_, b0, nimg, g, cols + b0 * ohw,
+                         ld);
             if (grad_input == nullptr) continue;
             const int64_t ncols = nimg * ohw;
             Workspace::Scope group_scope;
             // A lone image's (M, R*C) gradient is already its row
-            // slice of grad_output; a group's is gathered side by side.
+            // slice of grad_output; a group's is gathered into Dm's
+            // column order.
             const float* gom = go + b0 * out_channels_ * ohw;
             if (nimg > 1) {
                 float* gathered =
                     Workspace::local().alloc(out_channels_ * ncols);
-                for (int64_t i = 0; i < nimg; ++i)
-                    for (int64_t m = 0; m < out_channels_; ++m)
-                        std::copy_n(gom + (i * out_channels_ + m) * ohw,
-                                    ohw, gathered + m * ncols + i * ohw);
+                for (int64_t m = 0; m < out_channels_; ++m)
+                    for (int64_t p = 0; p < ohw; ++p)
+                        for (int64_t i = 0; i < nimg; ++i)
+                            gathered[m * ncols + p * nimg + i] =
+                                gom[(i * out_channels_ + m) * ohw + p];
                 gom = gathered;
             }
             ta_calls.add(1);
@@ -210,21 +214,21 @@ Conv2d::accumulate_grads(const Tensor& grad_output, Tensor* grad_input)
             float* gcols = Workspace::local().alloc(ckk * ncols);
             gemm(ckk, ncols, out_channels_, fm, 1, ckk, gom, ncols, 1,
                  gcols, be);
-            for (int64_t i = 0; i < nimg; ++i)
-                col2im_accumulate(gcols, *grad_input, b0 + i, g, ncols,
-                                  i * ohw);
+            col2im_accumulate(gcols, *grad_input, b0, nimg, g, ncols);
         }
     });
 
     // Pass 2: each image's dL/dFm = dL/dOm * Dm^T product is added
     // straight into the weight grad, image by image in batch order —
     // the per-image partials folded in batch order, without holding
-    // them. The bias grads (each image's spatial sums) follow in the
-    // same order, parallel over filters.
+    // them. Within a group, image i's Dm^T column p sits at
+    // b0*R*C + p*G + i, which gemm_acc reads as B groups of G. The
+    // bias grads (each image's spatial sums) follow in the same order,
+    // parallel over filters.
     tb_calls.add(batch);
     tb_flops.add(2 * out_channels_ * ohw * ckk * batch);
     gemm_acc(batch, out_channels_, ckk, ohw, go, ohw, 1,
-             out_channels_ * ohw, cols, 1, ld, ohw, gw, ckk, be);
+             out_channels_ * ohw, cols, 1, ld, ohw, gw, ckk, be, group);
     parallel_for(0, out_channels_, flops_grain(batch * ohw),
                  [&](int64_t m0, int64_t m1) {
         for (int64_t m = m0; m < m1; ++m)

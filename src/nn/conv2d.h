@@ -3,14 +3,17 @@
  * 2-D convolution layer (square kernels, NCHW).
  *
  * Forward/backward are implemented with the im2col + GEMM lowering of
- * the paper's Fig. 8. The forward runs one GEMM per group of images
- * (see `kGroupCols`). The backward lowers dX per group the same way
- * (one Fm^T * dL/dOm GEMM, then col2im) and adds each image's weight
- * gradient straight into the parameter's grad in batch order
- * (`gemm_acc`), so it is bit-identical to a per-image loop at any
- * thread width. `backward_params` skips dX, for the lowest layer a
- * backward runs. The Fig. 9 direct loop nest is `conv2d_direct`, the
- * reference the forward is tested against.
+ * the paper's Fig. 8. The forward lowers each group of images (see
+ * `kGroupCols`) in one `im2col_group` call, positions major and
+ * images minor, and runs one GEMM per group. The backward lowers each
+ * group the same way, forms its dX with one Fm^T * dL/dOm GEMM and
+ * one group col2im, and adds each image's weight gradient straight
+ * into the parameter's grad in batch order (`gemm_acc`, reading the
+ * image's columns at a k-stride of the group size), so it is
+ * bit-identical to a per-image loop at any thread width.
+ * `backward_params` skips dX, for the lowest layer a backward runs.
+ * The Fig. 9 direct loop nest is `conv2d_direct`, the reference the
+ * forward is tested against.
  */
 #pragma once
 

@@ -197,8 +197,9 @@ pack_a(const float* a, int64_t a_rs, int64_t a_cs, int64_t i0,
 }
 
 /** Pack the B panel rows [p0, p0+kc) x cols [j0, j0+nc) into NR-wide
- * slabs, zero-padded to a multiple of NR columns. op(B)'s rows
- * (b_cs == 1) or its columns (b_rs == 1) are contiguous. */
+ * slabs, zero-padded to a multiple of NR columns. op(B)'s rows are
+ * contiguous (b_cs == 1), or its columns are read down at k-stride
+ * b_rs (contiguous when b_rs == 1). */
 void
 pack_b(const float* b, int64_t b_rs, int64_t b_cs, int64_t p0,
        int64_t j0, int64_t kc, int64_t nc, float* bp)
@@ -207,13 +208,13 @@ pack_b(const float* b, int64_t b_rs, int64_t b_cs, int64_t p0,
         float* panel = bp + (jr / NR) * kc * NR;
         const int64_t nr = std::min(NR, nc - jr);
         if (b_cs != 1) {
-            // Transposed B: each column of op(B) is contiguous in k, so
-            // read it in order and scatter it down the panel, which
-            // stays in L1, instead of gathering NR strided rows per k.
+            // Transposed B: read each column of op(B) down k and
+            // scatter it down the panel, which stays in L1, instead of
+            // gathering NR strided rows per k.
             for (int64_t j = 0; j < nr; ++j) {
-                const float* src = b + p0 + (j0 + jr + j) * b_cs;
+                const float* src = b + p0 * b_rs + (j0 + jr + j) * b_cs;
                 for (int64_t kk = 0; kk < kc; ++kk)
-                    panel[kk * NR + j] = src[kk];
+                    panel[kk * NR + j] = src[kk * b_rs];
             }
             for (int64_t kk = 0; kk < kc; ++kk)
                 for (int64_t j = nr; j < NR; ++j) panel[kk * NR + j] = 0.0f;
@@ -230,6 +231,49 @@ pack_b(const float* b, int64_t b_rs, int64_t b_cs, int64_t p0,
             for (int64_t j = nr; j < NR; ++j) dst[j] = 0.0f;
         }
     }
+}
+
+/**
+ * Pack the NR-wide column block [j0, j0+nr) of op(B_i) for products
+ * i in [i0, i1) of one B group of nq interleaved products, where
+ * op(B_i)(kk, j) = b[(kk*nq + i)*b_rs + j*b_cs], into consecutive
+ * panels bp + (i - i0)*k*NR, each as pack_b packs it. When the
+ * products are adjacent (b_rs == 1), four at a time go through 4x4
+ * transposes, so each load reads four products' values and each
+ * store writes four panel columns; the rest go through pack_b.
+ */
+void
+pack_b_group(const float* b, int64_t b_rs, int64_t b_cs, int64_t nq,
+             int64_t i0, int64_t i1, int64_t j0, int64_t k, int64_t nr,
+             float* bp)
+{
+    int64_t i = i0;
+#ifdef INSITU_GEMM_X86
+    static_assert(NR % 4 == 0, "panels transpose four columns at once");
+    if (b_rs == 1 && nr == NR)
+        for (; i + 4 <= i1; i += 4) {
+            float* panel = bp + (i - i0) * k * NR;
+            for (int64_t kk = 0; kk < k; ++kk) {
+                const float* src = b + kk * nq + i + j0 * b_cs;
+                float* dst = panel + kk * NR;
+                for (int64_t jr = 0; jr < NR; jr += 4) {
+                    const float* s = src + jr * b_cs;
+                    __m128 r0 = _mm_loadu_ps(s);
+                    __m128 r1 = _mm_loadu_ps(s + b_cs);
+                    __m128 r2 = _mm_loadu_ps(s + 2 * b_cs);
+                    __m128 r3 = _mm_loadu_ps(s + 3 * b_cs);
+                    _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+                    _mm_storeu_ps(dst + jr, r0);
+                    _mm_storeu_ps(dst + k * NR + jr, r1);
+                    _mm_storeu_ps(dst + 2 * k * NR + jr, r2);
+                    _mm_storeu_ps(dst + 3 * k * NR + jr, r3);
+                }
+            }
+        }
+#endif
+    for (; i < i1; ++i)
+        pack_b(b + i * b_rs, nq * b_rs, b_cs, 0, j0, k, nr,
+               bp + (i - i0) * k * NR);
 }
 
 void
@@ -386,13 +430,15 @@ flops_grain(int64_t flops_per_row)
         1, kFlopsPerChunk / std::max<int64_t>(1, flops_per_row));
 }
 
+namespace {
+
+/** gemm() without its stride check: gemm_acc also passes columns of
+ * op(B) at a k-stride. */
 void
-gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t a_rs,
-     int64_t a_cs, const float* b, int64_t b_rs, int64_t b_cs,
-     float* c, GemmBackend backend)
+gemm_any(int64_t m, int64_t n, int64_t k, const float* a, int64_t a_rs,
+         int64_t a_cs, const float* b, int64_t b_rs, int64_t b_cs,
+         float* c, GemmBackend backend)
 {
-    INSITU_CHECK(b_rs == 1 || b_cs == 1,
-                 "gemm: op(B) needs contiguous rows or columns");
     if (m <= 0 || n <= 0) return;
     if (k <= 0) {
         std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(float));
@@ -404,15 +450,40 @@ gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t a_rs,
         gemm_naive(m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c);
 }
 
+} // namespace
+
+void
+gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t a_rs,
+     int64_t a_cs, const float* b, int64_t b_rs, int64_t b_cs,
+     float* c, GemmBackend backend)
+{
+    INSITU_CHECK(b_rs == 1 || b_cs == 1,
+                 "gemm: op(B) needs contiguous rows or columns");
+    gemm_any(m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c, backend);
+}
+
 void
 gemm_acc(int64_t count, int64_t m, int64_t n, int64_t k, const float* a,
          int64_t a_rs, int64_t a_cs, int64_t a_step, const float* b,
          int64_t b_rs, int64_t b_cs, int64_t b_step, float* c,
-         int64_t ldc, GemmBackend backend)
+         int64_t ldc, GemmBackend backend, int64_t b_group)
 {
     INSITU_CHECK(b_rs == 1 || b_cs == 1,
                  "gemm_acc: op(B) needs contiguous rows or columns");
+    INSITU_CHECK(b_group >= 1, "gemm_acc: B groups need >= 1 product");
     if (count <= 0 || m <= 0 || n <= 0 || k <= 0) return;
+    // Product t is product i of B group q: its op(B) starts i·b_rs
+    // past the group's start and steps k over the group's n_q
+    // interleaved products.
+    struct Operand {
+        const float* p;
+        int64_t rs;
+    };
+    auto b_of = [&](int64_t t) {
+        const int64_t q = t / b_group, i = t % b_group;
+        const int64_t nq = std::min(b_group, count - q * b_group);
+        return Operand{b + q * b_group * b_step + i * b_rs, nq * b_rs};
+    };
     if (backend != GemmBackend::kBlocked || k > KC) {
         // Several KC panels (or the naive loops) round the product
         // through C itself, so it is formed in scratch and added once.
@@ -426,9 +497,10 @@ gemm_acc(int64_t count, int64_t m, int64_t n, int64_t k, const float* a,
                 Workspace::Scope scope;
                 float* prod = Workspace::local().alloc(m * nj);
                 for (int64_t t = 0; t < count; ++t) {
-                    gemm(m, nj, k, a + t * a_step, a_rs, a_cs,
-                         b + t * b_step + j0 * b_cs, b_rs, b_cs, prod,
-                         backend);
+                    const Operand bt = b_of(t);
+                    gemm_any(m, nj, k, a + t * a_step, a_rs, a_cs,
+                             bt.p + j0 * b_cs, bt.rs, b_cs, prod,
+                             backend);
                     for (int64_t i = 0; i < m; ++i)
                         for (int64_t j = 0; j < nj; ++j)
                             c[i * ldc + j0 + j] += prod[i * nj + j];
@@ -462,9 +534,15 @@ gemm_acc(int64_t count, int64_t m, int64_t n, int64_t k, const float* a,
             alignas(64) float tile[MR * NR];
             for (int64_t t0 = 0; t0 < count; t0 += span) {
                 const int64_t nt = std::min(span, count - t0);
-                for (int64_t t = 0; t < nt; ++t)
-                    pack_b(b + (t0 + t) * b_step, b_rs, b_cs, 0, j0, k,
-                           nr, bp + t * NR * k);
+                // The span's products of each B group, packed together.
+                for (int64_t t = t0; t < t0 + nt;) {
+                    const int64_t q = t / b_group, i = t % b_group;
+                    const int64_t nq = std::min(b_group, count - q * b_group);
+                    const int64_t i1 = std::min(nq, i + t0 + nt - t);
+                    pack_b_group(b + q * b_group * b_step, b_rs, b_cs, nq,
+                                 i, i1, j0, k, nr, bp + (t - t0) * NR * k);
+                    t += i1 - i;
+                }
                 for (int64_t ir = 0; ir < m; ir += MR) {
                     const int64_t mr = std::min(MR, m - ir);
                     float* cdst = c + ir * ldc + j0;

@@ -89,20 +89,32 @@ void gemm(int64_t m, int64_t n, int64_t k, const float* a,
  * holding any of them. The conv backward folds its per-image weight
  * gradients this way. Parallel over fixed blocks of C's columns, so
  * bit-identical at any width. FLOPs are the caller's to tally.
+ *
+ * With @p b_group = G > 1 the B operands come in groups of G products
+ * stored interleaved, the way `im2col_group` lowers a group of images:
+ * product t = q·G + i reads op(B_t)(kk, j) at
+ * b[q·G·b_step + (kk·n_q + i)·b_rs + j·b_cs], where n_q is the size of
+ * group q (G, or fewer for the last). So a conv batch lowered group by
+ * group folds its per-image weight gradients in one call. G = 1 is
+ * B_t = b + t·b_step.
  */
 void gemm_acc(int64_t count, int64_t m, int64_t n, int64_t k,
               const float* a, int64_t a_rs, int64_t a_cs, int64_t a_step,
               const float* b, int64_t b_rs, int64_t b_cs, int64_t b_step,
-              float* c, int64_t ldc, GemmBackend backend);
+              float* c, int64_t ldc, GemmBackend backend,
+              int64_t b_group);
 
 /**
  * Target GEMM width, in columns, for lowered convolutions: the conv
- * forward packs ⌈kGroupCols / (OH·OW)⌉ images side by side into one
- * (C·K², G·OH·OW) column matrix, so a small feature map still fills
- * whole NR-wide register tiles and the filter matrix is packed once
- * per group instead of once per image. A compile-time constant like
- * the blocking sizes in gemm.cc (256 columns = 16 NR tiles, a quarter
- * of an NC panel), so the grouping depends only on shape.
+ * lowers G = ⌈kGroupCols / (OH·OW)⌉ images at once into one
+ * (C·K², OH·OW·G) column matrix, positions major and images minor
+ * (`im2col_group`), so a small feature map still fills whole NR-wide
+ * register tiles and the filter matrix is packed once per group
+ * instead of once per image. A compile-time constant like the
+ * blocking sizes in gemm.cc (256 columns = 16 NR tiles, a quarter of
+ * an NC panel, and equal to KC), so the grouping depends only on
+ * shape, and a group of two or more images (OH·OW < KC) gives each
+ * image a single-panel weight-gradient product in `gemm_acc`.
  */
 constexpr int64_t kGroupCols = 256;
 

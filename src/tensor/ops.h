@@ -64,17 +64,21 @@ Tensor im2col(const Tensor& input, int64_t batch_index,
               const ConvGeometry& geom);
 
 /**
- * im2col into caller-owned storage (typically a `Workspace` borrow).
- * Row r of the image's (C*K*K, R*C) column matrix is written to
- * `cols[r * ld + col0 .. r * ld + col0 + R*C)`; nothing else is
- * touched. `ld = R*C, col0 = 0` is the image's own matrix; the conv
- * forward passes the group's row stride and the image's column offset
- * so a group of images lowers side by side into one (C*K*K, G*R*C)
- * matrix for a single GEMM.
+ * Lower images [b0, b0 + nimg) of @p input into one
+ * (C*K*K, OH*OW*nimg) column matrix in caller-owned storage (typically
+ * a `Workspace` borrow), positions major and images minor: tap row r,
+ * output position p = y*OW + x and image i land at
+ * `cols[r * ld + p * nimg + i]`; nothing else is touched. At nimg = 1
+ * that is the image's own matrix, as `im2col` returns it.
+ *
+ * The group is first staged, from the calling thread's workspace, into
+ * a zero-padded (C, H+2*pad, W+2*pad, nimg) buffer with the images
+ * innermost. A tap row is then OH copies of OW*nimg contiguous floats
+ * at stride 1, and OH*OW copies of nimg floats at other strides: no
+ * coordinate is bounds-tested.
  */
-void im2col_into(const Tensor& input, int64_t batch_index,
-                 const ConvGeometry& geom, float* cols, int64_t ld,
-                 int64_t col0);
+void im2col_group(const Tensor& input, int64_t b0, int64_t nimg,
+                  const ConvGeometry& geom, float* cols, int64_t ld);
 
 /**
  * Scatter-add a (C*K*K, R*C) column-gradient matrix back into an image
@@ -84,14 +88,18 @@ void col2im_accumulate(const Tensor& cols, Tensor& grad_input,
                        int64_t batch_index, const ConvGeometry& geom);
 
 /**
- * col2im from caller-owned column storage, laid out as im2col_into
- * writes it: the image's row r is `cols[r * ld + col0 ..]`, so the
- * conv backward scatters each image of a group straight from the
- * group's (C*K*K, G*R*C) column-gradient matrix.
+ * The adjoint of `im2col_group`: scatter-add a group's column
+ * gradients, laid out as `im2col_group` writes them, into images
+ * [b0, b0 + nimg) of @p grad_input. The group's gradient is staged
+ * into the same padded, images-innermost buffer, the part of each tap
+ * row that reads inside the map is added to it as contiguous runs,
+ * and its interior is copied back.
+ * Every `grad_input` element still adds its terms in ascending
+ * (c, ky, kx, y, x) order, onto its own starting value.
  */
-void col2im_accumulate(const float* cols, Tensor& grad_input,
-                       int64_t batch_index, const ConvGeometry& geom,
-                       int64_t ld, int64_t col0);
+void col2im_accumulate(const float* cols, Tensor& grad_input, int64_t b0,
+                       int64_t nimg, const ConvGeometry& geom,
+                       int64_t ld);
 
 /**
  * Direct convolution forward (no im2col, no data duplication) — the

@@ -54,7 +54,7 @@ Workspace::alloc(int64_t nfloats)
     if (top_ + n <= cap_) {
         float* p = base_ + top_;
         top_ += n;
-        high_ = std::max(high_, top_);
+        high_ = std::max(high_, top_ + overflow_floats_);
         return p;
     }
     // Backing block exhausted: take a dedicated block and remember
@@ -63,13 +63,15 @@ Workspace::alloc(int64_t nfloats)
     float* p = aligned_new(std::max<size_t>(n, 1));
     overflow_.push_back(p);
     ++overflow_allocs_;
-    high_ = std::max(high_, top_ + n);
+    overflow_floats_ += n;
+    high_ = std::max(high_, top_ + overflow_floats_);
     return p;
 }
 
 Workspace::Scope::Scope()
     : ws_(Workspace::local()), saved_top_(ws_.top_),
-      saved_overflow_(ws_.overflow_.size())
+      saved_overflow_(ws_.overflow_.size()),
+      saved_overflow_floats_(ws_.overflow_floats_)
 {
 }
 
@@ -80,6 +82,7 @@ Workspace::Scope::~Scope()
         ws_.overflow_.pop_back();
     }
     ws_.top_ = saved_top_;
+    ws_.overflow_floats_ = saved_overflow_floats_;
     if (ws_.top_ == 0 && ws_.high_ > ws_.cap_) {
         aligned_delete(ws_.base_);
         ws_.cap_ = round_up(ws_.high_);

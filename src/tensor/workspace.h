@@ -90,6 +90,7 @@ class Workspace {
         Workspace& ws_;
         size_t saved_top_;
         size_t saved_overflow_;
+        size_t saved_overflow_floats_;
     };
 
     /** Capacity of the reusable backing block, in floats (tests). */
@@ -107,6 +108,7 @@ class Workspace {
     size_t top_ = 0;          ///< bump offset into base_, in floats
     size_t high_ = 0;         ///< high-water of top_ + overflow sizes
     std::vector<float*> overflow_; ///< blocks taken when base_ was full
+    size_t overflow_floats_ = 0;   ///< floats in the live overflow_ blocks
     int64_t overflow_allocs_ = 0;
 };
 

@@ -58,6 +58,24 @@ TEST(SingleRunning, PlanPopulatesBothTasks)
               planner.gpu().spec().mem_capacity);
 }
 
+TEST(SingleRunning, InferenceLabelSaysWhatStoppedTheBatch)
+{
+    GpuModel gpu(tx1_spec());
+    SingleRunningPlanner planner{gpu};
+    const NetworkDesc net = alexnet_desc();
+    const NetworkDesc diag = diagnosis_desc(net);
+    // A tight budget stops the batch below the search cap.
+    const auto tight = planner.plan(net, diag, 0.1);
+    EXPECT_LT(tight.inference_batch, 512);
+    EXPECT_TRUE(tight.inference_latency_limited);
+    EXPECT_GT(gpu.network_latency(net, tight.inference_batch + 1), 0.1);
+    // A budget that batch 513 still meets leaves the cap in charge.
+    const double loose_req = gpu.network_latency(net, 513) * 1.01;
+    const auto loose = planner.plan(net, diag, loose_req);
+    EXPECT_EQ(loose.inference_batch, 512);
+    EXPECT_FALSE(loose.inference_latency_limited);
+}
+
 TEST(SingleRunning, ModelPickBeatsNonBatching)
 {
     // The heart of Fig. 21: the time-model pick outperforms the

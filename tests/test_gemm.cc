@@ -11,6 +11,7 @@
  * byte-identity across thread widths is asserted separately on shapes
  * that cross the MC/KC/NC block boundaries.
  */
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -111,8 +112,64 @@ TEST(GemmDeathTest, StridedOperandDies)
                       GemmBackend::kBlocked),
                  "contiguous rows or columns");
     EXPECT_DEATH(gemm_acc(1, 2, 2, 2, a.data(), 2, 1, 0, b.data(), 4, 2,
-                          0, c.data(), 2, GemmBackend::kBlocked),
+                          0, c.data(), 2, GemmBackend::kBlocked, 1),
                  "contiguous rows or columns");
+}
+
+/// gemm_acc over B groups — products stored interleaved the way
+/// `im2col_group` lowers a group of images, so each op(B_t) column
+/// steps k over its group — must equal adding each product, formed by
+/// gemm() from a contiguous copy of its columns, to C in order: bit for
+/// bit, on both backends, at widths 1 and 4, with k inside one KC panel
+/// and across two, and with a short last group.
+TEST(GemmAcc, GroupedOperandsMatchSerialGemmSum)
+{
+    const GemmBackend prev = gemm_backend();
+    const int64_t count = 5, m = 6, n = 37;
+    for (const int64_t k : {4, 300}) {
+        // Column j of product t = q*G + i holds its k entries at
+        // b[j*ldb + q*G*k + kk*n_q + i].
+        const int64_t ldb = k * count + 3;
+        const auto va = random_vec(count * m * k, 41 + k);
+        const auto vb = random_vec(n * ldb, 43 + k);
+        const auto c0 = random_vec(m * n, 47 + k);
+        for (const int64_t group : {1, 2, 5}) {
+            for (const GemmBackend be :
+                 {GemmBackend::kBlocked, GemmBackend::kNaive}) {
+                set_gemm_backend(be);
+                std::vector<float> want = c0;
+                std::vector<float> bt(static_cast<size_t>(n * k));
+                std::vector<float> prod(static_cast<size_t>(m * n));
+                for (int64_t t = 0; t < count; ++t) {
+                    const int64_t q = t / group, i = t % group;
+                    const int64_t nq = std::min(group, count - q * group);
+                    for (int64_t j = 0; j < n; ++j)
+                        for (int64_t kk = 0; kk < k; ++kk)
+                            bt[static_cast<size_t>(j * k + kk)] =
+                                vb[static_cast<size_t>(
+                                    j * ldb + q * group * k + kk * nq + i)];
+                    gemm(m, n, k, va.data() + t * m * k, k, 1, bt.data(),
+                         1, k, prod.data(), be);
+                    for (size_t e = 0; e < want.size(); ++e)
+                        want[e] += prod[e];
+                }
+                for (const int width : {1, 4}) {
+                    set_num_threads(width);
+                    std::vector<float> got = c0;
+                    gemm_acc(count, m, n, k, va.data(), k, 1, m * k,
+                             vb.data(), 1, ldb, k, got.data(), n, be,
+                             group);
+                    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                          got.size() * sizeof(float)),
+                              0)
+                        << "k=" << k << " group " << group << " "
+                        << gemm_backend_name() << " width " << width;
+                }
+            }
+        }
+    }
+    set_num_threads(0);
+    set_gemm_backend(prev);
 }
 
 /// Shapes that cross every block boundary (m > MC=64, k > KC=256,
@@ -292,13 +349,13 @@ TEST(WorkspaceArena, ConvPathReusesArena)
     {
         Workspace::Scope scope;
         float* buf = ws.alloc(static_cast<int64_t>(cols.size()));
-        im2col_into(x, 0, g, buf, 12 * 12, 0);
+        im2col_group(x, 0, 1, g, buf, 12 * 12);
     }
     const int64_t overflow0 = ws.overflow_allocs();
     for (int64_t b = 0; b < 4; ++b) {
         Workspace::Scope scope;
         float* buf = ws.alloc(static_cast<int64_t>(cols.size()));
-        im2col_into(x, b, g, buf, 12 * 12, 0);
+        im2col_group(x, b, 1, g, buf, 12 * 12);
     }
     EXPECT_EQ(ws.overflow_allocs(), overflow0);
 }

@@ -1,13 +1,13 @@
 /**
  * @file
  * Bitwise oracles for the layer kernels around every conv GEMM: ReLU,
- * max-pool, im2col_into and col2im_accumulate. The kernels use
- * selects and per-tap index ranges instead of per-element branches;
- * the naive loops here branch on every element, as the kernels once
- * did, and live nowhere else. Each kernel must match its loop bit for
- * bit (memcmp) on NaN, ±0, ±Inf and denormal inputs, all-NaN windows,
- * tied windows, and planes that are wholly negative or wholly
- * positive.
+ * max-pool, im2col_group and col2im_accumulate. The kernels use
+ * selects and a zero-padded staging buffer instead of per-element
+ * branches; the naive loops here branch on every element, as the
+ * kernels once did, and live nowhere else. Each kernel must match its
+ * loop bit for bit (memcmp) on NaN, ±0, ±Inf and denormal inputs,
+ * all-NaN windows, tied windows, and planes that are wholly negative
+ * or wholly positive.
  *
  * The conv backward, which lowers dX per image group and folds each
  * image's weight gradient straight into the grad, is checked the same
@@ -228,52 +228,63 @@ TEST(KernelReference, MaxPoolForwardArgmaxAndBackward)
 
 // --- im2col / col2im -----------------------------------------------
 
-/// The naive gather: one bounds test per element.
+/// The naive gather of images [b0, b0 + nimg): one bounds test per
+/// element, tap row r, position p and image i at out[r*ld + p*nimg + i].
 void
-im2col_reference(const Tensor& input, int64_t b, const ConvGeometry& g,
-                 float* out, int64_t ld, int64_t col0)
+im2col_reference(const Tensor& input, int64_t b0, int64_t nimg,
+                 const ConvGeometry& g, float* out, int64_t ld)
 {
     const int64_t oh = g.out_h(), ow = g.out_w();
-    const float* in = input.data() + b * g.in_channels * g.in_h * g.in_w;
-    for (int64_t c = 0; c < g.in_channels; ++c)
-        for (int64_t ky = 0; ky < g.kernel; ++ky)
-            for (int64_t kx = 0; kx < g.kernel; ++kx) {
-                const int64_t row = (c * g.kernel + ky) * g.kernel + kx;
-                for (int64_t y = 0; y < oh; ++y)
-                    for (int64_t x = 0; x < ow; ++x) {
-                        const int64_t iy = y * g.stride + ky - g.pad;
-                        const int64_t ix = x * g.stride + kx - g.pad;
-                        float v = 0.0f;
-                        if (iy >= 0 && iy < g.in_h && ix >= 0 &&
-                            ix < g.in_w)
-                            v = in[(c * g.in_h + iy) * g.in_w + ix];
-                        out[row * ld + col0 + y * ow + x] = v;
-                    }
-            }
+    for (int64_t i = 0; i < nimg; ++i) {
+        const float* in =
+            input.data() + (b0 + i) * g.in_channels * g.in_h * g.in_w;
+        for (int64_t c = 0; c < g.in_channels; ++c)
+            for (int64_t ky = 0; ky < g.kernel; ++ky)
+                for (int64_t kx = 0; kx < g.kernel; ++kx) {
+                    const int64_t row =
+                        (c * g.kernel + ky) * g.kernel + kx;
+                    for (int64_t y = 0; y < oh; ++y)
+                        for (int64_t x = 0; x < ow; ++x) {
+                            const int64_t iy = y * g.stride + ky - g.pad;
+                            const int64_t ix = x * g.stride + kx - g.pad;
+                            float v = 0.0f;
+                            if (iy >= 0 && iy < g.in_h && ix >= 0 &&
+                                ix < g.in_w)
+                                v = in[(c * g.in_h + iy) * g.in_w + ix];
+                            out[row * ld + (y * ow + x) * nimg + i] = v;
+                        }
+                }
+    }
 }
 
-/// The naive scatter-add, in ascending (c, ky, kx, y, x) order.
+/// The naive scatter-add into images [b0, b0 + nimg), in ascending
+/// (c, ky, kx, y, x) order per image; columns laid out as
+/// im2col_reference writes them.
 void
-col2im_reference(const float* cols, Tensor& grad, int64_t b,
-                 const ConvGeometry& g, int64_t ld, int64_t col0)
+col2im_reference(const float* cols, Tensor& grad, int64_t b0,
+                 int64_t nimg, const ConvGeometry& g, int64_t ld)
 {
     const int64_t oh = g.out_h(), ow = g.out_w();
-    float* out = grad.data() + b * g.in_channels * g.in_h * g.in_w;
-    for (int64_t c = 0; c < g.in_channels; ++c)
-        for (int64_t ky = 0; ky < g.kernel; ++ky)
-            for (int64_t kx = 0; kx < g.kernel; ++kx) {
-                const int64_t row = (c * g.kernel + ky) * g.kernel + kx;
-                for (int64_t y = 0; y < oh; ++y)
-                    for (int64_t x = 0; x < ow; ++x) {
-                        const int64_t iy = y * g.stride + ky - g.pad;
-                        const int64_t ix = x * g.stride + kx - g.pad;
-                        if (iy < 0 || iy >= g.in_h || ix < 0 ||
-                            ix >= g.in_w)
-                            continue;
-                        out[(c * g.in_h + iy) * g.in_w + ix] +=
-                            cols[row * ld + col0 + y * ow + x];
-                    }
-            }
+    for (int64_t i = 0; i < nimg; ++i) {
+        float* out =
+            grad.data() + (b0 + i) * g.in_channels * g.in_h * g.in_w;
+        for (int64_t c = 0; c < g.in_channels; ++c)
+            for (int64_t ky = 0; ky < g.kernel; ++ky)
+                for (int64_t kx = 0; kx < g.kernel; ++kx) {
+                    const int64_t row =
+                        (c * g.kernel + ky) * g.kernel + kx;
+                    for (int64_t y = 0; y < oh; ++y)
+                        for (int64_t x = 0; x < ow; ++x) {
+                            const int64_t iy = y * g.stride + ky - g.pad;
+                            const int64_t ix = x * g.stride + kx - g.pad;
+                            if (iy < 0 || iy >= g.in_h || ix < 0 ||
+                                ix >= g.in_w)
+                                continue;
+                            out[(c * g.in_h + iy) * g.in_w + ix] +=
+                                cols[row * ld + (y * ow + x) * nimg + i];
+                        }
+                }
+    }
 }
 
 /// Every K x stride x pad on non-square, odd-sized maps, three
@@ -330,10 +341,23 @@ TEST(KernelReference, Im2colIntoMatchesNaiveGather)
         const int64_t col0 = 5, ld = col0 + ohw + 3;
         const int64_t rows = g.in_channels * g.kernel * g.kernel;
         Tensor got({rows, ld}, -7.25f), want({rows, ld}, -7.25f);
-        im2col_into(x, 2, g, got.data(), ld, col0);
-        im2col_reference(x, 2, g, want.data(), ld, col0);
+        im2col_group(x, 2, 1, g, got.data() + col0, ld);
+        im2col_reference(x, 2, 1, g, want.data() + col0, ld);
         expect_same_bits(got, want, describe(g));
     }
+}
+
+/// Random column values with a few specials: one NaN payload and no
+/// -Inf, so no sum depends on which NaN an add propagates.
+void
+fill_columns(Tensor& cols, Rng& rng)
+{
+    static const float specials[] = {kNaN, kInf, 0.0f, -0.0f, kDenorm,
+                                     -kDenorm};
+    for (int64_t i = 0; i < cols.numel(); ++i)
+        cols.data()[i] = rng.next_below(16) == 0
+                             ? specials[rng.next_below(6)]
+                             : rng.uniform_f(-1.0f, 1.0f);
 }
 
 TEST(KernelReference, Col2imAccumulateMatchesNaiveScatter)
@@ -341,27 +365,86 @@ TEST(KernelReference, Col2imAccumulateMatchesNaiveScatter)
     Rng rng(13);
     for (const ConvGeometry& g : geometry_sweep()) {
         const int64_t rows = g.in_channels * g.kernel * g.kernel;
-        // One NaN payload and no -Inf, so no sum depends on which NaN
-        // an add propagates; random terms make the order visible.
-        // Image 1's columns start at column 5 of wider rows, as in a
-        // group's column-gradient matrix.
+        // Random terms make the order visible. Image 1's columns
+        // start at column 5 of wider rows, as in a group's
+        // column-gradient matrix.
         const int64_t ohw = g.out_h() * g.out_w();
         const int64_t col0 = 5, ld = col0 + ohw + 3;
         Tensor cols({rows, ld});
-        for (int64_t i = 0; i < cols.numel(); ++i) {
-            static const float specials[] = {kNaN, kInf, 0.0f, -0.0f,
-                                             kDenorm, -kDenorm};
-            cols.data()[i] = rng.next_below(16) == 0
-                                 ? specials[rng.next_below(6)]
-                                 : rng.uniform_f(-1.0f, 1.0f);
-        }
+        fill_columns(cols, rng);
         Tensor got({3, g.in_channels, g.in_h, g.in_w});
         got.fill_uniform(rng, -1.0f, 1.0f);
         Tensor want = got;
-        col2im_accumulate(cols.data(), got, 1, g, ld, col0);
-        col2im_reference(cols.data(), want, 1, g, ld, col0);
+        col2im_accumulate(cols.data() + col0, got, 1, 1, g, ld);
+        col2im_reference(cols.data() + col0, want, 1, 1, g, ld);
         expect_same_bits(got, want, describe(g));
     }
+}
+
+TEST(KernelReference, Im2colGroupMatchesNaiveGather)
+{
+    // Every (tap, position, image) entry of a group's columns, and the
+    // adjoint scatter of random column gradients, against the naive
+    // loops: K x stride x pad on a tile-sized 2x2 map, an odd 9x7 map
+    // and a 20x20 map whose 400 positions exceed one k panel; groups
+    // of one image, two, a full kGroupCols group and a tail group.
+    Rng rng(19);
+    const int64_t maps[][2] = {{2, 2}, {9, 7}, {20, 20}};
+    int checked = 0;
+    for (const auto& hw : maps)
+        for (int64_t k : {1, 3, 5})
+            for (int64_t st : {1, 2, 3})
+                for (int64_t p : {0, 1, 2}) {
+                    ConvGeometry g;
+                    g.in_channels = 3;
+                    g.in_h = hw[0];
+                    g.in_w = hw[1];
+                    g.kernel = k;
+                    g.stride = st;
+                    g.pad = p;
+                    if (g.in_h + 2 * p < k || g.in_w + 2 * p < k) continue;
+                    const int64_t ohw = g.out_h() * g.out_w();
+                    const int64_t full = (kGroupCols + ohw - 1) / ohw;
+                    const int64_t batch = full + 3;
+                    const Tensor x = make_input(
+                        {batch, g.in_channels, g.in_h, g.in_w},
+                        g.in_h * g.in_w, rng);
+                    const int64_t rows = g.in_channels * k * k;
+                    const int64_t groups[][2] = {
+                        {1, 1}, {1, 2}, {0, full}, {full, 3}};
+                    for (const auto& grp : groups) {
+                        const int64_t b0 = grp[0], nimg = grp[1];
+                        const std::string what =
+                            describe(g) + " b0=" + std::to_string(b0) +
+                            " nimg=" + std::to_string(nimg);
+                        // The group's columns start at column 5 of wider
+                        // rows; the sentinel around them must survive.
+                        const int64_t col0 = 5;
+                        const int64_t ld = col0 + ohw * nimg + 3;
+                        Tensor got({rows, ld}, -7.25f);
+                        Tensor want({rows, ld}, -7.25f);
+                        im2col_group(x, b0, nimg, g, got.data() + col0,
+                                     ld);
+                        im2col_reference(x, b0, nimg, g,
+                                         want.data() + col0, ld);
+                        expect_same_bits(got, want, "im2col " + what);
+
+                        Tensor cols({rows, ld});
+                        fill_columns(cols, rng);
+                        Tensor gx({batch, g.in_channels, g.in_h, g.in_w});
+                        gx.fill_uniform(rng, -1.0f, 1.0f);
+                        Tensor gx_want = gx;
+                        col2im_accumulate(cols.data() + col0, gx, b0,
+                                          nimg, g, ld);
+                        col2im_reference(cols.data() + col0, gx_want, b0,
+                                         nimg, g, ld);
+                        expect_same_bits(gx, gx_want, "col2im " + what);
+                        ++checked;
+                    }
+                }
+    // 27 geometries per map, less those whose window is wider than
+    // the padded 2x2 map: K=3 at pad 0 and K=5 at pad 0 and 1.
+    EXPECT_EQ(checked, 4 * (27 * 3 - 9));
 }
 
 TEST(KernelReferenceDeathTest, WindowWiderThanPaddedMapDies)

@@ -121,8 +121,8 @@ TEST(MaxPool, BackwardRoutesToArgmax)
 
 // --- grouped conv forward ------------------------------------------
 
-/// The per-image lowering the grouped forward replaced: one
-/// im2col_into, one raw gemm() and one bias add per image.
+/// The per-image loop the grouped forward replaced: one image's
+/// lowering, one raw gemm() and one bias add per image.
 Tensor
 per_image_conv(const Conv2d& conv, const Tensor& x, GemmBackend be)
 {
@@ -140,7 +140,7 @@ per_image_conv(const Conv2d& conv, const Tensor& x, GemmBackend be)
     Tensor y({x.dim(0), m, g.out_h(), g.out_w()});
     std::vector<float> cols(static_cast<size_t>(ckk * ohw));
     for (int64_t b = 0; b < x.dim(0); ++b) {
-        im2col_into(x, b, g, cols.data(), ohw, 0);
+        im2col_group(x, b, 1, g, cols.data(), ohw);
         float* dst = y.data() + b * m * ohw;
         gemm(m, ohw, ckk, conv.weight()->value().data(), ckk, 1,
              cols.data(), ohw, 1, dst, be);

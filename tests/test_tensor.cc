@@ -254,7 +254,7 @@ TEST(Col2imDeathTest, BatchIndexOutOfRangeDies)
     const Tensor cols({18, 16}, 1.0f);
     Tensor grad({1, 2, 4, 4});
     EXPECT_DEATH(col2im_accumulate(cols, grad, 1, g), "col2im batch index");
-    EXPECT_DEATH(col2im_accumulate(cols.data(), grad, -1, g, 16, 0),
+    EXPECT_DEATH(col2im_accumulate(cols.data(), grad, -1, 1, g, 16),
                  "col2im batch index");
 }
 
@@ -263,7 +263,7 @@ TEST(Col2imDeathTest, ChannelMismatchDies)
     const ConvGeometry g = col2im_geometry();
     const Tensor cols({18, 16}, 1.0f);
     Tensor grad({2, 1, 4, 4});
-    EXPECT_DEATH(col2im_accumulate(cols.data(), grad, 1, g, 16, 0),
+    EXPECT_DEATH(col2im_accumulate(cols.data(), grad, 1, 1, g, 16),
                  "col2im geometry mismatch");
 }
 
