@@ -20,6 +20,10 @@ class ReLU : public Layer {
     Tensor backward(const Tensor& grad_output) override;
     std::string kind() const override { return "relu"; }
 
+    /** Drop the backward state, as an eval forward does: a backward
+     *  after it fails the before-forward check. */
+    void drop_state();
+
   private:
     // Train-mode backward state: one byte per element, 1 where x > 0.
     std::vector<int64_t> mask_shape_;

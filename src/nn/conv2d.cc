@@ -4,6 +4,10 @@
 #include <cmath>
 #include <sstream>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "obs/metrics.h"
 #include "tensor/gemm.h"
 #include "tensor/workspace.h"
@@ -60,26 +64,234 @@ Conv2d::geometry(const Tensor& input) const
 Tensor
 Conv2d::forward(const Tensor& input, bool training)
 {
+    Tensor output = forward_fused(input, ConvEpilogue::kBias);
+    // Only backward reads the cached input; an eval forward keeps
+    // none, so a backward after it fails the before-forward check.
+    if (training) cached_input_ = input;
+    return output;
+}
+
+namespace {
+
+/**
+ * Where a group's scatter reads and writes: the conv's output map
+ * (oh, ow), the epilogue's output plane (ph, pw), and for each plane
+ * position q the map position of its value or of its pool window's
+ * top-left corner. The pool keeps each 2x2 window at stride 2 and
+ * drops an odd last row and column, as `MaxPool2d(2, 2)` does.
+ */
+struct ScatterPlan {
+    int64_t oh, ow, ph, pw;
+    std::vector<int64_t> origin;
+};
+
+ScatterPlan
+scatter_plan(int64_t oh, int64_t ow, bool pool)
+{
+    const int64_t step = pool ? 2 : 1;
+    ScatterPlan plan{oh, ow, oh / step, ow / step, {}};
+    plan.origin.reserve(static_cast<size_t>(plan.ph * plan.pw));
+    for (int64_t y = 0; y < plan.ph; ++y)
+        for (int64_t x = 0; x < plan.pw; ++x)
+            plan.origin.push_back(y * step * ow + x * step);
+    return plan;
+}
+
+/** One value's bias add, then E's ReLU: x > 0 ? x : +0, as
+ *  `ReLU::forward` computes it (NaN and -0 give +0). */
+template <ConvEpilogue E>
+float
+act(float v, float bias)
+{
+    v += bias;
+    return E == ConvEpilogue::kBias || v > 0.0f ? v : 0.0f;
+}
+
+float
+max_of(float a, float b)
+{
+    return std::max(a, b);
+}
+
+#if defined(__SSE2__)
+/** The same on four lanes: maxps returns its second operand unless
+ *  the first is greater. */
+template <ConvEpilogue E>
+__m128
+act(const float* p, __m128 bias)
+{
+    const __m128 v = _mm_add_ps(_mm_loadu_ps(p), bias);
+    return E == ConvEpilogue::kBias ? v : _mm_max_ps(v, _mm_setzero_ps());
+}
+
+__m128
+max_of(__m128 a, __m128 b)
+{
+    return _mm_max_ps(a, b);
+}
+#endif
+
+/**
+ * Scatter one group's GEMM output om[m][p*nimg + i] (positions major,
+ * images minor) to the NCHW slices at @p dst, one image every
+ * @p img_stride floats, adding each filter's bias after the full
+ * k-sum and applying epilogue E. A pool's inputs are ReLU outputs,
+ * non-NaN and >= +0, so their max is the same bits in any order.
+ * A lone image's positions are contiguous and go four at a time
+ * through SSE lanes; without the pool it may be scattered in place
+ * (om == dst). In a larger group four images at a time share the
+ * lanes, and a 4x4 transpose turns four positions of four images
+ * into four contiguous stores; the rest go one by one.
+ */
+template <ConvEpilogue E>
+void
+scatter_group(const float* om, int64_t nimg, int64_t filters,
+              const ScatterPlan& plan, const float* bias, float* dst,
+              int64_t img_stride)
+{
+    constexpr bool pool = E == ConvEpilogue::kReluPool2x2;
+    const int64_t ow = plan.ow, pw = plan.pw, plane = plan.ph * pw;
+    const int64_t ncols = nimg * plan.oh * ow;
+    const int64_t* origin = plan.origin.data();
+    // v, or for a pool the max of v and the other three values of
+    // its window; at(d) is the value d columns of om past v's.
+    auto window = [&](auto v, auto at) {
+        if constexpr (pool)
+            return max_of(max_of(v, at(nimg)),
+                          max_of(at(ow * nimg), at((ow + 1) * nimg)));
+        else
+            return v;
+    };
+    int64_t i = 0;
+#if defined(__SSE2__)
+    if (nimg == 1) {
+        for (int64_t m = 0; m < filters; ++m) {
+            const __m128 b = _mm_set1_ps(bias[m]);
+            const float* src = om + m * ncols;
+            float* out = dst + m * plane;
+            if constexpr (!pool) {
+                int64_t p = 0;
+                for (; p + 4 <= plane; p += 4)
+                    _mm_storeu_ps(out + p, act<E>(src + p, b));
+                for (; p < plane; ++p) out[p] = act<E>(src[p], bias[m]);
+            } else {
+                for (int64_t y = 0; y < plan.ph; ++y) {
+                    const float* r0 = src + 2 * y * ow;
+                    const float* r1 = r0 + ow;
+                    float* o = out + y * pw;
+                    int64_t x = 0;
+                    // Eight map columns of two rows make four windows:
+                    // max the rows, then even lanes with odd ones.
+                    for (; x + 4 <= pw; x += 4) {
+                        const __m128 lo = max_of(act<E>(r0 + 2 * x, b),
+                                                 act<E>(r1 + 2 * x, b));
+                        const __m128 hi =
+                            max_of(act<E>(r0 + 2 * x + 4, b),
+                                   act<E>(r1 + 2 * x + 4, b));
+                        _mm_storeu_ps(
+                            o + x,
+                            max_of(_mm_shuffle_ps(lo, hi,
+                                                  _MM_SHUFFLE(2, 0, 2, 0)),
+                                   _mm_shuffle_ps(lo, hi,
+                                                  _MM_SHUFFLE(3, 1, 3, 1))));
+                    }
+                    for (; x < pw; ++x) {
+                        const float* s = r0 + 2 * x;
+                        o[x] = window(act<E>(s[0], bias[m]),
+                                      [&](int64_t d) {
+                                          return act<E>(s[d], bias[m]);
+                                      });
+                    }
+                }
+            }
+        }
+        return;
+    }
+    for (; i + 4 <= nimg; i += 4) {
+        for (int64_t m = 0; m < filters; ++m) {
+            const __m128 b = _mm_set1_ps(bias[m]);
+            const float* src = om + m * ncols + i;
+            float* out = dst + i * img_stride + m * plane;
+            auto lanes = [&](int64_t q) {
+                const float* s = src + origin[q] * nimg;
+                return window(act<E>(s, b),
+                              [&](int64_t d) { return act<E>(s + d, b); });
+            };
+            int64_t q = 0;
+            for (; q + 4 <= plane; q += 4) {
+                __m128 v0 = lanes(q), v1 = lanes(q + 1);
+                __m128 v2 = lanes(q + 2), v3 = lanes(q + 3);
+                _MM_TRANSPOSE4_PS(v0, v1, v2, v3);
+                _mm_storeu_ps(out + q, v0);
+                _mm_storeu_ps(out + img_stride + q, v1);
+                _mm_storeu_ps(out + 2 * img_stride + q, v2);
+                _mm_storeu_ps(out + 3 * img_stride + q, v3);
+            }
+            for (; q < plane; ++q) {
+                alignas(16) float lane[4];
+                _mm_store_ps(lane, lanes(q));
+                for (int64_t l = 0; l < 4; ++l)
+                    out[l * img_stride + q] = lane[l];
+            }
+        }
+    }
+#endif
+    for (; i < nimg; ++i) {
+        for (int64_t m = 0; m < filters; ++m) {
+            const float* src = om + m * ncols + i;
+            float* out = dst + i * img_stride + m * plane;
+            for (int64_t q = 0; q < plane; ++q) {
+                const float* s = src + origin[q] * nimg;
+                out[q] = window(act<E>(s[0], bias[m]), [&](int64_t d) {
+                    return act<E>(s[d], bias[m]);
+                });
+            }
+        }
+    }
+}
+
+} // namespace
+
+Tensor
+Conv2d::forward_fused(const Tensor& input, ConvEpilogue epilogue)
+{
+    cached_input_ = Tensor();
     const ConvGeometry g = geometry(input);
     const int64_t batch = input.dim(0);
     const int64_t oh = g.out_h(), ow = g.out_w();
-    // Only backward reads the cached input; an eval forward keeps
-    // none, so a backward after it fails the before-forward check.
-    cached_input_ = training ? input : Tensor();
+    const bool pool = epilogue == ConvEpilogue::kReluPool2x2;
+    INSITU_CHECK(!pool || (oh >= 2 && ow >= 2),
+                 "pool window larger than input");
 
     const int64_t ckk = in_channels_ * kernel_ * kernel_;
     const int64_t ohw = oh * ow;
+    const ScatterPlan plan = scatter_plan(oh, ow, pool);
     // The filter matrix Fm (M, N*K*K) is the weight tensor's own
     // storage viewed flat — no reshape copy.
     const float* fm = weight_->value().data();
     const float* pb = bias_->value().data();
-    Tensor output = Tensor::uninitialized({batch, out_channels_, oh, ow});
+    Tensor output =
+        Tensor::uninitialized({batch, out_channels_, plan.ph, plan.pw});
     float* po = output.data();
     const GemmBackend be = gemm_backend();
     static auto& mm_calls = obs::MetricsRegistry::global().counter(
         "tensor.matmul.calls");
     static auto& mm_flops = obs::MetricsRegistry::global().counter(
         "tensor.matmul.flops");
+    auto scatter = [&](const float* om, int64_t nimg, float* dst) {
+        const int64_t stride = out_channels_ * plan.ph * plan.pw;
+        switch (epilogue) {
+        case ConvEpilogue::kBias:
+            return scatter_group<ConvEpilogue::kBias>(
+                om, nimg, out_channels_, plan, pb, dst, stride);
+        case ConvEpilogue::kRelu:
+            return scatter_group<ConvEpilogue::kRelu>(
+                om, nimg, out_channels_, plan, pb, dst, stride);
+        case ConvEpilogue::kReluPool2x2:
+            return scatter_group<ConvEpilogue::kReluPool2x2>(
+                om, nimg, out_channels_, plan, pb, dst, stride);
+        }
+    };
     // One GEMM per group of images lowered together, so small feature
     // maps fill whole register tiles and Fm is packed once per group.
     // The group size depends only on shape. Each C element still sums
@@ -104,25 +316,16 @@ Conv2d::forward(const Tensor& input, bool training)
             mm_calls.add(1);
             mm_flops.add(2 * out_channels_ * ckk * ncols);
             // Om = Fm * Dm. A lone image's (M, R*C) product already
-            // has the output slice's layout, so it is written there
-            // and the scatter below adds its bias in place.
-            float* om = nimg == 1
-                            ? po + b0 * out_channels_ * ohw
+            // has the unpooled output slice's layout, so it is written
+            // there and the scatter finishes it in place.
+            float* dst = po + b0 * out_channels_ * plan.ph * plan.pw;
+            float* om = nimg == 1 && !pool
+                            ? dst
                             : Workspace::local().alloc(out_channels_ *
                                                        ncols);
             gemm(out_channels_, ncols, ckk, fm, ckk, 1, cols, ncols, 1,
                  om, be);
-            // Scatter om[m][p*G + i] to NCHW, adding the bias after
-            // the full k-sum.
-            for (int64_t i = 0; i < nimg; ++i) {
-                float* dst = po + (b0 + i) * out_channels_ * ohw;
-                for (int64_t m = 0; m < out_channels_; ++m) {
-                    const float bias = pb[m];
-                    const float* src = om + m * ncols + i;
-                    for (int64_t p = 0; p < ohw; ++p)
-                        dst[m * ohw + p] = src[p * nimg] + bias;
-                }
-            }
+            scatter(om, nimg, dst);
         }
     });
     return output;

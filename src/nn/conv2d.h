@@ -14,6 +14,14 @@
  * `backward_params` skips dX, for the lowest layer a backward runs.
  * The Fig. 9 direct loop nest is `conv2d_direct`, the reference the
  * forward is tested against.
+ *
+ * In eval mode `Network` runs a conv, the ReLU after it and a 2x2,
+ * stride-2 max-pool after that as one `forward_fused`: the output
+ * scatter adds the bias, applies the ReLU and takes each window's
+ * max straight from the group's GEMM output, so the pre-pool map is
+ * never written. The bits are those of the three layers run one by
+ * one: after the ReLU every pool input is a non-NaN value >= +0, and
+ * the max of such values is the same in any order.
  */
 #pragma once
 
@@ -23,6 +31,13 @@
 namespace insitu {
 
 class Rng;
+
+/** What a conv forward's output scatter applies after the bias add. */
+enum class ConvEpilogue {
+    kBias,        ///< nothing: the conv alone
+    kRelu,        ///< max(x, +0), a following ReLU's output
+    kReluPool2x2, ///< then the max over each 2x2 window at stride 2
+};
 
 /** Convolution layer with weight (M,N,K,K) and bias (M). */
 class Conv2d : public Layer {
@@ -40,6 +55,13 @@ class Conv2d : public Layer {
            int64_t kernel, int64_t stride, int64_t pad, Rng& rng);
 
     Tensor forward(const Tensor& input, bool training) override;
+    /**
+     * Eval forward of this conv and the layers @p epilogue stands
+     * for: the output of `forward(input, false)` passed through a
+     * ReLU and, for `kReluPool2x2`, a `MaxPool2d(2, 2)`, bit for bit.
+     * Like any eval forward it keeps no backward state.
+     */
+    Tensor forward_fused(const Tensor& input, ConvEpilogue epilogue);
     Tensor backward(const Tensor& grad_output) override;
     void backward_params(const Tensor& grad_output) override;
     std::vector<ParameterPtr> params() override;

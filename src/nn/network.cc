@@ -3,6 +3,9 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "nn/activations.h"
+#include "nn/conv2d.h"
+#include "nn/pooling.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -29,6 +32,29 @@ layer_time_histogram(obs::Histogram*& slot, const char* dir,
         slot = &obs::MetricsRegistry::global().histogram(
             std::string("nn.") + dir + "." + layer.kind() + ".time_s");
     return *slot;
+}
+
+/** The layers an eval forward runs as one, from layer i on. */
+struct FusedRun {
+    size_t layers = 1;
+    ConvEpilogue epilogue = ConvEpilogue::kBias;
+};
+
+/** The eval-mode run starting at layer @p i < @p end: a conv, its ReLU
+ *  and a 2x2, stride-2 pool if both are in range; else layer i alone. */
+FusedRun
+fused_run(const std::vector<LayerPtr>& layers, size_t i, size_t end)
+{
+    if (i + 1 >= end || dynamic_cast<const Conv2d*>(layers[i].get()) ==
+                            nullptr ||
+        dynamic_cast<const ReLU*>(layers[i + 1].get()) == nullptr)
+        return {};
+    const auto* pool =
+        i + 2 < end ? dynamic_cast<const MaxPool2d*>(layers[i + 2].get())
+                    : nullptr;
+    if (pool != nullptr && pool->kernel() == 2 && pool->stride() == 2)
+        return {3, ConvEpilogue::kReluPool2x2};
+    return {2, ConvEpilogue::kRelu};
 }
 
 } // namespace
@@ -58,15 +84,26 @@ Network::forward_layers(const Tensor& input, bool training,
     if (begin == end) return input;
     // The first layer reads the caller's tensor; no copy is made.
     Tensor x;
-    for (size_t i = begin; i < end; ++i) {
+    for (size_t i = begin; i < end;) {
         Layer& layer = *layers_[i];
+        const FusedRun run =
+            training ? FusedRun{} : fused_run(layers_, i, end);
         obs::ScopedSpan layer_span("nn.forward.layer", "layer",
                                    layer.name());
         obs::Histogram& time =
             layer_time_histogram(timers_[i].forward, "forward", layer);
         const double t0 = obs::now_s();
-        x = layer.forward(i == begin ? input : x, training);
+        const Tensor& in = i == begin ? input : x;
+        x = run.layers == 1
+                ? layer.forward(in, training)
+                : static_cast<Conv2d&>(layer).forward_fused(
+                      in, run.epilogue);
         time.observe(obs::now_s() - t0);
+        if (run.layers > 1)
+            static_cast<ReLU&>(*layers_[i + 1]).drop_state();
+        if (run.layers > 2)
+            static_cast<MaxPool2d&>(*layers_[i + 2]).drop_state();
+        i += run.layers;
     }
     return x;
 }

@@ -57,6 +57,12 @@ class Network {
      * image, and eval and training forwards agree, so running a frozen
      * prefix once in eval mode and training layers [begin, size()) on
      * its output gives the same bits as full training forwards.
+     *
+     * In eval mode each conv inside the range that is followed by a
+     * ReLU, and then maybe by a `MaxPool2d(2, 2)`, runs with them as
+     * one `Conv2d::forward_fused`, timed and traced as the conv; the
+     * ReLU and pool drop their backward state as their own eval
+     * forwards would. A training forward runs layer by layer.
      */
     Tensor forward_layers(const Tensor& input, bool training,
                           size_t begin, size_t end);

@@ -56,8 +56,7 @@ MaxPool2d::forward(const Tensor& input, bool training)
         cached_in_shape_ = input.shape();
         argmax_.resize(static_cast<size_t>(out.numel()));
     } else {
-        cached_in_shape_.clear();
-        argmax_.clear();
+        drop_state();
     }
     const float* in = input.data();
     float* po = out.data();
@@ -148,6 +147,13 @@ MaxPool2d::forward(const Tensor& input, bool training)
     else
         pool_planes(std::false_type{});
     return out;
+}
+
+void
+MaxPool2d::drop_state()
+{
+    cached_in_shape_.clear();
+    argmax_.clear();
 }
 
 Tensor

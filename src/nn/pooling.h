@@ -20,6 +20,10 @@ class MaxPool2d : public Layer {
     int64_t kernel() const { return kernel_; }
     int64_t stride() const { return stride_; }
 
+    /** Drop the backward state, as an eval forward does: a backward
+     *  after it fails the before-forward check. */
+    void drop_state();
+
   private:
     int64_t kernel_, stride_;
     std::vector<int64_t> cached_in_shape_;

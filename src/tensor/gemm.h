@@ -23,7 +23,13 @@
  * Together these make the output bit-identical at any thread width.
  * (It may differ in low-order bits from the retired naive ikj loop
  * when k exceeds KC — per-panel partial sums round differently — and
- * from other hosts when the microkernel dispatches to FMA.)
+ * from other hosts when the microkernel dispatches to FMA.) The bound
+ * against the naive loop, checked by `GemmEdge.*` in
+ * tests/test_gemm.cc: while no partial sum overflows, NaN and ±Inf
+ * land on the same elements of C, and each finite element agrees
+ * within 2·(γ_k·Σ_k|a·b| + k·2⁻¹⁴⁹), γ_k = k·u / (1 − k·u), u = 2⁻²⁴.
+ * That is the error bound of any summation order (FMA only tightens
+ * it), with each operation's underflow error, doubled for two orders.
  *
  * The naive loops survive as a selectable reference backend for A/B
  * testing and as the baseline of the `check_perf` speedup floor

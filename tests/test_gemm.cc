@@ -12,8 +12,10 @@
  * that cross the MC/KC/NC block boundaries.
  */
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -93,6 +95,102 @@ TEST(GemmSweep, BlockedMatchesNaiveAllVariants)
             }
         }
     }
+}
+
+/**
+ * One edge-tile operand: uniform(-1, 1) with an eighth of the entries
+ * denormal or signed zero, so products underflow, every fifth row (A)
+ * or column (B) all zero, as a ReLU leaves it, and one NaN or signed
+ * infinity planted in every third row (A) or fourth column (B), so
+ * NaN and Inf reach some elements of C and not others, and a zero
+ * line meets them (0 * Inf is NaN).
+ */
+std::vector<float>
+hostile_operand(int64_t rows, int64_t cols, bool plant_in_rows,
+                uint64_t seed)
+{
+    static const float kTiny[] = {
+        std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min(), 3e-39f, -3e-39f, 0.0f,
+        -0.0f};
+    static const float kSpecial[] = {
+        std::numeric_limits<float>::quiet_NaN(),
+        std::numeric_limits<float>::infinity(),
+        -std::numeric_limits<float>::infinity()};
+    Rng rng(seed);
+    std::vector<float> v(static_cast<size_t>(rows * cols));
+    for (auto& x : v)
+        x = rng.next_below(8) == 0 ? kTiny[rng.next_below(6)]
+                                   : rng.uniform_f(-1.0f, 1.0f);
+    const int64_t lines = plant_in_rows ? rows : cols;
+    const int64_t along = plant_in_rows ? cols : rows;
+    auto at = [&](int64_t line, int64_t pos) -> float& {
+        return v[static_cast<size_t>(plant_in_rows ? line * cols + pos
+                                                   : pos * cols + line)];
+    };
+    for (int64_t l = 2; l < lines; l += 5)
+        for (int64_t p = 0; p < along; ++p) at(l, p) = 0.0f;
+    for (int64_t l = 1; l < lines; l += plant_in_rows ? 3 : 4) {
+        const int64_t pos = static_cast<int64_t>(
+            rng.next_below(static_cast<uint64_t>(along)));
+        at(l, pos) = kSpecial[rng.next_below(3)];
+    }
+    return v;
+}
+
+TEST(GemmEdge, HostileEdgeTilesMatchNaiveWithinBound)
+{
+    // m, n and k off the MR = 4, NR = 16 and KC = 256 multiples, and
+    // across one MC = 64 row block.
+    constexpr double kU = 0x1p-24;
+    int64_t specials = 0, finite = 0;
+    for (const int64_t m : {1, 3, 5, 7, 67}) {
+        for (const int64_t n : {1, 15, 17, 33}) {
+            for (const int64_t k : {1, 7, 255, 257, 300}) {
+                SCOPED_TRACE(testing::Message()
+                             << "m=" << m << " k=" << k << " n=" << n);
+                const auto a = hostile_operand(m, k, true, 7 * m + k);
+                const auto b = hostile_operand(k, n, false, 11 * n + k);
+                std::vector<float> blocked(static_cast<size_t>(m * n));
+                std::vector<float> naive(blocked.size());
+                gemm(m, n, k, a.data(), k, 1, b.data(), n, 1,
+                     blocked.data(), GemmBackend::kBlocked);
+                gemm(m, n, k, a.data(), k, 1, b.data(), n, 1,
+                     naive.data(), GemmBackend::kNaive);
+                const double kgamma = k * kU / (1.0 - k * kU);
+                for (int64_t i = 0; i < m; ++i) {
+                    for (int64_t j = 0; j < n; ++j) {
+                        const float got = blocked[i * n + j];
+                        const float want = naive[i * n + j];
+                        if (!std::isfinite(want)) {
+                            ++specials;
+                            EXPECT_EQ(std::isnan(got), std::isnan(want))
+                                << "C(" << i << "," << j << ")";
+                            if (std::isinf(want))
+                                EXPECT_EQ(got, want)
+                                    << "C(" << i << "," << j << ")";
+                            continue;
+                        }
+                        ++finite;
+                        double mass = 0.0;
+                        for (int64_t kk = 0; kk < k; ++kk)
+                            mass += std::fabs(double(a[i * k + kk]) *
+                                              double(b[kk * n + j]));
+                        const double bound =
+                            2.0 * (kgamma * mass + k * 0x1p-149);
+                        ASSERT_TRUE(std::isfinite(got))
+                            << "C(" << i << "," << j << ")";
+                        EXPECT_LE(std::fabs(double(got) - double(want)),
+                                  bound)
+                            << "C(" << i << "," << j << ")";
+                    }
+                }
+            }
+        }
+    }
+    // Both kinds of element occur, so neither check is vacuous.
+    EXPECT_GT(specials, 1000);
+    EXPECT_GT(finite, 1000);
 }
 
 TEST(GemmSweep, KZeroZeroFillsC)

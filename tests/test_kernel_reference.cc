@@ -13,6 +13,10 @@
  * image's weight gradient straight into the grad, is checked the same
  * way against the per-image loop it replaced: one pair of GEMMs and
  * one dW partial per image, the partials added in batch order.
+ *
+ * The eval-mode fold, which runs a conv, its ReLU and a 2x2 max-pool
+ * as one output scatter, is checked against the same network's
+ * layer-by-layer replay.
  */
 #include <gtest/gtest.h>
 
@@ -23,9 +27,12 @@
 #include <utility>
 #include <vector>
 
+#include "models/tiny.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
+#include "nn/network.h"
 #include "nn/pooling.h"
+#include "obs/metrics.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "util/parallel.h"
@@ -595,6 +602,142 @@ TEST(ConvBackwardReference, MatchesPerImagePartialLoop)
     }
     set_num_threads(0);
     set_gemm_backend(prev);
+}
+
+// --- the eval-mode fold ---------------------------------------------
+
+/// Batches that give one-image groups, group tails and full groups.
+constexpr int64_t kFoldBatches[] = {1, 2, 5, 31, 32, 288, 293};
+
+/// The layer-by-layer eval forward the fold must reproduce.
+Tensor
+replay_layers(Network& net, const Tensor& x)
+{
+    Tensor y = x;
+    for (size_t i = 0; i < net.size(); ++i)
+        y = net.layer(i).forward(y, false);
+    return y;
+}
+
+/// Gives every fourth filter of each conv a hostile bias: NaN, +-Inf,
+/// -0 and +-denormal, or -1e30, which makes the filter's
+/// pre-activations all negative.
+void
+plant_hostile_biases(Network& net)
+{
+    static const float kBiases[] = {kNaN,    kInf,     -kInf, -0.0f,
+                                    kDenorm, -kDenorm, -1e30f};
+    size_t next = 0;
+    for (size_t l = 0; l < net.size(); ++l) {
+        auto* conv = dynamic_cast<Conv2d*>(&net.layer(l));
+        if (conv == nullptr) continue;
+        Tensor& b = conv->bias()->value();
+        for (int64_t m = 0; m < b.numel(); m += 4)
+            b.data()[m] = kBiases[next++ % 7];
+    }
+}
+
+/// Images filled by the next Fill in turn; every seventh is all zero,
+/// so its pre-activations are the biases themselves.
+Tensor
+hostile_images(int64_t batch, int64_t h, int64_t w, Rng& rng)
+{
+    const int64_t image = 3 * h * w;
+    Tensor x = make_input({batch, 3, h, w}, image, rng);
+    for (int64_t b = 6; b < batch; b += 7)
+        std::memset(x.data() + b * image, 0, sizeof(float) * image);
+    return x;
+}
+
+int64_t
+forward_count(const char* kind)
+{
+    return obs::MetricsRegistry::global()
+        .histogram(std::string("nn.forward.") + kind + ".time_s")
+        .count();
+}
+
+/**
+ * Network::forward(x, false) against replay_layers at every batch and
+ * widths 1 and 4, bit for bit. A run's own ReLU and pool forwards are
+ * timed only when the layer runs by itself, so their counts tell
+ * which path ran: @p relus and @p pools are the forwards per call of
+ * each that run unfused.
+ */
+void
+expect_fold_matches(Network& net, int64_t h, int64_t w, int64_t relus,
+                    int64_t pools, const std::string& what)
+{
+    Rng rng(31);
+    for (const int64_t batch : kFoldBatches) {
+        const Tensor x = hostile_images(batch, h, w, rng);
+        const Tensor want = replay_layers(net, x);
+        for (const int width : {1, 4}) {
+            set_num_threads(width);
+            const int64_t relu0 = forward_count("relu");
+            const int64_t pool0 = forward_count("maxpool");
+            const Tensor got = net.forward(x, false);
+            const std::string at = what + " batch " +
+                                   std::to_string(batch) + " width " +
+                                   std::to_string(width);
+            expect_same_bits(got, want, at);
+            EXPECT_EQ(forward_count("relu") - relu0, relus) << at;
+            EXPECT_EQ(forward_count("maxpool") - pool0, pools) << at;
+        }
+    }
+    set_num_threads(0);
+}
+
+TEST(FusedEpilogue, TinyNetsMatchLayerByLayer)
+{
+    Rng rng(29);
+    const TinyConfig config;
+    Network trunk = make_tiny_trunk(config, rng);
+    Network inference = make_tiny_inference(config, rng);
+    plant_hostile_biases(trunk);
+    plant_hostile_biases(inference);
+    const int64_t tile = config.image_size / 3;
+    // Every conv's ReLU and pool fold; fc1's ReLU follows a Linear.
+    expect_fold_matches(trunk, tile, tile, 0, 0, "trunk");
+    expect_fold_matches(inference, config.image_size, config.image_size,
+                        1, 0, "inference");
+}
+
+TEST(FusedEpilogue, OddMapsMatchLayerByLayer)
+{
+    // 5x7 pools to 2x3, dropping a row and a column; the middle conv
+    // folds only its ReLU, and the last pool sees a 2x3 map.
+    Rng rng(30);
+    Network net("odd");
+    net.emplace<Conv2d>("c1", 3, 5, 3, 1, 1, rng);
+    net.emplace<ReLU>("c1.relu");
+    net.emplace<MaxPool2d>("c1.pool", 2, 2);
+    net.emplace<Conv2d>("c2", 5, 6, 3, 1, 1, rng);
+    net.emplace<ReLU>("c2.relu");
+    net.emplace<Conv2d>("c3", 6, 4, 1, 1, 0, rng);
+    net.emplace<ReLU>("c3.relu");
+    net.emplace<MaxPool2d>("c3.pool", 2, 2);
+    plant_hostile_biases(net);
+    expect_fold_matches(net, 5, 7, 0, 0, "odd maps");
+}
+
+TEST(FusedEpilogue, OtherPoolShapesRunUnfused)
+{
+    // Only a 2x2, stride-2 pool folds; the conv still folds its ReLU.
+    struct Pool {
+        int64_t kernel, stride;
+    };
+    for (const Pool p : {Pool{3, 2}, Pool{2, 1}}) {
+        Rng rng(32);
+        Network net("pool");
+        net.emplace<Conv2d>("c", 3, 6, 3, 1, 1, rng);
+        net.emplace<ReLU>("c.relu");
+        net.emplace<MaxPool2d>("c.pool", p.kernel, p.stride);
+        plant_hostile_biases(net);
+        expect_fold_matches(net, 7, 9, 0, 1,
+                            "pool " + std::to_string(p.kernel) + "/" +
+                                std::to_string(p.stride));
+    }
 }
 
 } // namespace

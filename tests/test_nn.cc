@@ -378,6 +378,25 @@ TEST(EvalForwardDeathTest, ReluBackwardDies)
                  "relu backward before forward");
 }
 
+TEST(EvalForwardDeathTest, FusedNetworkBackwardDies)
+{
+    // An eval forward runs conv, ReLU and pool as one fused conv,
+    // which must drop the ReLU's mask and the pool's argmax that the
+    // training forward before it left.
+    Rng rng(18);
+    Network net("fused");
+    net.emplace<Conv2d>("c", 1, 2, 3, 1, 1, rng);
+    net.emplace<ReLU>("c.relu");
+    net.emplace<MaxPool2d>("c.pool", 2, 2);
+    const Tensor x({2, 1, 4, 4}, 0.5f);
+    net.forward(x, true);
+    net.forward(x, false);
+    EXPECT_DEATH(net.backward(Tensor({2, 2, 2, 2}, 1.0f)),
+                 "maxpool backward before forward");
+    EXPECT_DEATH(net.layer(1).backward(Tensor({2, 2, 4, 4}, 1.0f)),
+                 "relu backward before forward");
+}
+
 TEST(Softmax, RowsSumToOne)
 {
     Tensor logits({2, 3}, {1, 2, 3, -1, 0, 1});
